@@ -98,16 +98,21 @@ class ResultCache:
         return self.dir / f"{key}.json"
 
     def get(self, command: str, params: dict):
-        """Cached payload for (command, params, version), or None."""
-        path = self._path(cache_key(command, params))
+        """Cached payload for (command, params, version), or None.  An entry that
+        is not an object, is stored under another key, or has a non-object
+        payload is a miss, like an unreadable file."""
+        key = cache_key(command, params)
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(self._path(key), encoding="utf-8") as fh:
                 entry = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
+        if not isinstance(entry, dict) or entry.get("key") != key:
+            return None
         if entry.get("version") != __version__:
             return None
-        return entry.get("payload")
+        payload = entry.get("payload")
+        return payload if isinstance(payload, dict) else None
 
     def put(self, command: str, params: dict, payload) -> None:
         key = cache_key(command, params)

@@ -68,7 +68,7 @@ class GradedComplex:
         """Dense matrix of d: C^n -> C^(n+1), rows indexed by the degree-(n+1) basis."""
         rows = len(self.basis(n + 1))
         cols = len(self.basis(n))
-        m = linalg.zeros(rows, cols)
+        m = [[Fraction(0)] * cols for _ in range(rows)]
         for r, c, v in self.diff.get(n, []):
             m[r][c] += v
         return m
@@ -138,37 +138,40 @@ class CohomologyResult:
         }
 
 
+def _columns(cx: GradedComplex, n: int) -> list[linalg.SparseRow]:
+    """Columns of d_n: the image of each basis element of C^n, as a sparse vector."""
+    cols: list[linalg.SparseRow] = [{} for _ in cx.basis(n)]
+    for r, c, v in cx.diff.get(n, []):
+        cols[c][r] = v
+    return cols
+
+
+def image_echelon(cx: GradedComplex, n: int) -> linalg.Echelon:
+    """Echelon form of the coboundaries in C^n, spanned by the columns of d_(n-1)."""
+    return linalg.Echelon(_columns(cx, n - 1))
+
+
 def cohomology(cx: GradedComplex) -> CohomologyResult:
     """H^n = ker d_n / im d_(n-1) with deterministic representatives."""
     dims: dict[int, int] = {}
     reps: dict[int, list[Element]] = {}
-    total = 0
     for n in range(cx.top_degree + 1):
         basis = cx.basis(n)
         if not basis:
             continue
-        d_n = cx.diff_matrix(n)
-        kernel = linalg.nullspace(d_n, len(basis))
-        d_prev = cx.diff_matrix(n - 1)
-        image_rows: linalg.Matrix = []
-        if cx.basis(n - 1):
-            for col in range(len(cx.basis(n - 1))):
-                vec = [d_prev[r][col] for r in range(len(basis))]
-                if any(x != 0 for x in vec):
-                    image_rows.append(vec)
-        rank_im = linalg.rank(image_rows) if image_rows else 0
-        dim_h = len(kernel) - rank_im
-        # independent check: dim ker - rank of previous differential
-        chosen = linalg.independent_complement(image_rows, kernel)
+        kernel = linalg.kernel(_columns(cx, n))
+        image = image_echelon(cx, n)
+        dim_h = len(kernel) - image.rank
+        # independent check: greedy representatives vs dim ker - rank of d_(n-1)
+        chosen = [v for v in kernel if image.insert(v)]
         if len(chosen) != dim_h:
             raise AssertionError(
                 f"rank bookkeeping mismatch in degree {n}: {len(chosen)} vs {dim_h}"
             )
         if dim_h:
             dims[n] = dim_h
-            reps[n] = [cx.vector_element(kernel[i], n) for i in chosen]
-            total += dim_h
-    return CohomologyResult(cx.kind, cx.q, dims, reps, total)
+            reps[n] = [cx.vector_element(linalg.dense(v, len(basis)), n) for v in chosen]
+    return CohomologyResult(cx.kind, cx.q, dims, reps, sum(dims.values()))
 
 
 def is_cocycle(cx: GradedComplex, a: Element) -> bool:
@@ -187,5 +190,4 @@ def is_coboundary(cx: GradedComplex, a: Element) -> bool:
     n = a.degree()
     if not cx.basis(n - 1):
         return False
-    target = cx.element_vector(a, n)
-    return linalg.solve(cx.diff_matrix(n - 1), target) is not None
+    return not image_echelon(cx, n).reduce(linalg.sparse(cx.element_vector(a, n)))

@@ -273,10 +273,6 @@ def degree(m: Monomial) -> int:
     return m.degree()
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def differential(a: Element) -> Element:
     """d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz rule."""
     sig = a.signature

@@ -1,8 +1,14 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra: one incremental sparse echelon kernel.
 
-Matrices are lists of rows of Fraction.  Everything is deterministic:
-pivots are always chosen as the first nonzero entry in column order, so
-ranks, echelon forms, and nullspace bases are reproducible across runs.
+:class:`Echelon` does all elimination.  It keeps sparse rows
+``{column: Fraction}`` keyed by their pivot, the lowest nonzero column, and
+scaled to 1 there; a new row is reduced against the stored pivots in
+ascending column order, so a span grows one row at a time.  Results are
+deterministic whatever order rows arrive in: pivots are lowest columns and
+the RREF of a row space is unique, so ranks, echelon forms and canonical
+nullspace bases are reproducible, and a greedy pass over candidates keeps
+exactly those outside the span of the ones before.  The dense list-of-rows
+functions are thin wrappers over the kernel.
 """
 
 from __future__ import annotations
@@ -11,74 +17,129 @@ from fractions import Fraction
 
 Row = list[Fraction]
 Matrix = list[Row]
+SparseRow = dict[int, Fraction]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+class Echelon:
+    """Row echelon form over Q of the span of the rows inserted so far."""
+
+    def __init__(self, rows=()) -> None:
+        self.rows: dict[int, SparseRow] = {}  # pivot column -> row, 1 at the pivot
+        for row in rows:
+            self.insert(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: SparseRow) -> SparseRow:
+        """The remainder of vec after eliminating the stored pivots in ascending
+        column order; empty iff vec lies in the span.  A row has no entry left
+        of its pivot, so fill-in only lands right of the column being cleared."""
+        v = {c: x for c, x in vec.items() if x}
+        rows = self.rows
+        todo = sorted((c for c in v if c in rows), reverse=True)  # popped lowest first
+        while todo:
+            p = todo.pop()
+            f = v.get(p)
+            if f is None:
+                continue
+            for c, x in rows[p].items():  # clears v[p], since rows[p][p] == 1
+                y = v.get(c)
+                if y is None:
+                    v[c] = -f * x
+                    if c in rows:
+                        todo.append(c)
+                else:
+                    y -= f * x
+                    if y:
+                        v[c] = y
+                    else:
+                        del v[c]
+            todo.sort(reverse=True)
+        return v
+
+    def insert(self, vec: SparseRow) -> bool:
+        """Add vec to the span; True iff it was not already in it."""
+        v = self.reduce(vec)
+        if not v:
+            return False
+        p = min(v)
+        inv = 1 / v[p]
+        self.rows[p] = {c: x * inv for c, x in v.items()} if inv != 1 else v
+        return True
+
+    def rref(self) -> list[tuple[int, SparseRow]]:
+        """(pivot, row) pairs of the reduced row echelon form, which replace the
+        stored rows.  Back-substitutes from the highest pivot down, so each row
+        is reduced against rows that are already fully reduced."""
+        rows = self.rows
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            rows[p] = {p: row[p], **self.reduce({c: x for c, x in row.items() if c != p})}
+        return sorted(rows.items())
+
+    def nullspace(self, ncols: int) -> list[SparseRow]:
+        """Basis of {x : row . x = 0 for every row}, one vector per free column in
+        ascending order, with 1 at its free column and 0 at the others."""
+        basis = {c: {c: Fraction(1)} for c in range(ncols) if c not in self.rows}
+        for p, row in self.rref():
+            for c, x in row.items():
+                if c != p:
+                    basis[c][p] = -x
+        return list(basis.values())
+
+
+def sparse(row: Row) -> SparseRow:
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def dense(vec: SparseRow, ncols: int) -> Row:
+    out = [Fraction(0)] * ncols
+    for c, x in vec.items():
+        out[c] = x
+    return out
+
+
+def kernel(cols: list[SparseRow]) -> list[SparseRow]:
+    """Canonical basis of {x : sum_j x_j cols[j] = 0} (one vector per free column)."""
+    rows: dict[int, SparseRow] = {}
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    return Echelon(rows.values()).nullspace(len(cols))
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (echelon matrix, pivot columns)."""
-    m = [row[:] for row in mat]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    reduced = Echelon(map(sparse, mat)).rref()
+    ech = [dense(row, ncols) for _, row in reduced]
+    ech += [[Fraction(0)] * ncols for _ in range(len(mat) - len(ech))]
+    return ech, [p for p, _ in reduced]
 
 
 def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+    return Echelon(map(sparse, mat)).rank
 
 
 def nullspace(mat: Matrix, ncols: int) -> list[Row]:
     """Basis of {x : mat @ x = 0}, canonical (one vector per free column)."""
-    if not mat:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)] for i in range(ncols)]
-    ech, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Row] = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -ech[r][f]
-        basis.append(v)
-    return basis
+    return [dense(v, ncols) for v in Echelon(map(sparse, mat)).nullspace(ncols)]
 
 
 def solve(mat: Matrix, b: Row) -> Row | None:
-    """One solution of mat @ x = b, or None if inconsistent."""
+    """One solution of mat @ x = b (free variables 0), or None if inconsistent."""
     if not mat:
-        return None if any(x != 0 for x in b) else []
+        return None if any(b) else []
     ncols = len(mat[0])
-    aug = [row[:] + [bb] for row, bb in zip(mat, b)]
-    ech, pivots = rref(aug)
-    for r in range(len(ech)):
-        if all(ech[r][c] == 0 for c in range(ncols)) and ech[r][ncols] != 0:
-            return None
     x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
+    for p, row in Echelon(sparse(r + [bb]) for r, bb in zip(mat, b)).rref():
         if p == ncols:
             return None
-        x[p] = ech[r][ncols]
+        x[p] = row.get(ncols, Fraction(0))
     return x
 
 
@@ -88,13 +149,5 @@ def independent_complement(span_rows: Matrix, candidates: Matrix) -> list[int]:
     Used to pick cohomology representatives: rows of `span_rows` generate the
     coboundaries, candidates are kernel vectors in canonical order.
     """
-    work: Matrix = [r[:] for r in span_rows]
-    chosen: list[int] = []
-    base = rank(work) if work else 0
-    for idx, cand in enumerate(candidates):
-        trial = work + [cand[:]]
-        if rank(trial) > base:
-            work = trial
-            base += 1
-            chosen.append(idx)
-    return chosen
+    ech = Echelon(map(sparse, span_rows))
+    return [i for i, cand in enumerate(candidates) if ech.insert(sparse(cand))]

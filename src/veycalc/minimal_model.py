@@ -53,9 +53,6 @@ class FreeAlgebra:
 
     # -- words -----------------------------------------------------------
 
-    def word_degree(self, w: Word) -> int:
-        return sum(self.degrees[i] * e for i, e in w)
-
     def word_label(self, w: Word) -> str:
         if not w:
             return "1"
@@ -76,9 +73,6 @@ class FreeAlgebra:
         return (-1) ** inversions, word
 
     # -- elements ----------------------------------------------------------
-
-    def zero(self) -> FreeElement:
-        return {}
 
     def gen_element(self, idx: int) -> FreeElement:
         return {((idx, 1),): Fraction(1)}
@@ -228,13 +222,21 @@ class _ModelBuilder:
         self._psi_cache[w] = out
         return out
 
-    def _psi_vector(self, elem: FreeElement, target_basis, target_index) -> list[Fraction]:
-        v = [Fraction(0)] * len(target_basis)
+    def _psi_vector(self, elem: FreeElement, target_index) -> linalg.SparseRow:
+        v: linalg.SparseRow = {}
         for w, c in elem.items():
-            img = self._psi_word(w)
-            for m, cc in img.terms.items():
-                v[target_index[m]] += c * cc
+            for m, cc in self._psi_word(w).terms.items():
+                i = target_index[m]
+                v[i] = v.get(i, 0) + c * cc
         return v
+
+    def _d_images(self, source: list[Word], target: list[Word]) -> list[linalg.SparseRow]:
+        """d of each source word, as a sparse vector over the target words."""
+        index = {w: i for i, w in enumerate(target)}
+        return [
+            {index[ww]: c for ww, c in self.alg.differential({w: Fraction(1)}).items()}
+            for w in source
+        ]
 
     def _cohomology_reps(self, n: int) -> list[FreeElement]:
         """Cocycle representatives of a basis of H^n(model)."""
@@ -242,45 +244,19 @@ class _ModelBuilder:
         self._budget_check(n, len(basis_n))
         if not basis_n:
             return []
-        basis_up = self.alg.basis(n + 1)
-        index_up = {w: i for i, w in enumerate(basis_up)}
-        mat = linalg.zeros(len(basis_up), len(basis_n))
-        for col, w in enumerate(basis_n):
-            for ww, c in self.alg.differential({w: Fraction(1)}).items():
-                mat[index_up[ww]][col] += c
-        kernel = linalg.nullspace(mat, len(basis_n))
-        basis_dn = self.alg.basis(n - 1)
-        index_n = {w: i for i, w in enumerate(basis_n)}
-        image_rows: linalg.Matrix = []
-        for w in basis_dn:
-            dv = self.alg.differential({w: Fraction(1)})
-            if dv:
-                row = [Fraction(0)] * len(basis_n)
-                for ww, c in dv.items():
-                    row[index_n[ww]] += c
-                image_rows.append(row)
-        chosen = linalg.independent_complement(image_rows, kernel)
-        reps = []
-        for i in chosen:
-            rep: FreeElement = {}
-            for w, c in zip(basis_n, kernel[i]):
-                if c:
-                    rep[w] = c
-            reps.append(rep)
-        return reps
+        kernel = linalg.kernel(self._d_images(basis_n, self.alg.basis(n + 1)))
+        image = linalg.Echelon(self._d_images(self.alg.basis(n - 1), basis_n))
+        return [{basis_n[j]: v[j] for j in sorted(v)} for v in kernel if image.insert(v)]
 
     def _stage(self, n: int) -> None:
         target_basis = gca.basis_of_degree(self.sig, n)
         target_index = {m: i for i, m in enumerate(target_basis)}
         # (a) new closed generators hitting the cokernel of H^n -> I_q^n
         reps = self._cohomology_reps(n)
-        image_rows = [self._psi_vector(r, target_basis, target_index) for r in reps]
-        identity = [
-            [Fraction(1) if j == i else Fraction(0) for j in range(len(target_basis))]
-            for i in range(len(target_basis))
-        ]
-        for pick in linalg.independent_complement(image_rows, identity):
-            mono = target_basis[pick]
+        image = linalg.Echelon(self._psi_vector(r, target_index) for r in reps)
+        for pick, mono in enumerate(target_basis):
+            if not image.insert({pick: Fraction(1)}):
+                continue
             gid = f"x{n}_{len(self.generators.get(n, []))}"
             self.alg.add_generator(gid, n, {})
             self.generators.setdefault(n, []).append(gid)
@@ -295,17 +271,11 @@ class _ModelBuilder:
         reps_up = self._cohomology_reps(n + 1)
         if not reps_up:
             return
-        # columns: psi-images of the classes; nullspace = kernel combinations
-        cols = [self._psi_vector(r, up_basis, up_index) for r in reps_up]
-        if up_basis:
-            mat = [[cols[j][i] for j in range(len(reps_up))] for i in range(len(up_basis))]
-        else:
-            mat = []
-        for combo in linalg.nullspace(mat, len(reps_up)):
+        # kernel combinations of the psi-images of the classes
+        for combo in linalg.kernel([self._psi_vector(r, up_index) for r in reps_up]):
             target: FreeElement = {}
-            for coeff, rep in zip(combo, reps_up):
-                if coeff:
-                    target = self.alg.add(target, self.alg.scale(rep, coeff))
+            for j in sorted(combo):
+                target = self.alg.add(target, self.alg.scale(reps_up[j], combo[j]))
             gid = f"w{n}_{len(self.generators.get(n, []))}"
             self.alg.add_generator(gid, n, target)
             self.generators.setdefault(n, []).append(gid)

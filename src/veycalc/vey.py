@@ -111,7 +111,7 @@ def vey_basis(
     for r in range(1, len(odd) + 1):
         for ys in itertools.combinations(odd, r):
             for w in range(q + 1):
-                for cpart in _c_exponents(q, w):
+                for cpart in gca._c_parts(q, q, 2 * w):
                     if _vey_condition(ys[0], cpart, q, kind, wo_condition):
                         m = Monomial(ys, cpart)
                         out.append(
@@ -119,22 +119,6 @@ def vey_basis(
                         )
     out.sort(key=lambda v: v.monomial.sort_key())
     return out
-
-
-def _c_exponents(q: int, weight: int):
-    """Exponent vectors over c_1..c_q of exact weight."""
-    def rec(idx: int, remaining: int, acc: list[int]):
-        if idx == q:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        j = idx + 1
-        for e in range(remaining // j + 1):
-            acc.append(e)
-            yield from rec(idx + 1, remaining - j * e, acc)
-            acc.pop()
-
-    yield from rec(0, weight, [])
 
 
 def variable_set(q: int, wo_condition: str = WO_CONDITION_FORALL) -> list[VeyClass]:
@@ -308,16 +292,6 @@ def validate_vey(
 
 
 def _independent_in_cohomology(cx: GradedComplex, n: int, vs: list[VeyClass]) -> bool:
-    basis = cx.basis(n)
-    d_prev = cx.diff_matrix(n - 1)
-    image_rows: linalg.Matrix = []
-    if cx.basis(n - 1):
-        for col in range(len(cx.basis(n - 1))):
-            vec = [d_prev[r][col] for r in range(len(basis))]
-            if any(x != 0 for x in vec):
-                image_rows.append(vec)
-    rank_im = linalg.rank(image_rows) if image_rows else 0
-    rows = image_rows + [
-        cx.element_vector(Element.monomial(cx.signature, v.monomial), n) for v in vs
-    ]
-    return linalg.rank(rows) == rank_im + len(vs)
+    image = complexes.image_echelon(cx, n)
+    vecs = (cx.element_vector(Element.monomial(cx.signature, v.monomial), n) for v in vs)
+    return all(image.insert(linalg.sparse(vec)) for vec in vecs)

@@ -166,3 +166,20 @@ def test_config_defaults():
         Config(q_cap=0)
     with pytest.raises(ConfigError):
         Config(output_format="yaml")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda entry: {**entry, "key": "0" * 64},  # stored under another key
+        lambda entry: [entry],  # entry is not an object
+        lambda entry: {**entry, "payload": [entry["payload"]]},  # payload not an object
+        lambda entry: {**entry, "payload": None},
+    ],
+)
+def test_cache_serves_no_malformed_entry(tmp_path, corrupt):
+    cache = ResultCache(str(tmp_path))
+    cache.put("cmd", {"a": 1}, {"x": 2})
+    path = next(tmp_path.glob("*.json"))
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    assert cache.get("cmd", {"a": 1}) is None

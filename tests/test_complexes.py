@@ -1,8 +1,11 @@
 """Tests for the cochain complexes and the cohomology oracle."""
 
+import hashlib
+
 import pytest
 
 from veycalc import complexes, gca
+from veycalc.cache import canonical_json
 from veycalc.complexes import ResourceBudgetError
 from veycalc.gca import AlgebraSignature, Element, Monomial
 
@@ -137,3 +140,11 @@ def test_d_squared_zero_matrixwise():
                     for r in range(len(cx.basis(n + 2)))
                 ]
                 assert all(x == 0 for x in w)
+
+
+def test_w5_cohomology_digest_is_pinned():
+    # sha256 of the canonical JSON of H*(W_5), dimensions and representatives:
+    # any drift in the chosen representatives fails here
+    doc = complexes.cohomology(complexes.build_complex(5, "W")).to_json_obj()
+    digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert digest == "3c875c13115dd27079b01cf746c919a2c7af3fbd6acb764515ba2efb131ee905"

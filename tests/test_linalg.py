@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from veycalc import linalg
 
 
@@ -41,3 +44,76 @@ def test_independent_complement():
     # first candidate is already in the span; the other two each extend it
     chosen = linalg.independent_complement(span, candidates)
     assert chosen == [1, 2]
+
+
+# -- property test against a textbook dense Gauss-Jordan ----------------------
+
+
+def _reference_rref(mat, ncols):
+    """Plain dense Gauss-Jordan over Q: (nonzero RREF rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def _reference_nullspace(mat, ncols):
+    ech, pivots = _reference_rref(mat, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(ech, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+_small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def _matrices(draw):
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(_small_ints, min_size=ncols, max_size=ncols), max_size=6))
+    return [[F(x) for x in row] for row in rows], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(), _matrices())
+def test_property_kernel_matches_dense_gauss_jordan(a, b):
+    mat, ncols = a
+    ech, pivots = _reference_rref(mat, ncols)
+    got, got_pivots = linalg.rref(mat)
+    assert got_pivots == pivots
+    assert got[: len(pivots)] == ech
+    assert all(x == 0 for row in got[len(pivots):] for x in row)
+    assert linalg.rank(mat) == len(pivots)
+    assert linalg.nullspace(mat, ncols) == _reference_nullspace(mat, ncols)
+    if mat:
+        rhs = [F(i % 3) for i in range(len(mat))]
+        aug = [row + [y] for row, y in zip(mat, rhs)]
+        x = linalg.solve(mat, rhs)
+        if len(_reference_rref(aug, ncols + 1)[1]) > len(pivots):
+            assert x is None
+        else:
+            assert [sum(r * y for r, y in zip(row, x)) for row in mat] == rhs
+    # greedy complement: candidate i is kept iff it raises the rank of span + kept
+    cands = [row[:ncols] + [F(0)] * (ncols - len(row)) for row in b[0]]
+    kept, expected = [], []
+    for i, cand in enumerate(cands):
+        before = len(_reference_rref(mat + kept, ncols)[1])
+        if len(_reference_rref(mat + kept + [cand], ncols)[1]) > before:
+            kept.append(cand)
+            expected.append(i)
+    assert linalg.independent_complement(mat, cands) == expected

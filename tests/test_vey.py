@@ -127,3 +127,15 @@ def test_vey_cocycles_q4():
         for v in vey.vey_basis(4, kind):
             el = gca.Element.monomial(cx.signature, v.monomial)
             assert complexes.is_cocycle(cx, el), v.name()
+
+
+def test_v_count_through_q8():
+    assert [vey.v_count(q) for q in range(1, 9)] == [1, 2, 3, 6, 8, 14, 17, 29]
+
+
+def test_validate_w6_against_oracle():
+    assert vey.validate_vey(6, "W").ok
+
+
+def test_validate_w7_past_the_default_cap():
+    assert vey.validate_vey(7, "W", q_cap=7).ok
