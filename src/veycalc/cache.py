@@ -12,11 +12,11 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .vey import WO_CONDITION_EXISTS, WO_CONDITION_FORALL
+from .complexes import DEFAULT_Q_CAP
 
 
 class ConfigError(ValueError):
@@ -32,17 +32,14 @@ def default_cache_dir() -> str:
 
 @dataclass(frozen=True)
 class Config:
-    q_cap: int = 6
+    q_cap: int = DEFAULT_Q_CAP
     model_degree_cap: int = 12
-    vey_wo_condition: str = WO_CONDITION_FORALL
     cache_dir: str = field(default_factory=default_cache_dir)
     output_format: str = "table"
 
     def __post_init__(self) -> None:
         if self.q_cap < 1 or self.model_degree_cap < 1:
             raise ConfigError("caps must be positive")
-        if self.vey_wo_condition not in (WO_CONDITION_FORALL, WO_CONDITION_EXISTS):
-            raise ConfigError(f"unknown vey_wo_condition {self.vey_wo_condition!r}")
         if self.output_format not in ("table", "json"):
             raise ConfigError(f"unknown output_format {self.output_format!r}")
 
@@ -50,7 +47,6 @@ class Config:
         return {
             "q_cap": self.q_cap,
             "model_degree_cap": self.model_degree_cap,
-            "vey_wo_condition": self.vey_wo_condition,
             "cache_dir": self.cache_dir,
             "output_format": self.output_format,
         }

@@ -151,56 +151,47 @@ def _render_kappa(doc: dict) -> str:
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_cohomology(args, config: Config, cache: ResultCache | None) -> dict:
-    params = {"q": args.q, "kind": args.complex, "q_cap": config.q_cap}
+def _cached(cache: ResultCache | None, command: str, params: dict, compute) -> dict:
+    """The cached result of (command, params), or compute() stored in the cache."""
     if cache:
-        hit = cache.get("cohomology", params)
+        hit = cache.get(command, params)
         if hit is not None:
             return hit
-    _progress(f"computing H*({args.complex}_{args.q}) ...")
-    cx = complexes.build_complex(args.q, args.complex, q_cap=config.q_cap)
-    doc = complexes.cohomology(cx).to_json_obj()
+    doc = compute()
     if cache:
-        cache.put("cohomology", params, doc)
+        cache.put(command, params, doc)
     return doc
 
 
-def _vey_doc(q: int, kind: str, wo_condition: str, degree: int | None) -> dict:
-    classes = vey.vey_basis(q, kind, wo_condition)
-    if degree is not None:
-        classes = [c for c in classes if c.degree == degree]
+def _cmd_cohomology(args, config: Config, cache: ResultCache | None) -> dict:
+    def compute() -> dict:
+        _progress(f"computing H*({args.complex}_{args.q}) ...")
+        cx = complexes.build_complex(args.q, args.complex, q_cap=config.q_cap)
+        return complexes.cohomology(cx).to_json_obj()
+
+    params = {"q": args.q, "kind": args.complex, "q_cap": config.q_cap}
+    return _cached(cache, "cohomology", params, compute)
+
+
+def _cmd_vey(args, config: Config, cache: ResultCache | None) -> dict:
+    classes = vey.vey_basis(args.q, args.complex)
+    if args.degree is not None:
+        classes = [c for c in classes if c.degree == args.degree]
     return {
-        "q": q,
-        "complex": kind,
-        "wo_condition": wo_condition,
+        "q": args.q,
+        "complex": args.complex,
+        "wo_condition": vey.WO_CONDITION,
         "classes": [c.to_json_obj() for c in classes],
     }
 
 
-def _cmd_vey(args, config: Config, cache: ResultCache | None) -> dict:
-    if args.validate:
-        return _cmd_validate(args, config, cache)
-    return _vey_doc(args.q, args.complex, config.vey_wo_condition, args.degree)
-
-
 def _cmd_validate(args, config: Config, cache: ResultCache | None) -> dict:
-    params = {
-        "q": args.q,
-        "kind": args.complex,
-        "wo_condition": config.vey_wo_condition,
-        "q_cap": config.q_cap,
-    }
-    if cache:
-        hit = cache.get("validate", params)
-        if hit is not None:
-            return hit
-    _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
-    doc = vey.validate_vey(
-        args.q, args.complex, config.vey_wo_condition, q_cap=config.q_cap
-    ).to_json_obj()
-    if cache:
-        cache.put("validate", params, doc)
-    return doc
+    def compute() -> dict:
+        _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
+        return vey.validate_vey(args.q, args.complex, q_cap=config.q_cap).to_json_obj()
+
+    params = {"q": args.q, "kind": args.complex, "q_cap": config.q_cap}
+    return _cached(cache, "validate", params, compute)
 
 
 def _cmd_model(args, config: Config, cache: ResultCache | None) -> dict:
@@ -210,18 +201,16 @@ def _cmd_model(args, config: Config, cache: ResultCache | None) -> dict:
             f"{config.model_degree_cap}",
             attempted_dimension=args.max_degree,
         )
+
+    def compute() -> dict:
+        _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
+        model = minimal_model.build_model(args.q, args.max_degree)
+        doc = model.to_json_obj()
+        doc["ranks"] = minimal_model.rank_table(model).to_json_obj()["ranks"]
+        return doc
+
     params = {"q": args.q, "max_degree": args.max_degree}
-    if cache:
-        hit = cache.get("model", params)
-        if hit is not None:
-            return hit
-    _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
-    model = minimal_model.build_model(args.q, args.max_degree)
-    doc = model.to_json_obj()
-    doc["ranks"] = minimal_model.rank_table(model).to_json_obj()["ranks"]
-    if cache:
-        cache.put("model", params, doc)
-    return doc
+    return _cached(cache, "model", params, compute)
 
 
 def _parse_cospherical(text: str) -> tuple[tuple[int, int], ...]:
@@ -255,19 +244,15 @@ def _cmd_manifold(args, config: Config, cache: ResultCache | None) -> dict:
             cospherical_degrees=_parse_cospherical(args.cospherical or ""),
             trivialized_over_cycles=args.trivialized_over_cycles,
         )
-    params = {"descriptor": descriptor.to_json_obj()}
-    if cache:
-        hit = cache.get("manifold", params)
-        if hit is not None:
-            return hit
-    records = manifold.report(descriptor)
-    doc = {
-        "descriptor": descriptor.to_json_obj(),
-        "records": [r.to_json_obj() for r in records],
-    }
-    if cache:
-        cache.put("manifold", params, doc)
-    return doc
+
+    def compute() -> dict:
+        records = manifold.report(descriptor)
+        return {
+            "descriptor": descriptor.to_json_obj(),
+            "records": [r.to_json_obj() for r in records],
+        }
+
+    return _cached(cache, "manifold", {"descriptor": descriptor.to_json_obj()}, compute)
 
 
 def _cmd_kappa(args, config: Config, cache: ResultCache | None) -> dict:
@@ -336,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", choices=("W", "WO"), required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--degree", type=int)
-    p.add_argument("--classify", action="store_true", help="included for symmetry; flags are always computed")
-    p.add_argument("--validate", action="store_true", help="cross-check against the oracle")
 
     p = add_parser("validate", help="cross-check the Vey basis against the oracle")
     p.add_argument("--complex", choices=("W", "WO"), required=True)

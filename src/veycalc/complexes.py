@@ -159,17 +159,9 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
         basis = cx.basis(n)
         if not basis:
             continue
-        kernel = linalg.kernel(_columns(cx, n))
-        image = image_echelon(cx, n)
-        dim_h = len(kernel) - image.rank
-        # independent check: greedy representatives vs dim ker - rank of d_(n-1)
-        chosen = [v for v in kernel if image.insert(v)]
-        if len(chosen) != dim_h:
-            raise AssertionError(
-                f"rank bookkeeping mismatch in degree {n}: {len(chosen)} vs {dim_h}"
-            )
-        if dim_h:
-            dims[n] = dim_h
+        chosen = linalg.cohomology(_columns(cx, n), _columns(cx, n - 1))
+        if chosen:
+            dims[n] = len(chosen)
             reps[n] = [cx.vector_element(linalg.dense(v, len(basis)), n) for v in chosen]
     return CohomologyResult(cx.kind, cx.q, dims, reps, sum(dims.values()))
 

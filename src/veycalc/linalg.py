@@ -7,8 +7,9 @@ ascending column order, so a span grows one row at a time.  Results are
 deterministic whatever order rows arrive in: pivots are lowest columns and
 the RREF of a row space is unique, so ranks, echelon forms and canonical
 nullspace bases are reproducible, and a greedy pass over candidates keeps
-exactly those outside the span of the ones before.  The dense list-of-rows
-functions are thin wrappers over the kernel.
+exactly those outside the span of the ones before.  :func:`cohomology` is
+the one "cohomology in degree n" routine.  The dense list-of-rows functions
+are thin wrappers over the kernel.
 """
 
 from __future__ import annotations
@@ -108,6 +109,23 @@ def kernel(cols: list[SparseRow]) -> list[SparseRow]:
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     return Echelon(rows.values()).nullspace(len(cols))
+
+
+def cohomology(d_out: list[SparseRow], d_in: list[SparseRow]) -> list[SparseRow]:
+    """Representatives of ker d_n / im d_(n-1), from the sparse columns of d_n
+    (one per basis element of C^n) and of d_(n-1) (vectors in C^n): the
+    canonical kernel vectors kept greedily, in order, outside the image and
+    the ones before.  Checks the count against dim ker - rank d_(n-1)."""
+    ker = kernel(d_out)
+    image = Echelon(d_in)
+    dim_h = len(ker) - image.rank
+    chosen = [v for v in ker if image.insert(v)]
+    if len(chosen) != dim_h:
+        raise AssertionError(
+            f"rank bookkeeping mismatch: {len(chosen)} representatives "
+            f"vs dim ker - rank = {dim_h}"
+        )
+    return chosen
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:

@@ -12,13 +12,12 @@ Everything is exact (Fraction coefficients) and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gca, linalg
 from .gca import AlgebraSignature, Element
 
-DEFAULT_MODEL_DEGREE_CAP = 12
 DEFAULT_WORD_BUDGET = 50_000
 
 
@@ -244,9 +243,11 @@ class _ModelBuilder:
         self._budget_check(n, len(basis_n))
         if not basis_n:
             return []
-        kernel = linalg.kernel(self._d_images(basis_n, self.alg.basis(n + 1)))
-        image = linalg.Echelon(self._d_images(self.alg.basis(n - 1), basis_n))
-        return [{basis_n[j]: v[j] for j in sorted(v)} for v in kernel if image.insert(v)]
+        reps = linalg.cohomology(
+            self._d_images(basis_n, self.alg.basis(n + 1)),
+            self._d_images(self.alg.basis(n - 1), basis_n),
+        )
+        return [{basis_n[j]: v[j] for j in sorted(v)} for v in reps]
 
     def _stage(self, n: int) -> None:
         target_basis = gca.basis_of_degree(self.sig, n)

@@ -15,15 +15,12 @@ from dataclasses import dataclass, field, replace
 
 from . import complexes, gca, linalg
 from .complexes import GradedComplex
-from .gca import AlgebraSignature, Element, Monomial
+from .gca import Element, Monomial
 
-# Reading of the WO condition "i_1 <= any odd j_k":
-#   forall_odd  -- i_1 <= every odd entry of J (vacuously true when J has
-#                  no odd entries); reproduces the oracle dimensions.
-#   exists_odd  -- i_1 <= some odd entry of J; kept as a switch so that any
-#                  divergence is surfaced by validate_vey.
-WO_CONDITION_FORALL = "forall_odd"
-WO_CONDITION_EXISTS = "exists_odd"
+# Reading of the WO condition "i_1 <= any odd j_k": i_1 <= every odd entry
+# of J, vacuously true when J has no odd entries.  It reproduces the oracle
+# dimensions; the reading "some odd entry" fails validate_vey from q = 2 on.
+WO_CONDITION = "forall_odd"
 
 
 @dataclass(frozen=True)
@@ -54,9 +51,7 @@ class VeyClass:
         }
 
 
-def _vey_condition(
-    i_min: int, cpart: tuple[int, ...], q: int, kind: str, wo_condition: str
-) -> bool:
+def _vey_condition(i_min: int, cpart: tuple[int, ...], q: int, kind: str) -> bool:
     weight = sum((j + 1) * e for j, e in enumerate(cpart))
     if weight > q:
         return False
@@ -66,12 +61,7 @@ def _vey_condition(
     if kind == "W":
         # i_1 <= j_1 (smallest part of J); weight >= q+1-i_1 >= 1, so J is nonempty
         return bool(entries) and i_min <= entries[0]
-    odd_entries = [j for j in entries if j % 2 == 1]
-    if wo_condition == WO_CONDITION_FORALL:
-        return all(i_min <= j for j in odd_entries)
-    if wo_condition == WO_CONDITION_EXISTS:
-        return bool(odd_entries) and any(i_min <= j for j in odd_entries)
-    raise ValueError(f"unknown WO condition {wo_condition!r}")
+    return all(i_min <= j for j in entries if j % 2 == 1)
 
 
 def classify(v: VeyClass) -> VeyClass:
@@ -95,9 +85,7 @@ def classify(v: VeyClass) -> VeyClass:
     )
 
 
-def vey_basis(
-    q: int, kind: str, wo_condition: str = WO_CONDITION_FORALL
-) -> list[VeyClass]:
+def vey_basis(q: int, kind: str) -> list[VeyClass]:
     """All Vey-form monomials y_I c_J (s >= 1) for the given complex, classified,
     in canonical order.  Pure c_J survivors (Pontrjagin monomials in WO_q) are
     not Vey-form and are reported by the oracle instead."""
@@ -112,7 +100,7 @@ def vey_basis(
         for ys in itertools.combinations(odd, r):
             for w in range(q + 1):
                 for cpart in gca._c_parts(q, q, 2 * w):
-                    if _vey_condition(ys[0], cpart, q, kind, wo_condition):
+                    if _vey_condition(ys[0], cpart, q, kind):
                         m = Monomial(ys, cpart)
                         out.append(
                             classify(VeyClass(m, kind, q, m.degree()))
@@ -121,13 +109,9 @@ def vey_basis(
     return out
 
 
-def variable_set(q: int, wo_condition: str = WO_CONDITION_FORALL) -> list[VeyClass]:
+def variable_set(q: int) -> list[VeyClass]:
     """Degree-(2q+1) WO_q Vey classes flagged as independently variable."""
-    return [
-        v
-        for v in vey_basis(q, "WO", wo_condition)
-        if v.is_variable_candidate
-    ]
+    return [v for v in vey_basis(q, "WO") if v.is_variable_candidate]
 
 
 def v_count(q: int) -> int:
@@ -230,10 +214,7 @@ class ValidationReport:
 
 
 def validate_vey(
-    q: int,
-    kind: str,
-    wo_condition: str = WO_CONDITION_FORALL,
-    q_cap: int = complexes.DEFAULT_Q_CAP,
+    q: int, kind: str, q_cap: int = complexes.DEFAULT_Q_CAP
 ) -> ValidationReport:
     """Cross-check the enumerated basis against the cohomology oracle.
 
@@ -245,7 +226,7 @@ def validate_vey(
     """
     cx = complexes.build_complex(q, kind, q_cap=q_cap)
     hres = complexes.cohomology(cx)
-    classes = vey_basis(q, kind, wo_condition)
+    classes = vey_basis(q, kind)
     by_degree: dict[int, list[VeyClass]] = {}
     for v in classes:
         by_degree.setdefault(v.degree, []).append(v)

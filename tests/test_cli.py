@@ -1,6 +1,7 @@
 """Tests for the CLI: exit codes, JSON determinism, caching, config."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -156,11 +157,30 @@ def test_config_file_and_unknown_keys(tmp_path, capsys, cache_dir):
     assert "colour" in err
 
 
+
+def test_config_rejects_removed_wo_condition_key(tmp_path, capsys, cache_dir):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vey_wo_condition": "forall_odd"}))
+    code, _, err = run(
+        capsys, ["--config", str(cfg), "kappa", "--q", "1", "--cache-dir", cache_dir]
+    )
+    assert code == 2
+    assert "unknown config keys: vey_wo_condition" in err
+
+
+@pytest.mark.parametrize("flag", ["--classify", "--validate"])
+def test_removed_vey_flags_exit_2(capsys, cache_dir, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["vey", "--complex", "W", "--q", "1", flag, "--cache-dir", cache_dir])
+    assert exc.value.code == 2
+
 def test_config_defaults():
     c = Config()
     assert c.q_cap == 6
     assert c.model_degree_cap == 12
-    assert c.vey_wo_condition == "forall_odd"
+    assert [f.name for f in fields(Config)] == [
+        "q_cap", "model_degree_cap", "cache_dir", "output_format"
+    ]
     assert c.output_format == "table"
     with pytest.raises(ConfigError):
         Config(q_cap=0)

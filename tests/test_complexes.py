@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from veycalc import complexes, gca
+from veycalc import complexes, gca, minimal_model
 from veycalc.cache import canonical_json
 from veycalc.complexes import ResourceBudgetError
 from veycalc.gca import AlgebraSignature, Element, Monomial
@@ -148,3 +148,11 @@ def test_w5_cohomology_digest_is_pinned():
     doc = complexes.cohomology(complexes.build_complex(5, "W")).to_json_obj()
     digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
     assert digest == "3c875c13115dd27079b01cf746c919a2c7af3fbd6acb764515ba2efb131ee905"
+
+
+def test_model_q3_digest_is_pinned():
+    # the minimal model takes its representatives from the same cohomology
+    # routine: sha256 of the canonical JSON of the model of I_3 to degree 16
+    doc = minimal_model.build_model(3, 16).to_json_obj()
+    digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    assert digest == "3aa1dd46e9e01b8f1abccb0a2cec48d4b55fc948ba78f9ec84223dd4bc7995d0"

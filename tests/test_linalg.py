@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +48,21 @@ def test_independent_complement():
 
 
 # -- property test against a textbook dense Gauss-Jordan ----------------------
+
+
+
+def test_cohomology_keeps_kernel_outside_image():
+    # C^n has basis e0, e1, e2; d_(n-1) hits e0, d_n sends e2 to a nonzero class
+    d_out = [{}, {}, {0: F(1)}]
+    d_in = [{0: F(2)}]
+    assert linalg.cohomology(d_out, d_in) == [{1: F(1)}]
+    assert linalg.cohomology(d_out, []) == [{0: F(1)}, {1: F(1)}]
+
+
+def test_cohomology_checks_rank_bookkeeping():
+    # d_n . d_(n-1) != 0: the image is not inside the kernel
+    with pytest.raises(AssertionError):
+        linalg.cohomology([{0: F(1)}], [{0: F(1)}])
 
 
 def _reference_rref(mat, ncols):

@@ -67,6 +67,10 @@ def test_bad_cospherical_degree_rejected():
         ("Sigma_g:3", "manifold_Sigma_3.json"),
         ("S2", "manifold_S2.json"),
         ("S3", "manifold_S3.json"),
+        ("S1", "manifold_S1.json"),
+        ("T3", "manifold_T3.json"),
+        ("Rq:2", "manifold_Rq_2.json"),
+        ("Rq:3", "manifold_Rq_3.json"),
     ],
 )
 def test_golden_reports(name, fname):
