@@ -159,7 +159,10 @@ def _cached(cache: ResultCache | None, command: str, params: dict, compute) -> d
             return hit
     doc = compute()
     if cache:
-        cache.put(command, params, doc)
+        try:
+            cache.put(command, params, doc)
+        except OSError as exc:
+            _progress(f"veycalc: result not cached: {exc}")
     return doc
 
 

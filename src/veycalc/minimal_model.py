@@ -1,11 +1,12 @@
 """Bigraded minimal model of the truncated polynomial algebra I_q.
 
-The target algebra has zero differential, so the model is built stagewise,
-lower degree first: at degree n, new closed generators hit the cokernel of
-H^n(model) -> I_q^n, and further degree-n generators are given differentials
-killing the kernel of H^(n+1)(model) -> I_q^(n+1).  Generator counts per
-degree are the dual homotopy ranks; the free-algebra Poincare series of a
-rank table after delooping describes the loop-space homology families.
+The target algebra has zero differential, so the model is built in one pass
+per degree n = 2..cap, lower degree first: H^n(model) is solved once, new
+degree-(n-1) generators are given differentials killing the kernel of
+H^n(model) -> I_q^n, and (below the cap) new closed degree-n generators hit
+its cokernel.  Generator counts per degree are the dual homotopy ranks; the
+free-algebra Poincare series of a rank table after delooping describes the
+loop-space homology families.
 
 Everything is exact (Fraction coefficients) and deterministic.
 """
@@ -196,15 +197,8 @@ class _ModelBuilder:
         self.generators: dict[int, list[str]] = {}
         self.diffs: dict[str, FreeElement] = {}
         self.psi: dict[str, Element] = {}
+        # psi of a word never changes: generators are appended, psi set once
         self._psi_cache: dict[Word, Element] = {UNIT_WORD: Element.one(self.sig)}
-
-    def _budget_check(self, n: int, count: int) -> None:
-        if count > self.word_budget:
-            raise ModelBudgetError(
-                f"free-algebra basis at degree {n} has {count} words, "
-                f"over the budget of {self.word_budget}",
-                attempted_dimension=count,
-            )
 
     def _psi_word(self, w: Word) -> Element:
         cached = self._psi_cache.get(w)
@@ -240,7 +234,12 @@ class _ModelBuilder:
     def _cohomology_reps(self, n: int) -> list[FreeElement]:
         """Cocycle representatives of a basis of H^n(model)."""
         basis_n = self.alg.basis(n)
-        self._budget_check(n, len(basis_n))
+        if len(basis_n) > self.word_budget:
+            raise ModelBudgetError(
+                f"free-algebra basis at degree {n} has {len(basis_n)} words, "
+                f"over the budget of {self.word_budget}",
+                attempted_dimension=len(basis_n),
+            )
         if not basis_n:
             return []
         reps = linalg.cohomology(
@@ -249,43 +248,37 @@ class _ModelBuilder:
         )
         return [{basis_n[j]: v[j] for j in sorted(v)} for v in reps]
 
+    def _add_generator(self, prefix: str, degree: int, diff: FreeElement, psi: Element) -> None:
+        gids = self.generators.setdefault(degree, [])
+        gid = f"{prefix}{degree}_{len(gids)}"
+        self.alg.add_generator(gid, degree, diff)
+        gids.append(gid)
+        self.diffs[gid] = diff
+        self.psi[gid] = psi
+
     def _stage(self, n: int) -> None:
+        """Stage n: solve H^n(model) once.  Degree-(n-1) generators w kill the
+        kernel of H^n -> I_q^n; below the cap, closed degree-n generators x hit
+        the cokernel.  The w only remove classes that psi sends to 0 and add no
+        degree-n words (generators have degree >= 2), so one solve serves both."""
         target_basis = gca.basis_of_degree(self.sig, n)
         target_index = {m: i for i, m in enumerate(target_basis)}
-        # (a) new closed generators hitting the cokernel of H^n -> I_q^n
         reps = self._cohomology_reps(n)
-        image = linalg.Echelon(self._psi_vector(r, target_index) for r in reps)
-        for pick, mono in enumerate(target_basis):
-            if not image.insert({pick: Fraction(1)}):
-                continue
-            gid = f"x{n}_{len(self.generators.get(n, []))}"
-            self.alg.add_generator(gid, n, {})
-            self.generators.setdefault(n, []).append(gid)
-            self.diffs[gid] = {}
-            self.psi[gid] = Element.monomial(self.sig, mono)
-            self._psi_cache = {UNIT_WORD: Element.one(self.sig)}
-        # (b) degree-n generators killing the kernel of H^(n+1) -> I_q^(n+1)
-        if n + 1 > self.cap:
-            return
-        up_basis = gca.basis_of_degree(self.sig, n + 1)
-        up_index = {m: i for i, m in enumerate(up_basis)}
-        reps_up = self._cohomology_reps(n + 1)
-        if not reps_up:
-            return
-        # kernel combinations of the psi-images of the classes
-        for combo in linalg.kernel([self._psi_vector(r, up_index) for r in reps_up]):
+        images = [self._psi_vector(r, target_index) for r in reps]
+        for combo in linalg.kernel(images):
             target: FreeElement = {}
             for j in sorted(combo):
-                target = self.alg.add(target, self.alg.scale(reps_up[j], combo[j]))
-            gid = f"w{n}_{len(self.generators.get(n, []))}"
-            self.alg.add_generator(gid, n, target)
-            self.generators.setdefault(n, []).append(gid)
-            self.diffs[gid] = target
-            self.psi[gid] = Element.zero(self.sig)
-            self._psi_cache = {UNIT_WORD: Element.one(self.sig)}
+                target = self.alg.add(target, self.alg.scale(reps[j], combo[j]))
+            self._add_generator("w", n - 1, target, Element.zero(self.sig))
+        if n == self.cap:
+            return
+        image = linalg.Echelon(images)
+        for pick, mono in enumerate(target_basis):
+            if image.insert({pick: Fraction(1)}):
+                self._add_generator("x", n, {}, Element.monomial(self.sig, mono))
 
     def build(self) -> ModelStage:
-        for n in range(2, self.cap):
+        for n in range(2, self.cap + 1):
             self._stage(n)
         check = {}
         for n in range(2, self.cap):

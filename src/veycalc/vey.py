@@ -10,6 +10,7 @@ oracle in :mod:`veycalc.complexes`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
@@ -51,16 +52,12 @@ class VeyClass:
         }
 
 
-def _vey_condition(i_min: int, cpart: tuple[int, ...], q: int, kind: str) -> bool:
-    weight = sum((j + 1) * e for j, e in enumerate(cpart))
-    if weight > q:
-        return False
-    if i_min + weight < q + 1:
-        return False
+def _vey_condition(i_min: int, cpart: tuple[int, ...], kind: str) -> bool:
+    """The index condition on (i_1, J); the caller enforces q+1-i_1 <= weight <= q."""
     entries = [j + 1 for j, e in enumerate(cpart) if e > 0]
     if kind == "W":
         # i_1 <= j_1 (smallest part of J); weight >= q+1-i_1 >= 1, so J is nonempty
-        return bool(entries) and i_min <= entries[0]
+        return i_min <= entries[0]
     return all(i_min <= j for j in entries if j % 2 == 1)
 
 
@@ -98,9 +95,9 @@ def vey_basis(q: int, kind: str) -> list[VeyClass]:
     out: list[VeyClass] = []
     for r in range(1, len(odd) + 1):
         for ys in itertools.combinations(odd, r):
-            for w in range(q + 1):
+            for w in range(q + 1 - ys[0], q + 1):
                 for cpart in gca._c_parts(q, q, 2 * w):
-                    if _vey_condition(ys[0], cpart, q, kind):
+                    if _vey_condition(ys[0], cpart, kind):
                         m = Monomial(ys, cpart)
                         out.append(
                             classify(VeyClass(m, kind, q, m.degree()))
@@ -111,7 +108,13 @@ def vey_basis(q: int, kind: str) -> list[VeyClass]:
 
 def variable_set(q: int) -> list[VeyClass]:
     """Degree-(2q+1) WO_q Vey classes flagged as independently variable."""
-    return [v for v in vey_basis(q, "WO") if v.is_variable_candidate]
+    return list(_variable_classes(q))
+
+
+@functools.cache
+def _variable_classes(q: int) -> tuple[VeyClass, ...]:
+    # the WO_q basis is enumerated once per q; report and extended_count reuse it
+    return tuple(v for v in vey_basis(q, "WO") if v.is_variable_candidate)
 
 
 def v_count(q: int) -> int:

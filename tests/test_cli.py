@@ -203,3 +203,16 @@ def test_cache_serves_no_malformed_entry(tmp_path, corrupt):
     path = next(tmp_path.glob("*.json"))
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     assert cache.get("cmd", {"a": 1}) is None
+
+
+def test_unwritable_cache_keeps_the_result(tmp_path, capsys):
+    # a cache directory under a regular file cannot be created: the run still
+    # prints the result, says so on stderr and exits 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["cohomology", "--complex", "W", "--q", "1"]
+    code, out, err = run(capsys, argv + ["--cache-dir", str(blocker / "cache")])
+    assert code == 0
+    assert "not cached" in err
+    _, uncached, _ = run(capsys, argv + ["--no-cache"])
+    assert out == uncached

@@ -150,9 +150,19 @@ def test_w5_cohomology_digest_is_pinned():
     assert digest == "3c875c13115dd27079b01cf746c919a2c7af3fbd6acb764515ba2efb131ee905"
 
 
-def test_model_q3_digest_is_pinned():
+# sha256 of the canonical JSON of build_model(q, cap) for the heaviest models
+# of the benchmark, recorded at commit c57946b
+MODEL_DIGESTS = {
+    (2, 18): "360f21ada024a985c227b46b3b71d99ec6c174b3c552b1d3abb208cf2b8d0fc3",
+    (3, 16): "3aa1dd46e9e01b8f1abccb0a2cec48d4b55fc948ba78f9ec84223dd4bc7995d0",
+    (4, 14): "291d5ac2d6ed9dd815ca4cd077e26e717b6e571572eddac98dc7b8d92a62c19c",
+}
+
+
+@pytest.mark.parametrize("q, cap", sorted(MODEL_DIGESTS))
+def test_model_digest_is_pinned(q, cap):
     # the minimal model takes its representatives from the same cohomology
-    # routine: sha256 of the canonical JSON of the model of I_3 to degree 16
-    doc = minimal_model.build_model(3, 16).to_json_obj()
+    # routine, so any drift in them or in the generator order fails here
+    doc = minimal_model.build_model(q, cap).to_json_obj()
     digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
-    assert digest == "3aa1dd46e9e01b8f1abccb0a2cec48d4b55fc948ba78f9ec84223dd4bc7995d0"
+    assert digest == MODEL_DIGESTS[q, cap]

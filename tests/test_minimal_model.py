@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from veycalc import minimal_model
+from veycalc import linalg, minimal_model
 from veycalc.minimal_model import (
     FreeAlgebra,
     ModelBudgetError,
@@ -95,6 +95,16 @@ def test_determinism():
     a = build_model(2, 8).to_json_obj()
     b = build_model(2, 8).to_json_obj()
     assert a == b
+
+
+def test_model_solves_each_degree_once_per_stage(monkeypatch):
+    # one solve of H^n per stage, plus the independent quasi-iso check per
+    # degree: 23 solves for I_3 to degree 16 (33 if a stage solves H^n twice)
+    real = linalg.cohomology
+    calls = []
+    monkeypatch.setattr(linalg, "cohomology", lambda *a: calls.append(a) or real(*a))
+    build_model(3, 16)
+    assert len(calls) <= 23
 
 
 def test_budget_error():

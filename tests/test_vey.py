@@ -2,7 +2,7 @@
 
 import pytest
 
-from veycalc import vey
+from veycalc import manifold, vey
 
 
 def _names(classes):
@@ -47,6 +47,25 @@ def test_variable_sets_and_counts():
     assert _names(vey.variable_set(2)) == ["y1c1^2", "y1c2"]
     assert _names(vey.variable_set(3)) == ["y1c1^3", "y1c1c2", "y1c3"]
     assert [vey.v_count(q) for q in (1, 2, 3)] == [1, 2, 3]
+
+
+def test_wo_basis_enumerated_once_per_q(monkeypatch):
+    # a compact parallelizable report needs the variable set and its braced
+    # extension; they and every extended_count share one WO_q enumeration
+    real = vey.vey_basis
+    calls = []
+
+    def counting(q, kind):
+        calls.append((q, kind))
+        return real(q, kind)
+
+    monkeypatch.setattr(vey, "vey_basis", counting)
+    vey._variable_classes.cache_clear()
+    manifold.report(manifold.preset("T3"))
+    assert [vey.extended_count(3, d) for d in (7, 10, 13)] == [3, 3, 0]
+    vey.variable_set(3).clear()  # the caller's list, not the cached set
+    assert vey.v_count(3) == 3
+    assert calls == [(3, "WO")]
 
 
 def test_kappa():
