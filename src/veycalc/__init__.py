@@ -6,80 +6,66 @@ models of the truncated polynomial algebras, and per-manifold inventories of
 the characteristic classes they support.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .gca import AlgebraSignature, Element, Monomial, SignatureMismatch
-from .complexes import (
-    CohomologyResult,
-    GradedComplex,
-    ResourceBudgetError,
-    build_complex,
-    cohomology,
-)
-from .vey import (
-    ValidationReport,
-    VeyClass,
-    extended_basis,
-    extended_count,
-    kappa,
-    v_count,
-    validate_vey,
-    variable_set,
-    vey_basis,
-)
-from .minimal_model import (
-    ModelBudgetError,
-    ModelStage,
-    PoincareSeries,
-    RankTable,
-    build_model,
-    loop_poincare,
-    rank_table,
-)
-from .manifold import (
-    ClassRecord,
-    ManifoldDescriptor,
-    UnsupportedInputError,
-    brace_degree,
-    fiber_integrate_degree,
-    hurewicz_ok,
-    preset,
-    report,
-)
+# Public names are resolved on first use (PEP 562), so importing the package,
+# or only the CLI and the cache, loads none of the algebra modules.
+_HOMES = {
+    "gca": ("AlgebraSignature", "Element", "Monomial", "SignatureMismatch"),
+    "complexes": (
+        "CohomologyResult",
+        "GradedComplex",
+        "ResourceBudgetError",
+        "build_complex",
+        "cohomology",
+    ),
+    "vey": (
+        "ValidationReport",
+        "VeyClass",
+        "extended_basis",
+        "extended_count",
+        "kappa",
+        "v_count",
+        "validate_vey",
+        "variable_set",
+        "vey_basis",
+    ),
+    "minimal_model": (
+        "ModelBudgetError",
+        "ModelStage",
+        "PoincareSeries",
+        "RankTable",
+        "build_model",
+        "loop_poincare",
+        "rank_table",
+    ),
+    "manifold": (
+        "ClassRecord",
+        "ManifoldDescriptor",
+        "UnsupportedInputError",
+        "brace_degree",
+        "fiber_integrate_degree",
+        "hurewicz_ok",
+        "preset",
+        "report",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "AlgebraSignature",
-    "Element",
-    "Monomial",
-    "SignatureMismatch",
-    "CohomologyResult",
-    "GradedComplex",
-    "ResourceBudgetError",
-    "build_complex",
-    "cohomology",
-    "ValidationReport",
-    "VeyClass",
-    "extended_basis",
-    "extended_count",
-    "kappa",
-    "v_count",
-    "validate_vey",
-    "variable_set",
-    "vey_basis",
-    "ModelBudgetError",
-    "ModelStage",
-    "PoincareSeries",
-    "RankTable",
-    "build_model",
-    "loop_poincare",
-    "rank_table",
-    "ClassRecord",
-    "ManifoldDescriptor",
-    "UnsupportedInputError",
-    "brace_degree",
-    "fiber_integrate_degree",
-    "hurewicz_ok",
-    "preset",
-    "report",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+

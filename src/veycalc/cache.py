@@ -10,13 +10,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .complexes import DEFAULT_Q_CAP
+from .errors import DEFAULT_Q_CAP
+
+# The keys a cached payload of each command must carry: the `required` lists
+# of docs/schemas/{cohomology_result,validation_report,model,manifold_report}.json,
+# held here so that a cache hit reads no schema file.
+REQUIRED_KEYS = {
+    "cohomology": ("kind", "q", "dims", "representatives", "total_dim_check"),
+    "validate": ("q", "kind", "ok", "per_degree"),
+    "model": ("q", "degree_cap", "generators", "differentials", "quasi_iso_check"),
+    "manifold": ("descriptor", "records"),
+}
 
 
 class ConfigError(ValueError):
@@ -96,7 +105,8 @@ class ResultCache:
     def get(self, command: str, params: dict):
         """Cached payload for (command, params, version), or None.  An entry that
         is not an object, is stored under another key, or has a non-object
-        payload is a miss, like an unreadable file."""
+        payload or one without the command's REQUIRED_KEYS is a miss, like an
+        unreadable file."""
         key = cache_key(command, params)
         try:
             with open(self._path(key), encoding="utf-8") as fh:
@@ -108,9 +118,15 @@ class ResultCache:
         if entry.get("version") != __version__:
             return None
         payload = entry.get("payload")
-        return payload if isinstance(payload, dict) else None
+        if not isinstance(payload, dict):
+            return None
+        if not all(k in payload for k in REQUIRED_KEYS.get(command, ())):
+            return None
+        return payload
 
     def put(self, command: str, params: dict, payload) -> None:
+        import tempfile  # only a write needs it; a cache hit skips the import
+
         key = cache_key(command, params)
         entry = {
             "key": key,

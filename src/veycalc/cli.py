@@ -4,6 +4,10 @@ Subcommands: cohomology, vey, model, manifold, validate, kappa.  Results are
 emitted as byte-deterministic JSON or aligned fixed-width tables; heavyweight
 results are cached content-addressed under the configured cache directory.
 Exit codes: 0 success, 2 invalid input, 3 resource-budget refusal.
+
+Each command imports the algebra modules it runs when it runs, and the
+renderers read only the result document, so argument parsing, a cache hit
+and every error path load none of them.
 """
 
 from __future__ import annotations
@@ -11,12 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, complexes, manifold, minimal_model, vey
+from . import __version__
 from .cache import Config, ConfigError, ResultCache, canonical_json, load_config
-from .complexes import ResourceBudgetError
-from .gca import Monomial
-from .manifold import ManifoldDescriptor, UnsupportedInputError
-from .minimal_model import ModelBudgetError
+from .errors import KINDS, ModelBudgetError, ResourceBudgetError, UnsupportedInputError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -41,10 +42,21 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _monomial_label(m: dict) -> str:
+    """``gca.Monomial.label`` of a monomial's JSON object, e.g. 'y1y2c1^2c3'."""
+    parts = [f"y{i}" for i in m["y"]]
+    for j, e in enumerate(m["c"], 1):
+        if e == 1:
+            parts.append(f"c{j}")
+        elif e > 1:
+            parts.append(f"c{j}^{e}")
+    return "".join(parts) or "1"
+
+
 def _element_label(terms: list[dict]) -> str:
     bits = []
     for t in terms:
-        label = Monomial.from_json_obj(t["m"]).label()
+        label = _monomial_label(t["m"])
         coeff = t["coeff"]
         bits.append(label if coeff == "1" else f"{coeff}*{label}")
     return " + ".join(bits) if bits else "0"
@@ -168,6 +180,8 @@ def _cached(cache: ResultCache | None, command: str, params: dict, compute) -> d
 
 def _cmd_cohomology(args, config: Config, cache: ResultCache | None) -> dict:
     def compute() -> dict:
+        from . import complexes
+
         _progress(f"computing H*({args.complex}_{args.q}) ...")
         cx = complexes.build_complex(args.q, args.complex, q_cap=config.q_cap)
         return complexes.cohomology(cx).to_json_obj()
@@ -177,6 +191,8 @@ def _cmd_cohomology(args, config: Config, cache: ResultCache | None) -> dict:
 
 
 def _cmd_vey(args, config: Config, cache: ResultCache | None) -> dict:
+    from . import vey
+
     classes = vey.vey_basis(args.q, args.complex)
     if args.degree is not None:
         classes = [c for c in classes if c.degree == args.degree]
@@ -190,6 +206,8 @@ def _cmd_vey(args, config: Config, cache: ResultCache | None) -> dict:
 
 def _cmd_validate(args, config: Config, cache: ResultCache | None) -> dict:
     def compute() -> dict:
+        from . import vey
+
         _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
         return vey.validate_vey(args.q, args.complex, q_cap=config.q_cap).to_json_obj()
 
@@ -206,6 +224,8 @@ def _cmd_model(args, config: Config, cache: ResultCache | None) -> dict:
         )
 
     def compute() -> dict:
+        from . import minimal_model
+
         _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
         model = minimal_model.build_model(args.q, args.max_degree)
         doc = model.to_json_obj()
@@ -233,12 +253,14 @@ def _parse_cospherical(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_manifold(args, config: Config, cache: ResultCache | None) -> dict:
+    from . import manifold
+
     if args.preset:
         descriptor = manifold.preset(args.preset)
     else:
         if args.dim is None:
             raise UnsupportedInputError("either --preset or --dim is required")
-        descriptor = ManifoldDescriptor(
+        descriptor = manifold.ManifoldDescriptor(
             q=args.dim,
             compact=args.compact,
             closed=args.closed or args.compact,
@@ -259,6 +281,8 @@ def _cmd_manifold(args, config: Config, cache: ResultCache | None) -> dict:
 
 
 def _cmd_kappa(args, config: Config, cache: ResultCache | None) -> dict:
+    from . import vey
+
     return {"q": args.q, "kappa": vey.kappa(args.q)}
 
 
@@ -317,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add_parser("cohomology", help="exact cohomology of W_q / WO_q / I_q")
-    p.add_argument("--complex", choices=complexes.KINDS, required=True)
+    p.add_argument("--complex", choices=KINDS, required=True)
     p.add_argument("--q", type=int, required=True)
 
     p = add_parser("vey", help="Vey basis enumeration and classification")

@@ -12,19 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gca, linalg
+from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError
 from .gca import AlgebraSignature, Element, Monomial
-
-DEFAULT_Q_CAP = 6
-
-KINDS = ("W", "WO", "I")
-
-
-class ResourceBudgetError(RuntimeError):
-    """Raised when a requested computation exceeds the configured budget."""
-
-    def __init__(self, message: str, estimate: int):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 def signature_for(q: int, kind: str) -> AlgebraSignature:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import minimal_model, vey
+from .errors import UnsupportedInputError
 
 TARGETS = ("BDiff_delta", "BbarDiff", "MDiff_delta")
 METHODS = (
@@ -26,10 +26,6 @@ METHODS = (
     "loop_family",
 )
 SURVIVAL = ("yes", "unknown", "killed")
-
-
-class UnsupportedInputError(ValueError):
-    """Raised for descriptors outside the supported rule table."""
 
 
 @dataclass(frozen=True)
@@ -137,6 +133,8 @@ def report(m: ManifoldDescriptor) -> list[ClassRecord]:
         # Open parallelizable case: only the loop-space family applies.
         return _loop_family_records(q)
 
+    from . import vey
+
     variables = vey.variable_set(q)
     vq = len(variables)
 
@@ -243,6 +241,8 @@ def report(m: ManifoldDescriptor) -> list[ClassRecord]:
 
 
 def _loop_family_records(q: int) -> list[ClassRecord]:
+    from . import minimal_model
+
     cap = 2 * q + 2
     model = minimal_model.build_model(q, cap)
     series = minimal_model.loop_poincare(minimal_model.rank_table(model), q, cap)
@@ -262,6 +262,18 @@ def _loop_family_records(q: int) -> list[ClassRecord]:
     return out
 
 
+def _preset_int(base: str, arg: str, noun: str) -> int:
+    """The integer parameter ``arg`` of the preset ``base:arg``."""
+    if not arg:
+        raise UnsupportedInputError(f"{base} needs a {noun}, e.g. {base}:2")
+    try:
+        return int(arg)
+    except ValueError as exc:
+        raise UnsupportedInputError(
+            f"bad preset {base}:{arg}; {base} expects an integer {noun}, e.g. {base}:2"
+        ) from exc
+
+
 def preset(name: str) -> ManifoldDescriptor:
     """Named descriptors: S1, S2, T2, Sigma_g:g, S3, T3, Rq:q."""
     base, _, arg = name.partition(":")
@@ -272,9 +284,7 @@ def preset(name: str) -> ManifoldDescriptor:
     if base == "T2":
         return ManifoldDescriptor(2, True, True, True, True, ((1, 2),), label="T2")
     if base == "Sigma_g":
-        if not arg:
-            raise UnsupportedInputError("Sigma_g needs a genus, e.g. Sigma_g:2")
-        g = int(arg)
+        g = _preset_int(base, arg, "genus")
         if g < 2:
             raise UnsupportedInputError("Sigma_g needs genus g >= 2")
         return ManifoldDescriptor(
@@ -294,8 +304,6 @@ def preset(name: str) -> ManifoldDescriptor:
             3, True, True, True, True, ((1, 3), (2, 3)), label="T3"
         )
     if base == "Rq":
-        if not arg:
-            raise UnsupportedInputError("Rq needs a dimension, e.g. Rq:2")
-        q = int(arg)
+        q = _preset_int(base, arg, "dimension")
         return ManifoldDescriptor(q, False, False, True, True, (), label=f"R{q}")
     raise UnsupportedInputError(f"unknown preset {name!r}")

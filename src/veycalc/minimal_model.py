@@ -17,15 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gca, linalg
+from .errors import ModelBudgetError
 from .gca import AlgebraSignature, Element
 
 DEFAULT_WORD_BUDGET = 50_000
-
-
-class ModelBudgetError(RuntimeError):
-    def __init__(self, message: str, attempted_dimension: int):
-        super().__init__(message)
-        self.attempted_dimension = attempted_dimension
 
 
 # A word in the free algebra is a sparse, index-sorted exponent tuple:

@@ -13,10 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from . import complexes, gca, linalg
-from .complexes import GradedComplex
-from .gca import Element, Monomial
+from .errors import DEFAULT_Q_CAP
+
+# The algebra stack is imported where it is used, so `kappa` loads this
+# module alone.
+if TYPE_CHECKING:
+    from .complexes import GradedComplex
+    from .gca import Monomial
 
 # Reading of the WO condition "i_1 <= any odd j_k": i_1 <= every odd entry
 # of J, vacuously true when J has no odd entries.  It reproduces the oracle
@@ -90,6 +95,8 @@ def vey_basis(q: int, kind: str) -> list[VeyClass]:
         raise ValueError("q must be positive")
     if kind not in ("W", "WO"):
         raise ValueError("kind must be 'W' or 'WO'")
+    from . import complexes, gca
+
     sig = complexes.signature_for(q, kind)
     odd = sorted(sig.odd_indices)
     out: list[VeyClass] = []
@@ -98,7 +105,7 @@ def vey_basis(q: int, kind: str) -> list[VeyClass]:
             for w in range(q + 1 - ys[0], q + 1):
                 for cpart in gca._c_parts(q, q, 2 * w):
                     if _vey_condition(ys[0], cpart, kind):
-                        m = Monomial(ys, cpart)
+                        m = gca.Monomial(ys, cpart)
                         out.append(
                             classify(VeyClass(m, kind, q, m.degree()))
                         )
@@ -155,6 +162,8 @@ def extended_basis(
     increasing even indices, i_1 < i_1' and 2 i_r' <= q+1.  Returns the classes
     (optionally filtered to a closed degree interval) and the per-degree counts
     over the full extension."""
+    from .gca import Monomial
+
     base = variable_set(q)
     max_iprime = (q + 1) // 2  # 2 i_r' <= q+1
     out: list[ExtendedClass] = []
@@ -178,8 +187,13 @@ def extended_basis(
 
 def extended_count(q: int, degree: int) -> int:
     """The count of braced classes in one degree (v-hat_{q,degree})."""
-    _, counts = extended_basis(q)
-    return counts.get(degree, 0)
+    return _extended_counts(q).get(degree, 0)
+
+
+@functools.cache
+def _extended_counts(q: int) -> dict[int, int]:
+    # the braced extension is enumerated once per q; callers only read it
+    return extended_basis(q)[1]
 
 
 @dataclass
@@ -217,7 +231,7 @@ class ValidationReport:
 
 
 def validate_vey(
-    q: int, kind: str, q_cap: int = complexes.DEFAULT_Q_CAP
+    q: int, kind: str, q_cap: int = DEFAULT_Q_CAP
 ) -> ValidationReport:
     """Cross-check the enumerated basis against the cohomology oracle.
 
@@ -227,6 +241,9 @@ def validate_vey(
     extra non-Vey survivors (the unit, surviving Pontrjagin monomials), which
     are listed as notes rather than failures.
     """
+    from . import complexes
+    from .gca import Element
+
     cx = complexes.build_complex(q, kind, q_cap=q_cap)
     hres = complexes.cohomology(cx)
     classes = vey_basis(q, kind)
@@ -276,6 +293,9 @@ def validate_vey(
 
 
 def _independent_in_cohomology(cx: GradedComplex, n: int, vs: list[VeyClass]) -> bool:
+    from . import complexes, linalg
+    from .gca import Element
+
     image = complexes.image_echelon(cx, n)
     vecs = (cx.element_vector(Element.monomial(cx.signature, v.monomial), n) for v in vs)
     return all(image.insert(linalg.sparse(vec)) for vec in vecs)

@@ -1,12 +1,22 @@
 """Tests for the CLI: exit codes, JSON determinism, caching, config."""
 
 import json
+import pathlib
 from dataclasses import fields
 
 import pytest
 
-from veycalc import cli
-from veycalc.cache import Config, ConfigError, ResultCache, canonical_json, load_config
+from veycalc import cli, gca
+from veycalc.cache import (
+    REQUIRED_KEYS,
+    Config,
+    ConfigError,
+    ResultCache,
+    canonical_json,
+    load_config,
+)
+
+SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 
 @pytest.fixture
@@ -195,14 +205,78 @@ def test_config_defaults():
         lambda entry: [entry],  # entry is not an object
         lambda entry: {**entry, "payload": [entry["payload"]]},  # payload not an object
         lambda entry: {**entry, "payload": None},
+        # payloads without the command's required keys
+        lambda entry: {**entry, "payload": {"kind": "W"}},
+        lambda entry: {**entry, "payload": {}},
+        lambda entry: {**entry, "payload": dict(list(entry["payload"].items())[1:])},
     ],
 )
 def test_cache_serves_no_malformed_entry(tmp_path, corrupt):
     cache = ResultCache(str(tmp_path))
-    cache.put("cmd", {"a": 1}, {"x": 2})
-    path = next(tmp_path.glob("*.json"))
-    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-    assert cache.get("cmd", {"a": 1}) is None
+    for command, keys in REQUIRED_KEYS.items():
+        payload = dict.fromkeys(keys, 0)
+        cache.put(command, {"a": 1}, payload)
+        assert cache.get(command, {"a": 1}) == payload
+    for path in tmp_path.glob("*.json"):
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    for command in REQUIRED_KEYS:
+        assert cache.get(command, {"a": 1}) is None
+
+
+def test_required_keys_follow_the_schemas():
+    schemas = {
+        "cohomology": "cohomology_result",
+        "validate": "validation_report",
+        "model": "model",
+        "manifold": "manifold_report",
+    }
+    assert set(REQUIRED_KEYS) == set(schemas)
+    for command, name in schemas.items():
+        schema = json.loads((SCHEMAS / f"{name}.json").read_text())
+        assert list(REQUIRED_KEYS[command]) == schema["required"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--complex", "W", "--q", "1"],
+        ["validate", "--complex", "W", "--q", "1"],
+        ["model", "--q", "1", "--max-degree", "4"],
+        ["manifold", "--preset", "S1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_entry_missing_keys_is_recomputed(capsys, cache_dir, argv, fmt):
+    argv = [*argv, "--format", fmt, "--cache-dir", cache_dir]
+    code, cold, _ = run(capsys, argv)
+    (path,) = pathlib.Path(cache_dir).glob("*.json")
+    entry = json.loads(path.read_text())
+    path.write_text(json.dumps({**entry, "payload": {"kind": "W"}}))
+    code_again, again, _ = run(capsys, argv)
+    assert code == code_again == 0
+    assert again == cold
+    assert json.loads(path.read_text())["payload"] != {"kind": "W"}  # rewritten
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("Sigma_g:x", "integer genus"), ("Rq:x", "integer dimension")],
+)
+def test_preset_with_bad_integer_exit_2(capsys, cache_dir, name, expected):
+    code, out, err = run(capsys, ["manifold", "--preset", name, "--cache-dir", cache_dir])
+    assert code == 2
+    assert out == ""
+    assert f"bad preset {name}" in err and expected in err
+    assert "invalid literal" not in err
+
+
+def test_table_labels_are_monomial_labels():
+    sig = gca.AlgebraSignature.W(3)
+    monomials = [m for n in range(16) for m in gca.basis_of_degree(sig, n)]
+    assert len(monomials) > 50
+    for m in monomials:
+        assert cli._monomial_label(m.to_json_obj()) == m.label()
 
 
 def test_unwritable_cache_keeps_the_result(tmp_path, capsys):
