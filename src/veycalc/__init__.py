@@ -10,17 +10,49 @@ import importlib
 
 __version__ = "0.1.0"
 
+__all__ = [
+    "AlgebraSignature",
+    "Element",
+    "Monomial",
+    "SignatureMismatch",
+    "CohomologyResult",
+    "GradedComplex",
+    "ResourceBudgetError",
+    "build_complex",
+    "cohomology",
+    "ValidationReport",
+    "VeyClass",
+    "extended_basis",
+    "extended_count",
+    "kappa",
+    "v_count",
+    "validate_vey",
+    "variable_set",
+    "vey_basis",
+    "ModelBudgetError",
+    "ModelStage",
+    "PoincareSeries",
+    "RankTable",
+    "build_model",
+    "loop_poincare",
+    "rank_table",
+    "ClassRecord",
+    "ManifoldDescriptor",
+    "UnsupportedInputError",
+    "brace_degree",
+    "fiber_integrate_degree",
+    "hurewicz_ok",
+    "preset",
+    "report",
+    "__version__",
+]
+
 # Public names are resolved on first use (PEP 562), so importing the package,
 # or only the CLI and the cache, loads none of the algebra modules.
 _HOMES = {
+    "errors": ("ModelBudgetError", "ResourceBudgetError", "UnsupportedInputError"),
     "gca": ("AlgebraSignature", "Element", "Monomial", "SignatureMismatch"),
-    "complexes": (
-        "CohomologyResult",
-        "GradedComplex",
-        "ResourceBudgetError",
-        "build_complex",
-        "cohomology",
-    ),
+    "complexes": ("CohomologyResult", "GradedComplex", "build_complex", "cohomology"),
     "vey": (
         "ValidationReport",
         "VeyClass",
@@ -33,7 +65,6 @@ _HOMES = {
         "vey_basis",
     ),
     "minimal_model": (
-        "ModelBudgetError",
         "ModelStage",
         "PoincareSeries",
         "RankTable",
@@ -44,7 +75,6 @@ _HOMES = {
     "manifold": (
         "ClassRecord",
         "ManifoldDescriptor",
-        "UnsupportedInputError",
         "brace_degree",
         "fiber_integrate_degree",
         "hurewicz_ok",
@@ -53,8 +83,6 @@ _HOMES = {
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-
-__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):

@@ -17,13 +17,16 @@ from pathlib import Path
 from . import __version__
 from .errors import DEFAULT_Q_CAP
 
-# The keys a cached payload of each command must carry: the `required` lists
-# of docs/schemas/{cohomology_result,validation_report,model,manifold_report}.json,
-# held here so that a cache hit reads no schema file.
+# The keys of each command's document, which a cached payload must carry: the
+# `required` lists of docs/schemas/{cohomology_result,validation_report,model,
+# manifold_report}.json, plus `ranks`, which `veycalc model` always writes.
+# They are held here so that a cache hit reads no schema file.
 REQUIRED_KEYS = {
     "cohomology": ("kind", "q", "dims", "representatives", "total_dim_check"),
     "validate": ("q", "kind", "ok", "per_degree"),
-    "model": ("q", "degree_cap", "generators", "differentials", "quasi_iso_check"),
+    "model": (
+        "q", "degree_cap", "generators", "differentials", "quasi_iso_check", "ranks"
+    ),
     "manifold": ("descriptor", "records"),
 }
 

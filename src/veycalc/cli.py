@@ -7,7 +7,8 @@ Exit codes: 0 success, 2 invalid input, 3 resource-budget refusal.
 
 Each command imports the algebra modules it runs when it runs, and the
 renderers read only the result document, so argument parsing, a cache hit
-and every error path load none of them.
+and every error path load none of them; only a cohomology table imports
+`gca`, to label its representatives.
 """
 
 from __future__ import annotations
@@ -42,21 +43,12 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _monomial_label(m: dict) -> str:
-    """``gca.Monomial.label`` of a monomial's JSON object, e.g. 'y1y2c1^2c3'."""
-    parts = [f"y{i}" for i in m["y"]]
-    for j, e in enumerate(m["c"], 1):
-        if e == 1:
-            parts.append(f"c{j}")
-        elif e > 1:
-            parts.append(f"c{j}^{e}")
-    return "".join(parts) or "1"
-
-
 def _element_label(terms: list[dict]) -> str:
+    from .gca import Monomial
+
     bits = []
     for t in terms:
-        label = _monomial_label(t["m"])
+        label = Monomial.from_json_obj(t["m"]).label()
         coeff = t["coeff"]
         bits.append(label if coeff == "1" else f"{coeff}*{label}")
     return " + ".join(bits) if bits else "0"

@@ -187,13 +187,7 @@ def extended_basis(
 
 def extended_count(q: int, degree: int) -> int:
     """The count of braced classes in one degree (v-hat_{q,degree})."""
-    return _extended_counts(q).get(degree, 0)
-
-
-@functools.cache
-def _extended_counts(q: int) -> dict[int, int]:
-    # the braced extension is enumerated once per q; callers only read it
-    return extended_basis(q)[1]
+    return extended_basis(q)[1].get(degree, 0)
 
 
 @dataclass

@@ -59,13 +59,19 @@ JOBS = [
     ("--version", set()),
 ]
 
-# (job, modules a cache hit of it loads beyond FRONT)
+# (job, format, modules a cache hit of it loads beyond FRONT); a cohomology
+# table labels its representatives with `gca.Monomial.label`
 HITS = [
-    ("cohomology --complex W --q 2", set()),
-    ("validate --complex WO --q 2", set()),
-    ("model --q 2 --max-degree 6", set()),
-    ("manifold --preset T2", {"manifold"}),
-    ("manifold --preset Rq:2", {"manifold"}),
+    ("cohomology --complex W --q 2", "json", set()),
+    ("cohomology --complex W --q 2", "table", {"gca"}),
+    ("validate --complex WO --q 2", "json", set()),
+    ("validate --complex WO --q 2", "table", set()),
+    ("model --q 2 --max-degree 6", "json", set()),
+    ("model --q 2 --max-degree 6", "table", set()),
+    ("manifold --preset T2", "json", {"manifold"}),
+    ("manifold --preset T2", "table", {"manifold"}),
+    ("manifold --preset Rq:2", "json", {"manifold"}),
+    ("manifold --preset Rq:2", "table", {"manifold"}),
 ]
 
 
@@ -75,9 +81,10 @@ def test_job_loads_only_what_it_runs(tmp_path, job, modules):
     assert loaded == FRONT | {f"veycalc.{m}" for m in modules}
 
 
-@pytest.mark.parametrize("fmt", ["json", "table"])
-@pytest.mark.parametrize("job, modules", HITS, ids=[job for job, _ in HITS])
-def test_cache_hit_loads_no_algebra_module(tmp_path, job, modules, fmt):
+@pytest.mark.parametrize(
+    "job, fmt, modules", HITS, ids=[f"{job}-{fmt}" for job, fmt, _ in HITS]
+)
+def test_cache_hit_loads_only_what_it_renders(tmp_path, job, fmt, modules):
     argv = [*job.split(), "--format", fmt, "--cache-dir", str(tmp_path)]
     assert veycalc.cli.run(argv) == 0  # fills the cache
     assert len(list(tmp_path.glob("*.json"))) == 1

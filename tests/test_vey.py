@@ -68,22 +68,6 @@ def test_wo_basis_enumerated_once_per_q(monkeypatch):
     assert calls == [(3, "WO")]
 
 
-def test_extension_enumerated_once_per_q(monkeypatch):
-    real = vey.extended_basis
-    calls = []
-
-    def counting(q, degree_range=None):
-        calls.append(q)
-        return real(q, degree_range)
-
-    monkeypatch.setattr(vey, "extended_basis", counting)
-    vey._extended_counts.cache_clear()
-    counts = [vey.extended_count(12, d) for d in range(25, 35)]
-    assert calls == [12]
-    assert counts == [real(12)[1].get(d, 0) for d in range(25, 35)]
-    assert sum(counts) > 0
-
-
 def test_kappa():
     assert vey.kappa(3) == 1
     assert vey.kappa(7) == 2
