@@ -74,10 +74,7 @@ class Monomial:
 
     def partition(self) -> tuple[int, ...]:
         """c-part as the weakly increasing tuple J = (j_1 <= ... <= j_l)."""
-        out: list[int] = []
-        for j, e in enumerate(self.c_part):
-            out.extend([j + 1] * e)
-        return tuple(out)
+        return _partition(self.c_part)
 
     def sort_key(self) -> tuple:
         # Canonical order: degree, then y-indices, then the partition J.
@@ -96,13 +93,7 @@ class Monomial:
 
     def label(self) -> str:
         """Human-readable name like 'y1y2c1^2c3' ('1' for the unit)."""
-        parts = [f"y{i}" for i in self.y_part]
-        for j, e in enumerate(self.c_part):
-            if e == 1:
-                parts.append(f"c{j + 1}")
-            elif e > 1:
-                parts.append(f"c{j + 1}^{e}")
-        return "".join(parts) or "1"
+        return "".join(f"y{i}" for i in self.y_part) + _c_label(self.c_part) or "1"
 
     def to_json_obj(self) -> dict:
         return {"y": list(self.y_part), "c": list(self.c_part)}
@@ -110,6 +101,16 @@ class Monomial:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Monomial":
         return cls(tuple(obj["y"]), tuple(obj["c"]))
+
+
+@lru_cache(maxsize=None)
+def _partition(c_part: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(j + 1 for j, e in enumerate(c_part) for _ in range(e))
+
+
+@lru_cache(maxsize=None)
+def _c_label(c_part: tuple[int, ...]) -> str:
+    return "".join(f"c{j + 1}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(c_part) if e)
 
 
 def unit_monomial(sig: AlgebraSignature) -> Monomial:
@@ -331,7 +332,8 @@ def basis_of_degree(sig: AlgebraSignature, n: int) -> list[Monomial]:
                 continue
             for cpart in _c_parts(sig.q, sig.weight_cap, n - ydeg):
                 out.append(Monomial(ys, cpart))
-    out.sort(key=Monomial.sort_key)
+    # every monomial here has degree n, so (y_part, partition) is sort_key
+    out.sort(key=lambda m: (m.y_part, _partition(m.c_part)))
     return out
 
 

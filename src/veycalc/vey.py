@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_Q_CAP
@@ -66,24 +66,28 @@ def _vey_condition(i_min: int, cpart: tuple[int, ...], kind: str) -> bool:
     return all(i_min <= j for j in entries if j % 2 == 1)
 
 
+def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[bool, ...]:
+    """(generalized GV, residual, rigid, variable candidate) of y_I c_J in W_q or WO_q."""
+    rigid = y_part[0] + weight >= q + 2
+    # Variability proxy: degree-(2q+1) non-rigid classes.  Reproduces the
+    # known counts v_1=1, v_2=2, v_3=3; rigid classes cannot vary.
+    return y_part == (1,), weight == q, rigid, degree == 2 * q + 1 and not rigid
+
+
 def classify(v: VeyClass) -> VeyClass:
     """Fill the classification flags; pure function of (I, J, q)."""
     m = v.monomial
-    q = v.q
-    weight = m.weight()
-    i1 = m.y_part[0]
-    gv = m.y_part == (1,)
-    residual = weight == q
-    rigid = i1 + weight >= q + 2
-    # Variability proxy: degree-(2q+1) non-rigid classes.  Reproduces the
-    # known counts v_1=1, v_2=2, v_3=3; rigid classes cannot vary.
-    variable = (v.degree == 2 * q + 1) and not rigid
-    return replace(
-        v,
-        is_generalized_gv=gv,
-        is_residual=residual,
-        is_rigid=rigid,
-        is_variable_candidate=variable,
+    flags = _flags(v.q, m.y_part, m.weight(), v.degree)
+    return VeyClass(m, v.complex_kind, v.q, v.degree, *flags)
+
+
+def _admissible(q: int, i_min: int, weight: int, kind: str) -> list[tuple[int, ...]]:
+    """The c-parts of the given weight that meet the Vey condition, in partition order."""
+    from . import gca
+
+    return sorted(
+        (c for c in gca._c_parts(q, q, 2 * weight) if _vey_condition(i_min, c, kind)),
+        key=gca._partition,
     )
 
 
@@ -95,22 +99,25 @@ def vey_basis(q: int, kind: str) -> list[VeyClass]:
         raise ValueError("q must be positive")
     if kind not in ("W", "WO"):
         raise ValueError("kind must be 'W' or 'WO'")
-    from . import complexes, gca
+    from . import complexes
+    from .gca import Monomial
 
-    sig = complexes.signature_for(q, kind)
-    odd = sorted(sig.odd_indices)
-    out: list[VeyClass] = []
-    for r in range(1, len(odd) + 1):
-        for ys in itertools.combinations(odd, r):
-            for w in range(q + 1 - ys[0], q + 1):
-                for cpart in gca._c_parts(q, q, 2 * w):
-                    if _vey_condition(ys[0], cpart, kind):
-                        m = gca.Monomial(ys, cpart)
-                        out.append(
-                            classify(VeyClass(m, kind, q, m.degree()))
-                        )
-    out.sort(key=lambda v: v.monomial.sort_key())
-    return out
+    odd = sorted(complexes.signature_for(q, kind).odd_indices)
+    groups = []
+    for k, i1 in enumerate(odd):
+        for w in range(q + 1 - i1, q + 1):
+            cparts = _admissible(q, i1, w, kind)  # shared by every I starting at i_1
+            for r in range(len(odd) - k):
+                for rest in itertools.combinations(odd[k + 1 :], r):
+                    ys = (i1,) + rest
+                    degree = sum(2 * i - 1 for i in ys) + 2 * w
+                    flags = _flags(q, ys, w, degree)
+                    classes = [VeyClass(Monomial(ys, c), kind, q, degree, *flags) for c in cparts]
+                    groups.append((degree, ys, classes))
+    # (degree, I) fixes the weight, so sorting the groups and keeping each in
+    # partition order gives the canonical (degree, I, J) order
+    groups.sort(key=lambda g: g[:2])
+    return [v for _, _, classes in groups for v in classes]
 
 
 def variable_set(q: int) -> list[VeyClass]:
@@ -120,8 +127,17 @@ def variable_set(q: int) -> list[VeyClass]:
 
 @functools.cache
 def _variable_classes(q: int) -> tuple[VeyClass, ...]:
-    # the WO_q basis is enumerated once per q; report and extended_count reuse it
-    return tuple(v for v in vey_basis(q, "WO") if v.is_variable_candidate)
+    # Degree 2q+1 forces I = (i_1) with i_1 odd and weight q+1-i_1 (a second
+    # y index pushes the degree past 2q+1), so no such class is rigid.
+    from .gca import Monomial
+
+    degree = 2 * q + 1
+    out = []
+    for i1 in range(1, q + 1, 2):
+        flags = _flags(q, (i1,), q + 1 - i1, degree)
+        for c in _admissible(q, i1, q + 1 - i1, "WO"):
+            out.append(VeyClass(Monomial((i1,), c), "WO", q, degree, *flags))
+    return tuple(out)
 
 
 def v_count(q: int) -> int:

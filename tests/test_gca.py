@@ -38,6 +38,9 @@ def test_canonical_order_partitions_before_larger_parts():
     assert labels == ["y1y2c1c2", "y2c1^2", "y2c2", "y1c1^3"] or labels.index(
         "y2c1^2"
     ) < labels.index("y2c2")
+    for s in (AlgebraSignature.W(4), AlgebraSignature.WO(5)):
+        for n, b in gca.iter_basis(s):
+            assert b == sorted(b, key=Monomial.sort_key), n
 
 
 def test_basis_w1():

@@ -51,7 +51,8 @@ def test_variable_sets_and_counts():
 
 def test_wo_basis_enumerated_once_per_q(monkeypatch):
     # a compact parallelizable report needs the variable set and its braced
-    # extension; they and every extended_count share one WO_q enumeration
+    # extension; they and every extended_count share one direct enumeration
+    # of the degree-(2q+1) classes and never build the whole WO_q basis
     real = vey.vey_basis
     calls = []
 
@@ -65,7 +66,42 @@ def test_wo_basis_enumerated_once_per_q(monkeypatch):
     assert [vey.extended_count(3, d) for d in (7, 10, 13)] == [3, 3, 0]
     vey.variable_set(3).clear()  # the caller's list, not the cached set
     assert vey.v_count(3) == 3
-    assert calls == [(3, "WO")]
+    assert calls == []
+    assert vey._variable_classes.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_variable_set_is_the_degree_2q_plus_1_slice(q):
+    wo = vey.vey_basis(q, "WO")
+    assert vey.variable_set(q) == [v for v in wo if v.is_variable_candidate]
+
+
+def _partitions(n, parts):
+    ways = [1] + [0] * n
+    for p in parts:
+        for k in range(p, n + 1):
+            ways[k] += ways[k - p]
+    return ways[n]
+
+
+def test_v_count_matches_a_partition_count():
+    # v_q counts y_i c_J with odd i and J a partition of q+1-i whose odd
+    # parts are all >= i, counted here by coin-change on the allowed parts
+    def by_partitions(q):
+        return sum(
+            _partitions(q + 1 - i, [j for j in range(1, q + 1) if j % 2 == 0 or j >= i])
+            for i in range(1, q + 1, 2)
+        )
+
+    assert [vey.v_count(q) for q in range(1, 25)] == [by_partitions(q) for q in range(1, 25)]
+    assert vey.v_count(24) == 1957
+
+
+@pytest.mark.parametrize("kind", ["W", "WO"])
+def test_enumerated_flags_follow_classify(kind):
+    for q in range(1, 11):
+        for v in vey.vey_basis(q, kind):
+            assert vey.classify(v) == v, v.name()
 
 
 def test_kappa():
