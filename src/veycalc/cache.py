@@ -50,8 +50,13 @@ class Config:
     output_format: str = "table"
 
     def __post_init__(self) -> None:
-        if self.q_cap < 1 or self.model_degree_cap < 1:
-            raise ConfigError("caps must be positive")
+        for name in ("q_cap", "model_degree_cap"):
+            value = getattr(self, name)
+            # type(), not isinstance(): a JSON true is a bool, which is an int
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.cache_dir, str):
+            raise ConfigError(f"cache_dir must be a string, got {self.cache_dir!r}")
         if self.output_format not in ("table", "json"):
             raise ConfigError(f"unknown output_format {self.output_format!r}")
 

@@ -41,6 +41,9 @@ class GradedComplex:
     kind: str
     bases: dict[int, list[Monomial]]
     diff: dict[int, list[Triplet]]  # degree n -> triplets of d: C^n -> C^(n+1)
+    _indices: dict[int, dict[Monomial, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def q(self) -> int:
@@ -62,19 +65,19 @@ class GradedComplex:
             m[r][c] += v
         return m
 
-    def element_vector(self, a: Element, n: int) -> list[Fraction]:
-        basis = self.basis(n)
-        index = {m: i for i, m in enumerate(basis)}
-        v = [Fraction(0)] * len(basis)
-        for m, coeff in a.terms.items():
+    def _index(self, n: int) -> dict[Monomial, int]:
+        """Position of each monomial in the degree-n basis, built once per degree."""
+        index = self._indices.get(n)
+        if index is None:
+            index = self._indices[n] = {m: i for i, m in enumerate(self.basis(n))}
+        return index
+
+    def element_vector(self, a: Element, n: int) -> linalg.SparseRow:
+        index = self._index(n)
+        for m in a.terms:
             if m not in index:
                 raise ValueError(f"monomial {m.label()} not in the degree-{n} basis")
-            v[index[m]] = coeff
-        return v
-
-    def vector_element(self, v: list[Fraction], n: int) -> Element:
-        basis = self.basis(n)
-        return Element(self.signature, {m: c for m, c in zip(basis, v)})
+        return {index[m]: coeff for m, coeff in a.terms.items()}
 
 
 def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComplex:
@@ -93,17 +96,17 @@ def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComple
     for n, basis in gca.iter_basis(sig):
         if basis:
             bases[n] = basis
-    diff: dict[int, list[Triplet]] = {}
+    cx = GradedComplex(sig, kind, bases, {})
     for n, basis in bases.items():
-        target = {m: i for i, m in enumerate(bases.get(n + 1, []))}
+        target = cx._index(n + 1)
         triplets: list[Triplet] = []
         for col, m in enumerate(basis):
             dm = gca.differential(Element.monomial(sig, m))
             for mm, coeff in dm.sorted_terms():
                 triplets.append((target[mm], col, coeff))
         if triplets:
-            diff[n] = triplets
-    return GradedComplex(sig, kind, bases, diff)
+            cx.diff[n] = triplets
+    return cx
 
 
 @dataclass
@@ -151,7 +154,7 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
         chosen = linalg.cohomology(_columns(cx, n), _columns(cx, n - 1))
         if chosen:
             dims[n] = len(chosen)
-            reps[n] = [cx.vector_element(linalg.dense(v, len(basis)), n) for v in chosen]
+            reps[n] = [Element(cx.signature, {basis[j]: x for j, x in v.items()}) for v in chosen]
     return CohomologyResult(cx.kind, cx.q, dims, reps, sum(dims.values()))
 
 
@@ -171,4 +174,4 @@ def is_coboundary(cx: GradedComplex, a: Element) -> bool:
     n = a.degree()
     if not cx.basis(n - 1):
         return False
-    return not image_echelon(cx, n).reduce(linalg.sparse(cx.element_vector(a, n)))
+    return not image_echelon(cx, n).reduce(cx.element_vector(a, n))

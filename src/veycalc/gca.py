@@ -14,8 +14,7 @@ signatures are immutable values; every operation is a pure function.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -29,32 +28,29 @@ class SignatureMismatch(ValueError):
 class AlgebraSignature:
     """Shape of one truncated algebra: codimension q and the allowed y-indices."""
 
-    q: int
+    q: int  # also the weight cap
     odd_indices: frozenset[int]
-    weight_cap: int
 
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError(f"q must be positive, got {self.q}")
         if not self.odd_indices <= frozenset(range(1, self.q + 1)):
             raise ValueError(f"odd_indices {sorted(self.odd_indices)} not within 1..{self.q}")
-        if self.weight_cap != self.q:
-            raise ValueError("weight_cap must equal q")
 
     @classmethod
     def W(cls, q: int) -> "AlgebraSignature":
         """Full complex: all of y_1..y_q allowed (framed normal bundle)."""
-        return cls(q, frozenset(range(1, q + 1)), q)
+        return cls(q, frozenset(range(1, q + 1)))
 
     @classmethod
     def WO(cls, q: int) -> "AlgebraSignature":
         """Odd-index y's only: y_1, y_3, ..., y_q' with q' the largest odd integer <= q."""
-        return cls(q, frozenset(range(1, q + 1, 2)), q)
+        return cls(q, frozenset(range(1, q + 1, 2)))
 
     @classmethod
     def I(cls, q: int) -> "AlgebraSignature":
         """Truncated polynomial algebra on c_1..c_q alone (no odd generators)."""
-        return cls(q, frozenset(), q)
+        return cls(q, frozenset())
 
 
 @dataclass(frozen=True, order=False)
@@ -89,7 +85,7 @@ class Monomial:
             return False
         if not set(self.y_part) <= sig.odd_indices:
             return False
-        return self.weight() <= sig.weight_cap
+        return self.weight() <= sig.q
 
     def label(self) -> str:
         """Human-readable name like 'y1y2c1^2c3' ('1' for the unit)."""
@@ -218,12 +214,11 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
         sig = self.signature
-        cap = sig.weight_cap
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
             wa = ma.weight()
             for mb, cb in other.terms.items():
-                if wa + mb.weight() > cap:
+                if wa + mb.weight() > sig.q:
                     continue  # truncation: over-weight products vanish
                 merged = _merge_y(ma.y_part, mb.y_part)
                 if merged is None:
@@ -277,12 +272,11 @@ def degree(m: Monomial) -> int:
 def differential(a: Element) -> Element:
     """d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz rule."""
     sig = a.signature
-    cap = sig.weight_cap
     out: dict[Monomial, Fraction] = {}
     for m, coeff in a.terms.items():
         w = m.weight()
         for k, i in enumerate(m.y_part):
-            if w + i > cap:
+            if w + i > sig.q:
                 continue  # the c_i factor would push the weight over the cap
             sign = (-1) ** k  # d passes over the first k odd generators
             ypart = m.y_part[:k] + m.y_part[k + 1 :]
@@ -294,46 +288,46 @@ def differential(a: Element) -> Element:
 
 
 @lru_cache(maxsize=None)
-def _c_parts(q: int, cap: int, cdeg: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors over c_1..c_q of graded degree cdeg and weight <= cap."""
-    if cdeg % 2 != 0 or cdeg < 0:
-        return ()
-    target = cdeg // 2  # graded degree 2*weight, so degree fixes the weight
-    if target > cap:
-        return ()
+def c_parts(q: int, weight: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent vectors over c_1..c_q of the given weight, in partition order.
 
+    The parts of J are picked smallest first, so the partitions come out in
+    lexicographic order, and a branch ends as soon as its weight is spent.
+    """
     out: list[tuple[int, ...]] = []
+    exps = [0] * q
 
-    def rec(idx: int, remaining: int, acc: list[int]) -> None:
-        if idx == q:
-            if remaining == 0:
-                out.append(tuple(acc))
+    def rec(smallest: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(tuple(exps))
             return
-        j = idx + 1
-        for e in range(remaining // j + 1):
-            acc.append(e)
-            rec(idx + 1, remaining - j * e, acc)
-            acc.pop()
+        for j in range(smallest, min(q, remaining) + 1):
+            exps[j - 1] += 1
+            rec(j, remaining - j)
+            exps[j - 1] -= 1
 
-    rec(0, target, [])
+    rec(1, weight)
     return tuple(out)
 
 
+def _y_subsets(odd: tuple[int, ...], budget: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(degree, I) for the subsets I of odd of degree <= budget, in lexicographic order."""
+    yield 0, ()
+    for k, i in enumerate(odd):
+        if 2 * i - 1 > budget:
+            break
+        for d, rest in _y_subsets(odd[k + 1 :], budget - 2 * i + 1):
+            yield d + 2 * i - 1, (i,) + rest
+
+
 def basis_of_degree(sig: AlgebraSignature, n: int) -> list[Monomial]:
-    """All valid monomials of degree n, in canonical order (deterministic)."""
-    if n < 0:
-        return []
-    odd = sorted(sig.odd_indices)
+    """All valid monomials of degree n, in canonical order (deterministic): the
+    y-subsets in lexicographic order, each followed by its c-parts."""
     out: list[Monomial] = []
-    for r in range(len(odd) + 1):
-        for ys in itertools.combinations(odd, r):
-            ydeg = sum(2 * i - 1 for i in ys)
-            if ydeg > n:
-                continue
-            for cpart in _c_parts(sig.q, sig.weight_cap, n - ydeg):
-                out.append(Monomial(ys, cpart))
-    # every monomial here has degree n, so (y_part, partition) is sort_key
-    out.sort(key=lambda m: (m.y_part, _partition(m.c_part)))
+    for ydeg, ys in _y_subsets(tuple(sorted(sig.odd_indices)), n):
+        weight, odd = divmod(n - ydeg, 2)  # c_J has degree 2 * weight
+        if not odd and weight <= sig.q:
+            out.extend(Monomial(ys, c) for c in c_parts(sig.q, weight))
     return out
 
 
@@ -344,7 +338,7 @@ def iter_basis(sig: AlgebraSignature) -> Iterator[tuple[int, list[Monomial]]]:
 
 
 def top_degree(sig: AlgebraSignature) -> int:
-    return sum(2 * i - 1 for i in sig.odd_indices) + 2 * sig.weight_cap
+    return sum(2 * i - 1 for i in sig.odd_indices) + 2 * sig.q
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +365,7 @@ def basis_dimension_series(sig: AlgebraSignature) -> list[int]:
             nxt[k + d] += series[k]
         series = nxt
     out = [0] * (top + 1)
-    for w in range(sig.weight_cap + 1):
+    for w in range(sig.q + 1):
         cnt = partition_count(w, sig.q)
         for k in range(top + 1 - 2 * w):
             out[k + 2 * w] += series[k] * cnt

@@ -103,49 +103,44 @@ class FreeAlgebra:
         return out
 
     def differential(self, a: FreeElement) -> FreeElement:
+        """d by the Leibniz rule.  For word = prefix * g^e * suffix, the term of g
+        is (-1)^(|prefix| + |dg| |suffix|) * factor * (word / g) * dg, where the
+        factor is e for even g and 1 for odd g: dg moves past the suffix."""
         out: FreeElement = {}
         for word, coeff in a.items():
+            suffix_deg = sum(self.degrees[i] * e for i, e in word)
             prefix_deg = 0
             for t, (idx, e) in enumerate(word):
                 dg = self.diffs[idx]
                 gdeg = self.degrees[idx]
+                suffix_deg -= gdeg * e
                 if dg:
-                    # word = prefix * g^e * suffix; d hits the g^e block
-                    prefix: Word = word[:t]
-                    suffix: Word = word[t + 1 :]
                     block: Word = ((idx, e - 1),) if e > 1 else UNIT_WORD
-                    factor = Fraction(e if gdeg % 2 == 0 else 1)
-                    term: FreeElement = {prefix: Fraction(1)}
-                    term = self.mul(term, {block: Fraction(1)})
-                    term = self.mul(term, dg)
-                    term = self.mul(term, {suffix: Fraction(1)})
-                    sign = (-1) ** prefix_deg
-                    out = self.add(out, self.scale(term, coeff * factor * sign))
+                    quotient = word[:t] + block + word[t + 1 :]
+                    sign = (-1) ** (prefix_deg + (gdeg + 1) * suffix_deg)
+                    factor = coeff * sign * (e if gdeg % 2 == 0 else 1)
+                    out = self.add(out, self.mul({quotient: factor}, dg))
                 prefix_deg += gdeg * e
         return out
 
     def basis(self, degree: int) -> list[Word]:
-        """All words of the given total degree, in deterministic order."""
+        """All words of the given total degree, in sorted order: generators are
+        taken in index order with exponents ascending, and one whose degree
+        exceeds what remains is skipped."""
         out: list[Word] = []
+        degrees = self.degrees
 
-        def rec(idx: int, remaining: int, acc: list[tuple[int, int]]) -> None:
+        def rec(start: int, remaining: int, acc: Word) -> None:
             if remaining == 0:
-                out.append(tuple(acc))
+                out.append(acc)
                 return
-            if idx == len(self.degrees):
-                return
-            d = self.degrees[idx]
-            max_e = 1 if d % 2 == 1 else remaining // d
-            max_e = min(max_e, remaining // d)
-            rec(idx + 1, remaining, acc)
-            for e in range(1, max_e + 1):
-                acc.append((idx, e))
-                rec(idx + 1, remaining - d * e, acc)
-                acc.pop()
+            for idx in range(start, len(degrees)):
+                d = degrees[idx]
+                if d <= remaining:
+                    for e in range(1, (1 if d % 2 == 1 else remaining // d) + 1):
+                        rec(idx + 1, remaining - d * e, acc + ((idx, e),))
 
-        if degree >= 0:
-            rec(0, degree, [])
-        out.sort()
+        rec(0, degree, UNIT_WORD)
         return out
 
 

@@ -85,10 +85,7 @@ def _admissible(q: int, i_min: int, weight: int, kind: str) -> list[tuple[int, .
     """The c-parts of the given weight that meet the Vey condition, in partition order."""
     from . import gca
 
-    return sorted(
-        (c for c in gca._c_parts(q, q, 2 * weight) if _vey_condition(i_min, c, kind)),
-        key=gca._partition,
-    )
+    return [c for c in gca.c_parts(q, weight) if _vey_condition(i_min, c, kind)]
 
 
 def vey_basis(q: int, kind: str) -> list[VeyClass]:
@@ -303,9 +300,9 @@ def validate_vey(
 
 
 def _independent_in_cohomology(cx: GradedComplex, n: int, vs: list[VeyClass]) -> bool:
-    from . import complexes, linalg
+    from . import complexes
     from .gca import Element
 
     image = complexes.image_echelon(cx, n)
     vecs = (cx.element_vector(Element.monomial(cx.signature, v.monomial), n) for v in vs)
-    return all(image.insert(linalg.sparse(vec)) for vec in vecs)
+    return all(image.insert(vec) for vec in vecs)

@@ -76,7 +76,10 @@ def test_criterion_03_oracle_q3():
         [d9[r][c] for r in range(len(basis10))] for c in range(len(cx.basis(9)))
     ]
     image = [row for row in image if any(x != 0 for x in row)]
-    vecs = [cx.element_vector(Element.monomial(cx.signature, m), 10) for m in braced]
+    vecs = [
+        linalg.dense(cx.element_vector(Element.monomial(cx.signature, m), 10), len(basis10))
+        for m in braced
+    ]
     assert linalg.rank(image + vecs) == linalg.rank(image) + 3
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"runtime {elapsed:.2f}s over the 60 s budget"

@@ -178,6 +178,21 @@ def test_config_rejects_removed_wo_condition_key(tmp_path, capsys, cache_dir):
     assert "unknown config keys: vey_wo_condition" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"q_cap": "7"}, {"model_degree_cap": None}, {"cache_dir": 5}, {"q_cap": 2.5}],
+    ids=["q_cap-string", "model_degree_cap-null", "cache_dir-number", "q_cap-float"],
+)
+def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, cache_dir, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, _, err = run(
+        capsys, ["--config", str(cfg), "kappa", "--q", "1", "--cache-dir", cache_dir]
+    )
+    assert code == 2
+    assert "invalid input" in err
+
+
 @pytest.mark.parametrize("flag", ["--classify", "--validate"])
 def test_removed_vey_flags_exit_2(capsys, cache_dir, flag):
     with pytest.raises(SystemExit) as exc:

@@ -28,6 +28,18 @@ def test_free_algebra_words():
     assert [alg.word_label(w) for w in alg.basis(6)] == ["x^3", "ab"]
 
 
+@pytest.mark.parametrize("q, cap", [(2, 18), (3, 16), (4, 14)])
+def test_free_algebra_basis_is_sorted_and_counted_by_its_series(q, cap):
+    # the word counts of the free algebra on the model's generators are the
+    # coefficients of its Poincare series, computed without enumerating words
+    m = build_model(q, cap)
+    series = loop_poincare(rank_table(m), 0, cap + 4).coefficients
+    for n, count in enumerate(series):
+        words = m.algebra.basis(n)
+        assert len(words) == count, n
+        assert words == sorted(words), n
+
+
 def test_free_algebra_differential_leibniz():
     alg = FreeAlgebra()
     x = alg.add_generator("x", 2, {})

@@ -93,8 +93,9 @@ def test_v_count_matches_a_partition_count():
             for i in range(1, q + 1, 2)
         )
 
-    assert [vey.v_count(q) for q in range(1, 25)] == [by_partitions(q) for q in range(1, 25)]
+    assert [vey.v_count(q) for q in range(1, 31)] == [by_partitions(q) for q in range(1, 31)]
     assert vey.v_count(24) == 1957
+    assert vey.v_count(30) == 6841
 
 
 @pytest.mark.parametrize("kind", ["W", "WO"])
@@ -156,10 +157,14 @@ def test_degree_range_filter():
     assert all(e.degree == 10 for e in classes)
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["W", "WO"])
+@pytest.mark.parametrize(
+    "kind, q",
+    [(kind, q) for kind in ("W", "WO") for q in (1, 2, 3)]
+    + [("W", 8)] + [("WO", q) for q in range(7, 11)],
+)
 def test_validate(q, kind):
-    report = vey.validate_vey(q, kind)
+    # q_cap = q lets the oracle run past the default cap of 6
+    report = vey.validate_vey(q, kind, q_cap=q)
     assert report.ok
     for check in report.per_degree:
         assert check.independent
