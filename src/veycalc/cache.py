@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -35,6 +34,9 @@ class ConfigError(ValueError):
     """Raised for malformed configuration files or values."""
 
 
+_UNSET = object()  # Config's default cache_dir, read when a Config is made
+
+
 def default_cache_dir() -> str:
     env = os.environ.get("VEYCALC_CACHE_DIR")
     if env:
@@ -42,23 +44,32 @@ def default_cache_dir() -> str:
     return str(Path.home() / ".cache" / "veycalc")
 
 
-@dataclass(frozen=True)
 class Config:
-    q_cap: int = DEFAULT_Q_CAP
-    model_degree_cap: int = 12
-    cache_dir: str = field(default_factory=default_cache_dir)
-    output_format: str = "table"
+    """The four config keys, validated; `load_config` takes their names from `__slots__`."""
 
-    def __post_init__(self) -> None:
-        for name in ("q_cap", "model_degree_cap"):
-            value = getattr(self, name)
+    __slots__ = ("q_cap", "model_degree_cap", "cache_dir", "output_format")
+
+    def __init__(
+        self,
+        q_cap: int = DEFAULT_Q_CAP,
+        model_degree_cap: int = 12,
+        cache_dir: str = _UNSET,
+        output_format: str = "table",
+    ) -> None:
+        for name, value in (("q_cap", q_cap), ("model_degree_cap", model_degree_cap)):
             # type(), not isinstance(): a JSON true is a bool, which is an int
             if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.cache_dir, str):
-            raise ConfigError(f"cache_dir must be a string, got {self.cache_dir!r}")
-        if self.output_format not in ("table", "json"):
-            raise ConfigError(f"unknown output_format {self.output_format!r}")
+        if cache_dir is _UNSET:
+            cache_dir = default_cache_dir()
+        if not isinstance(cache_dir, str):
+            raise ConfigError(f"cache_dir must be a string, got {cache_dir!r}")
+        if output_format not in ("table", "json"):
+            raise ConfigError(f"unknown output_format {output_format!r}")
+        self.q_cap = q_cap
+        self.model_degree_cap = model_degree_cap
+        self.cache_dir = cache_dir
+        self.output_format = output_format
 
     def to_json_obj(self) -> dict:
         return {
@@ -84,8 +95,7 @@ def load_config(path: str | None) -> Config:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    known = {f.name for f in fields(Config)}
-    unknown = set(data) - known
+    unknown = set(data) - set(Config.__slots__)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return Config(**data)

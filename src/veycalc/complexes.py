@@ -8,8 +8,8 @@ as the brute-force oracle for the combinatorial basis enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gca, linalg
 from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError
@@ -34,16 +34,20 @@ def dimension_estimate(q: int, kind: str) -> int:
 
 Triplet = tuple[int, int, Fraction]
 
+# The coefficients of d on a monomial; Fractions, so elimination stays exact.
+_SIGNS = (Fraction(1), Fraction(-1))
 
-@dataclass
+
 class GradedComplex:
-    signature: AlgebraSignature
-    kind: str
-    bases: dict[int, list[Monomial]]
-    diff: dict[int, list[Triplet]]  # degree n -> triplets of d: C^n -> C^(n+1)
-    _indices: dict[int, dict[Monomial, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("signature", "kind", "bases", "diff", "_indices")
+
+    def __init__(self, signature: AlgebraSignature, kind: str,
+                 bases: dict[int, list[Monomial]], diff: dict[int, list[Triplet]]) -> None:
+        self.signature = signature
+        self.kind = kind
+        self.bases = bases
+        self.diff = diff  # degree n -> triplets of d: C^n -> C^(n+1)
+        self._indices: dict[int, dict[Monomial, int]] = {}
 
     @property
     def q(self) -> int:
@@ -101,21 +105,30 @@ def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComple
         target = cx._index(n + 1)
         triplets: list[Triplet] = []
         for col, m in enumerate(basis):
-            dm = gca.differential(Element.monomial(sig, m))
-            for mm, coeff in dm.sorted_terms():
-                triplets.append((target[mm], col, coeff))
+            # d(y_I c_J) = sum_k (-1)^k y_(I - i_k) c_(i_k) c_J (k from 0), keeping
+            # the terms of weight <= q; I is increasing, so the first i_k over
+            # the room left ends the sum
+            ys, cs = m
+            room = sig.q - m.weight()
+            column = []
+            for k, i in enumerate(ys):
+                if i > room:
+                    break
+                mm = Monomial(ys[:k] + ys[k + 1 :], cs[: i - 1] + (cs[i - 1] + 1,) + cs[i:])
+                column.append((target[mm], col, _SIGNS[k % 2]))
+            column.sort()  # by row, the canonical order of the target monomials
+            triplets += column
         if triplets:
             cx.diff[n] = triplets
     return cx
 
 
-@dataclass
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     kind: str
     q: int
     dims: dict[int, int]
     representatives: dict[int, list[Element]]
-    total_dim_check: int = field(default=0)
+    total_dim_check: int = 0
 
     def to_json_obj(self) -> dict:
         return {

@@ -14,28 +14,38 @@ signatures are immutable values; every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 
 class SignatureMismatch(ValueError):
     """Raised when combining elements over different algebra signatures."""
 
 
-@dataclass(frozen=True)
 class AlgebraSignature:
     """Shape of one truncated algebra: codimension q and the allowed y-indices."""
 
-    q: int  # also the weight cap
-    odd_indices: frozenset[int]
+    __slots__ = ("q", "odd_indices")
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if not self.odd_indices <= frozenset(range(1, self.q + 1)):
-            raise ValueError(f"odd_indices {sorted(self.odd_indices)} not within 1..{self.q}")
+    def __init__(self, q: int, odd_indices: frozenset[int]) -> None:
+        if q < 1:
+            raise ValueError(f"q must be positive, got {q}")
+        if not odd_indices <= frozenset(range(1, q + 1)):
+            raise ValueError(f"odd_indices {sorted(odd_indices)} not within 1..{q}")
+        self.q = q  # also the weight cap
+        self.odd_indices = odd_indices
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AlgebraSignature:
+            return NotImplemented
+        return self is other or (self.q == other.q and self.odd_indices == other.odd_indices)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.odd_indices))
+
+    def __repr__(self) -> str:
+        return f"AlgebraSignature(q={self.q!r}, odd_indices={self.odd_indices!r})"
 
     @classmethod
     def W(cls, q: int) -> "AlgebraSignature":
@@ -53,8 +63,7 @@ class AlgebraSignature:
         return cls(q, frozenset())
 
 
-@dataclass(frozen=True, order=False)
-class Monomial:
+class Monomial(NamedTuple):
     """y_I c_J with I strictly increasing and c_part the exponent vector of J."""
 
     y_part: tuple[int, ...]

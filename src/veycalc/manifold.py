@@ -10,8 +10,6 @@ are lower bounds; survival annotations are recorded only where known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import UnsupportedInputError
 
 TARGETS = ("BDiff_delta", "BbarDiff", "MDiff_delta")
@@ -28,30 +26,34 @@ METHODS = (
 SURVIVAL = ("yes", "unknown", "killed")
 
 
-@dataclass(frozen=True)
 class ManifoldDescriptor:
-    q: int
-    compact: bool
-    closed: bool
-    orientable: bool
-    parallelizable: bool
-    # (degree k, count) with 0 < k < q; the fundamental class (k = q) is implicit
-    cospherical_degrees: tuple[tuple[int, int], ...] = ()
-    trivialized_over_cycles: bool = False
-    label: str = ""
+    __slots__ = ("q", "compact", "closed", "orientable", "parallelizable",
+                 "cospherical_degrees", "trivialized_over_cycles", "label")
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
+    def __init__(self, q: int, compact: bool, closed: bool, orientable: bool,
+                 parallelizable: bool, cospherical_degrees: tuple[tuple[int, int], ...] = (),
+                 trivialized_over_cycles: bool = False, label: str = "") -> None:
+        # cospherical_degrees: (degree k, count) with 0 < k < q; the fundamental
+        # class (k = q) is implicit
+        if q < 1:
             raise UnsupportedInputError("dimension q must be positive")
-        if not self.orientable:
+        if not orientable:
             raise UnsupportedInputError("non-orientable manifolds are unsupported")
-        for k, count in self.cospherical_degrees:
-            if not 0 < k < self.q:
+        for k, count in cospherical_degrees:
+            if not 0 < k < q:
                 raise UnsupportedInputError(
-                    f"co-spherical degree {k} must lie strictly between 0 and {self.q}"
+                    f"co-spherical degree {k} must lie strictly between 0 and {q}"
                 )
             if count < 1:
                 raise UnsupportedInputError("co-spherical counts must be positive")
+        self.q = q
+        self.compact = compact
+        self.closed = closed
+        self.orientable = orientable
+        self.parallelizable = parallelizable
+        self.cospherical_degrees = cospherical_degrees
+        self.trivialized_over_cycles = trivialized_over_cycles
+        self.label = label
 
     def to_json_obj(self) -> dict:
         return {
@@ -66,25 +68,32 @@ class ManifoldDescriptor:
         }
 
 
-@dataclass(frozen=True)
 class ClassRecord:
-    name: str
-    degree: int
-    target: str
-    method: str
-    detection_rank: int
-    survives_to_BDiff_delta: str
-    note: str = ""
+    __slots__ = ("name", "degree", "target", "method", "detection_rank",
+                 "survives_to_BDiff_delta", "note")
 
-    def __post_init__(self) -> None:
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.survives_to_BDiff_delta not in SURVIVAL:
-            raise ValueError(f"unknown survival value {self.survives_to_BDiff_delta!r}")
-        if self.detection_rank < 1:
+    def __init__(self, name: str, degree: int, target: str, method: str, detection_rank: int,
+                 survives_to_BDiff_delta: str, note: str = "") -> None:
+        if target not in TARGETS:
+            raise ValueError(f"unknown target {target!r}")
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        if survives_to_BDiff_delta not in SURVIVAL:
+            raise ValueError(f"unknown survival value {survives_to_BDiff_delta!r}")
+        if detection_rank < 1:
             raise ValueError("detection_rank must be at least 1")
+        self.name = name
+        self.degree = degree
+        self.target = target
+        self.method = method
+        self.detection_rank = detection_rank
+        self.survives_to_BDiff_delta = survives_to_BDiff_delta
+        self.note = note
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ClassRecord:
+            return NotImplemented
+        return self.to_json_obj() == other.to_json_obj()
 
     def to_json_obj(self) -> dict:
         obj = {

@@ -13,8 +13,8 @@ Everything is exact (Fraction coefficients) and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gca, linalg
 from .errors import ModelBudgetError
@@ -144,8 +144,7 @@ class FreeAlgebra:
         return out
 
 
-@dataclass
-class ModelStage:
+class ModelStage(NamedTuple):
     q: int
     degree_cap: int
     algebra: FreeAlgebra
@@ -304,8 +303,7 @@ def build_model(
     return _ModelBuilder(q, degree_cap, word_budget).build()
 
 
-@dataclass
-class RankTable:
+class RankTable(NamedTuple):
     q: int
     ranks: dict[int, int]
 
@@ -318,8 +316,7 @@ def rank_table(model: ModelStage) -> RankTable:
     return RankTable(model.q, model.generator_ranks())
 
 
-@dataclass
-class PoincareSeries:
+class PoincareSeries(NamedTuple):
     coefficients: list[int]
 
     def to_json_obj(self) -> dict:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DEFAULT_Q_CAP
 
@@ -29,8 +28,7 @@ if TYPE_CHECKING:
 WO_CONDITION = "forall_odd"
 
 
-@dataclass(frozen=True)
-class VeyClass:
+class VeyClass(NamedTuple):
     monomial: Monomial
     complex_kind: str  # "W" or "WO"
     q: int
@@ -148,8 +146,7 @@ def kappa(q: int) -> int:
     return (q + 1) // 4
 
 
-@dataclass(frozen=True)
-class ExtendedClass:
+class ExtendedClass(NamedTuple):
     base: VeyClass
     i_prime: tuple[int, ...]
     monomial: Monomial
@@ -203,17 +200,15 @@ def extended_count(q: int, degree: int) -> int:
     return extended_basis(q)[1].get(degree, 0)
 
 
-@dataclass
-class DegreeCheck:
+class DegreeCheck(NamedTuple):
     degree: int
     enumerated: int
     oracle_dim: int
     independent: bool
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     q: int
     kind: str
     per_degree: list[DegreeCheck]

@@ -1,10 +1,14 @@
 """The public API: every name in ``veycalc.__all__`` resolves, however it is
-reached, and the errors that moved to ``veycalc.errors`` keep their identity."""
+reached, the errors that moved to ``veycalc.errors`` keep their identity, and
+the value classes keep their repr, equality and validation."""
 
 import pytest
 
 import veycalc
-from veycalc import complexes, errors, manifold, minimal_model
+from veycalc import complexes, errors, manifold, minimal_model, vey
+from veycalc.cache import Config, ConfigError
+from veycalc.gca import AlgebraSignature, Element, Monomial
+from veycalc.manifold import ClassRecord, ManifoldDescriptor
 
 PUBLIC = {
     "AlgebraSignature", "Element", "Monomial", "SignatureMismatch",
@@ -58,3 +62,57 @@ def test_moved_name_keeps_its_identity(old_home, name):
     assert getattr(old_home, name) is getattr(errors, name)
     if name in veycalc.__all__:
         assert getattr(veycalc, name) is getattr(errors, name)
+
+
+# The reprs of the value classes, recorded when they were dataclasses;
+# Element.monomial's error message embeds the first two.
+REPRS = [
+    (lambda: AlgebraSignature.W(2), "AlgebraSignature(q=2, odd_indices=frozenset({1, 2}))"),
+    (lambda: Monomial((1,), (0, 0)), "Monomial(y_part=(1,), c_part=(0, 0))"),
+    (
+        lambda: vey.vey_basis(2, "W")[0],
+        "VeyClass(monomial=Monomial(y_part=(1,), c_part=(2, 0)), complex_kind='W', q=2, "
+        "degree=5, is_generalized_gv=True, is_residual=True, is_rigid=False, "
+        "is_variable_candidate=True)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, text", REPRS, ids=["AlgebraSignature", "Monomial", "VeyClass"])
+def test_value_class_repr_is_pinned(make, text):
+    assert repr(make()) == text
+
+
+def test_equal_values_are_equal_and_hash_alike():
+    record = dict(name="gv[y1c1]", degree=3, target="MDiff_delta", method="gv_total",
+                  detection_rank=1, survives_to_BDiff_delta="yes")
+    pairs = [
+        (AlgebraSignature.W(3), AlgebraSignature(3, frozenset({1, 2, 3}))),
+        (Monomial((1,), (0, 0)), Monomial((1,), (0, 0))),
+        (vey.vey_basis(3, "WO")[-1], vey.vey_basis(3, "WO")[-1]),
+    ]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+    assert AlgebraSignature.W(3) != AlgebraSignature.WO(3)
+    assert ClassRecord(**record) == ClassRecord(**record)
+    assert ClassRecord(**record) != ClassRecord(**record, note="other")
+
+
+def test_invalid_monomial_message_is_unchanged():
+    with pytest.raises(ValueError) as exc:
+        Element.monomial(AlgebraSignature.W(2), Monomial((3,), (0, 0)))
+    assert str(exc.value) == (
+        "monomial Monomial(y_part=(3,), c_part=(0, 0)) invalid for signature "
+        "AlgebraSignature(q=2, odd_indices=frozenset({1, 2}))"
+    )
+
+
+def test_value_classes_still_validate():
+    with pytest.raises(ConfigError):
+        Config(q_cap=0)
+    with pytest.raises(errors.UnsupportedInputError, match="non-orientable"):
+        ManifoldDescriptor(2, True, True, False, True)
+    with pytest.raises(ValueError, match="unknown target 'nowhere'"):
+        ClassRecord("gv[y1c1]", 3, "nowhere", "gv_total", 1, "yes")

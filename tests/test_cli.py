@@ -2,7 +2,6 @@
 
 import json
 import pathlib
-from dataclasses import fields
 
 import pytest
 
@@ -203,7 +202,7 @@ def test_config_defaults():
     c = Config()
     assert c.q_cap == 6
     assert c.model_degree_cap == 12
-    assert [f.name for f in fields(Config)] == [
+    assert list(Config.__slots__) == [
         "q_cap", "model_degree_cap", "cache_dir", "output_format"
     ]
     assert c.output_format == "table"

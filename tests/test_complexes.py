@@ -1,6 +1,7 @@
 """Tests for the cochain complexes and the cohomology oracle."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,23 @@ def test_d_squared_zero_matrixwise():
                     for r in range(len(cx.basis(n + 2)))
                 ]
                 assert all(x == 0 for x in w)
+
+
+@pytest.mark.parametrize("kind", complexes.KINDS)
+@pytest.mark.parametrize("q", range(1, 6))
+def test_assembly_matches_the_differential(q, kind):
+    # build_complex writes the triplets of d by index arithmetic; gca.differential
+    # on each basis monomial, its terms in canonical order, is the reference
+    cx = complexes.build_complex(q, kind)
+    for n, basis in cx.bases.items():
+        index = {m: i for i, m in enumerate(cx.basis(n + 1))}
+        expected = [
+            (index[mm], col, coeff)
+            for col, m in enumerate(basis)
+            for mm, coeff in gca.differential(Element.monomial(cx.signature, m)).sorted_terms()
+        ]
+        assert cx.diff.get(n, []) == expected
+        assert all(type(coeff) is Fraction for _, _, coeff in cx.diff.get(n, []))
 
 
 def test_w5_cohomology_digest_is_pinned():
