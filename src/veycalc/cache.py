@@ -7,7 +7,6 @@ results from older library versions are never served.  Writes are atomic
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -80,6 +79,8 @@ class Config:
         }
 
     def digest(self) -> str:
+        import hashlib
+
         return hashlib.sha256(canonical_json(self.to_json_obj()).encode()).hexdigest()[:12]
 
 
@@ -107,6 +108,8 @@ def canonical_json(obj) -> str:
 
 
 def cache_key(command: str, params: dict) -> str:
+    import hashlib  # here, not at the top: `vey` and `kappa` jobs never hash
+
     payload = canonical_json(
         {"command": command, "params": params, "version": __version__}
     )

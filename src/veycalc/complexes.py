@@ -1,14 +1,13 @@
 """Finite cochain complexes W_q, WO_q, I_q and their exact cohomology.
 
 The complexes are assembled degree by degree from the monomial bases of
-:mod:`veycalc.gca`; differentials are stored as sparse triplet lists of
-exact rationals.  Cohomology is computed by elimination over Q and serves
+:mod:`veycalc.gca`; differentials are stored as sparse triplet lists with
+coefficients +-1.  Cohomology is computed by elimination over Q and serves
 as the brute-force oracle for the combinatorial basis enumeration.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import gca, linalg
@@ -32,10 +31,11 @@ def dimension_estimate(q: int, kind: str) -> int:
     return sum(gca.basis_dimension_series(sig))
 
 
-Triplet = tuple[int, int, Fraction]
+Triplet = tuple[int, int, int]
 
-# The coefficients of d on a monomial; Fractions, so elimination stays exact.
-_SIGNS = (Fraction(1), Fraction(-1))
+# The coefficients of d on a monomial, by the parity of the y-factor's position;
+# ints, so the elimination of a complex builds no Fraction
+_SIGNS = (1, -1)
 
 
 class GradedComplex:
@@ -62,6 +62,8 @@ class GradedComplex:
 
     def diff_matrix(self, n: int) -> linalg.Matrix:
         """Dense matrix of d: C^n -> C^(n+1), rows indexed by the degree-(n+1) basis."""
+        from fractions import Fraction
+
         rows = len(self.basis(n + 1))
         cols = len(self.basis(n))
         m = [[Fraction(0)] * cols for _ in range(rows)]

@@ -8,15 +8,21 @@ truncation that makes every complex here finite dimensional.  The
 differential is d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz
 rule.
 
-All coefficients are exact rationals (fractions.Fraction).  Elements and
-signatures are immutable values; every operation is a pure function.
+All coefficients are exact rationals: an integral coefficient is a Python
+int, and any other one a fractions.Fraction, which is only imported when a
+coefficient needs it.  Elements and signatures are immutable values; every
+operation is a pure function.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Coeff = Union[int, "Fraction"]
 
 
 class SignatureMismatch(ValueError):
@@ -136,17 +142,28 @@ def _merge_y(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ..
     return (-1) ** inversions, merged
 
 
+def _exact(c) -> Coeff:
+    """c as an int if it is integral, else as a Fraction (c may be a str or float)."""
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Element:
     """Sparse linear combination of monomials with rational coefficients."""
 
     __slots__ = ("signature", "terms")
 
-    def __init__(self, signature: AlgebraSignature, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, signature: AlgebraSignature, terms: Mapping[Monomial, Coeff] | None = None):
         self.signature = signature
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Coeff] = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not int:
+                c = _exact(c)
+            if c:
                 clean[m] = c
         self.terms = clean
 
@@ -158,13 +175,13 @@ class Element:
 
     @classmethod
     def one(cls, sig: AlgebraSignature) -> "Element":
-        return cls(sig, {unit_monomial(sig): Fraction(1)})
+        return cls(sig, {unit_monomial(sig): 1})
 
     @classmethod
     def monomial(cls, sig: AlgebraSignature, m: Monomial, coeff=1) -> "Element":
         if not m.is_valid(sig):
             raise ValueError(f"monomial {m} invalid for signature {sig}")
-        return cls(sig, {m: Fraction(coeff)})
+        return cls(sig, {m: coeff})
 
     @classmethod
     def y(cls, sig: AlgebraSignature, i: int) -> "Element":
@@ -194,7 +211,7 @@ class Element:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
 
     # -- arithmetic ----------------------------------------------------
@@ -207,7 +224,7 @@ class Element:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Element(self.signature, out)
 
     def __neg__(self) -> "Element":
@@ -217,13 +234,13 @@ class Element:
         return self + (-other)
 
     def scale(self, k) -> "Element":
-        k = Fraction(k)
+        k = _exact(k)
         return Element(self.signature, {m: c * k for m, c in self.terms.items()})
 
     def __mul__(self, other: "Element") -> "Element":
         self._check(other)
         sig = self.signature
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for ma, ca in self.terms.items():
             wa = ma.weight()
             for mb, cb in other.terms.items():
@@ -235,7 +252,7 @@ class Element:
                 sign, ypart = merged
                 cpart = tuple(a + b for a, b in zip(ma.c_part, mb.c_part))
                 m = Monomial(ypart, cpart)
-                out[m] = out.get(m, Fraction(0)) + sign * ca * cb
+                out[m] = out.get(m, 0) + sign * ca * cb
         return Element(sig, out)
 
     def __eq__(self, other) -> bool:
@@ -266,7 +283,7 @@ class Element:
     @classmethod
     def from_json_obj(cls, sig: AlgebraSignature, obj) -> "Element":
         terms = {
-            Monomial.from_json_obj(t["m"]): Fraction(t["coeff"]) for t in obj
+            Monomial.from_json_obj(t["m"]): _exact(t["coeff"]) for t in obj
         }
         return cls(sig, terms)
 
@@ -281,7 +298,7 @@ def degree(m: Monomial) -> int:
 def differential(a: Element) -> Element:
     """d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz rule."""
     sig = a.signature
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for m, coeff in a.terms.items():
         w = m.weight()
         for k, i in enumerate(m.y_part):
@@ -292,7 +309,7 @@ def differential(a: Element) -> Element:
             cpart = list(m.c_part)
             cpart[i - 1] += 1
             mm = Monomial(ypart, tuple(cpart))
-            out[mm] = out.get(mm, Fraction(0)) + sign * coeff
+            out[mm] = out.get(mm, 0) + sign * coeff
     return Element(sig, out)
 
 

@@ -1,24 +1,31 @@
 """Exact rational linear algebra: one incremental sparse echelon kernel.
 
 :class:`Echelon` does all elimination.  It keeps sparse rows
-``{column: Fraction}`` keyed by their pivot, the lowest nonzero column, and
-scaled to 1 there; a new row is reduced against the stored pivots in
+``{column: value}`` keyed by their pivot, the lowest nonzero column, and
+scaled to 1 there.  Values are Python ints while they are integral: a row
+with pivot 1 is stored as it is and one with pivot -1 negated, and only a
+row with any other pivot is divided by it as a ``fractions.Fraction``.  The
+complexes W_q and WO_q only meet pivots +-1, so their elimination never
+builds a Fraction.  A new row is reduced against the stored pivots in
 ascending column order, so a span grows one row at a time.  Results are
 deterministic whatever order rows arrive in: pivots are lowest columns and
 the RREF of a row space is unique, so ranks, echelon forms and canonical
 nullspace bases are reproducible, and a greedy pass over candidates keeps
 exactly those outside the span of the ones before.  :func:`cohomology` is
 the one "cohomology in degree n" routine.  The dense list-of-rows functions
-are thin wrappers over the kernel.
+are thin wrappers over the kernel, used by tests, which return Fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING, Union
 
-Row = list[Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Row = list["Fraction"]
 Matrix = list[Row]
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, Union[int, "Fraction"]]
 
 
 class Echelon:
@@ -66,8 +73,16 @@ class Echelon:
         if not v:
             return False
         p = min(v)
-        inv = 1 / v[p]
-        self.rows[p] = {c: x * inv for c, x in v.items()} if inv != 1 else v
+        pivot = v[p]
+        if pivot == 1:
+            self.rows[p] = v
+        elif pivot == -1:
+            self.rows[p] = {c: -x for c, x in v.items()}
+        else:
+            from fractions import Fraction
+
+            inv = 1 / Fraction(pivot)
+            self.rows[p] = {c: x * inv for c, x in v.items()}
         return True
 
     def rref(self) -> list[tuple[int, SparseRow]]:
@@ -83,7 +98,7 @@ class Echelon:
     def nullspace(self, ncols: int) -> list[SparseRow]:
         """Basis of {x : row . x = 0 for every row}, one vector per free column in
         ascending order, with 1 at its free column and 0 at the others."""
-        basis = {c: {c: Fraction(1)} for c in range(ncols) if c not in self.rows}
+        basis = {c: {c: 1} for c in range(ncols) if c not in self.rows}
         for p, row in self.rref():
             for c, x in row.items():
                 if c != p:
@@ -96,9 +111,11 @@ def sparse(row: Row) -> SparseRow:
 
 
 def dense(vec: SparseRow, ncols: int) -> Row:
+    from fractions import Fraction
+
     out = [Fraction(0)] * ncols
     for c, x in vec.items():
-        out[c] = x
+        out[c] = Fraction(x)
     return out
 
 
@@ -130,6 +147,8 @@ def cohomology(d_out: list[SparseRow], d_in: list[SparseRow]) -> list[SparseRow]
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (echelon matrix, pivot columns)."""
+    from fractions import Fraction
+
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -150,6 +169,8 @@ def nullspace(mat: Matrix, ncols: int) -> list[Row]:
 
 def solve(mat: Matrix, b: Row) -> Row | None:
     """One solution of mat @ x = b (free variables 0), or None if inconsistent."""
+    from fractions import Fraction
+
     if not mat:
         return None if any(b) else []
     ncols = len(mat[0])
@@ -157,7 +178,7 @@ def solve(mat: Matrix, b: Row) -> Row | None:
     for p, row in Echelon(sparse(r + [bb]) for r, bb in zip(mat, b)).rref():
         if p == ncols:
             return None
-        x[p] = row.get(ncols, Fraction(0))
+        x[p] = Fraction(row.get(ncols, 0))
     return x
 
 

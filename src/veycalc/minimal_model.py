@@ -8,17 +8,18 @@ its cokernel.  Generator counts per degree are the dual homotopy ranks; the
 free-algebra Poincare series of a rank table after delooping describes the
 loop-space homology families.
 
-Everything is exact (Fraction coefficients) and deterministic.
+Everything is exact and deterministic.  Coefficients are ints while they
+are integral; a Fraction only comes from the elimination in
+:mod:`veycalc.linalg`, past a pivot other than +-1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import gca, linalg
 from .errors import ModelBudgetError
-from .gca import AlgebraSignature, Element
+from .gca import AlgebraSignature, Coeff, Element
 
 DEFAULT_WORD_BUDGET = 50_000
 
@@ -26,7 +27,7 @@ DEFAULT_WORD_BUDGET = 50_000
 # A word in the free algebra is a sparse, index-sorted exponent tuple:
 # ((gen_index, exponent), ...).  Odd-degree generators square to zero.
 Word = tuple[tuple[int, int], ...]
-FreeElement = dict[Word, Fraction]
+FreeElement = dict[Word, Coeff]
 
 UNIT_WORD: Word = ()
 
@@ -70,19 +71,19 @@ class FreeAlgebra:
     # -- elements ----------------------------------------------------------
 
     def gen_element(self, idx: int) -> FreeElement:
-        return {((idx, 1),): Fraction(1)}
+        return {((idx, 1),): 1}
 
     def add(self, a: FreeElement, b: FreeElement) -> FreeElement:
         out = dict(a)
         for w, c in b.items():
-            nc = out.get(w, Fraction(0)) + c
+            nc = out.get(w, 0) + c
             if nc:
                 out[w] = nc
             else:
                 out.pop(w, None)
         return out
 
-    def scale(self, a: FreeElement, k: Fraction) -> FreeElement:
+    def scale(self, a: FreeElement, k: Coeff) -> FreeElement:
         if k == 0:
             return {}
         return {w: c * k for w, c in a.items()}
@@ -95,7 +96,7 @@ class FreeAlgebra:
                 if prod is None:
                     continue
                 sign, w = prod
-                nc = out.get(w, Fraction(0)) + sign * ca * cb
+                nc = out.get(w, 0) + sign * ca * cb
                 if nc:
                     out[w] = nc
                 else:
@@ -126,15 +127,22 @@ class FreeAlgebra:
     def basis(self, degree: int) -> list[Word]:
         """All words of the given total degree, in sorted order: generators are
         taken in index order with exponents ascending, and one whose degree
-        exceeds what remains is skipped."""
+        exceeds what remains is skipped.  A branch ends at the first index from
+        which no generator fits; the builder appends generators in
+        nondecreasing degree, so that is the first one too large."""
         out: list[Word] = []
         degrees = self.degrees
+        suffix_min = degrees + [degree + 1]  # least degree from each index on
+        for idx in range(len(degrees) - 1, -1, -1):
+            suffix_min[idx] = min(degrees[idx], suffix_min[idx + 1])
 
         def rec(start: int, remaining: int, acc: Word) -> None:
             if remaining == 0:
                 out.append(acc)
                 return
             for idx in range(start, len(degrees)):
+                if suffix_min[idx] > remaining:
+                    break
                 d = degrees[idx]
                 if d <= remaining:
                     for e in range(1, (1 if d % 2 == 1 else remaining // d) + 1):
@@ -186,8 +194,18 @@ class _ModelBuilder:
         self.generators: dict[int, list[str]] = {}
         self.diffs: dict[str, FreeElement] = {}
         self.psi: dict[str, Element] = {}
-        # psi of a word never changes: generators are appended, psi set once
+        # psi and d of a word never change: generators are appended, with psi
+        # and d set once; a degree's basis changes only when one is appended
         self._psi_cache: dict[Word, Element] = {UNIT_WORD: Element.one(self.sig)}
+        self._d_cache: dict[Word, FreeElement] = {}
+        self._bases: dict[int, tuple[int, list[Word]]] = {}  # degree -> (generator count, basis)
+
+    def _basis(self, n: int) -> list[Word]:
+        count = len(self.alg.gids)
+        cached = self._bases.get(n)
+        if cached is None or cached[0] != count:
+            cached = self._bases[n] = (count, self.alg.basis(n))
+        return cached[1]
 
     def _psi_word(self, w: Word) -> Element:
         cached = self._psi_cache.get(w)
@@ -215,14 +233,17 @@ class _ModelBuilder:
     def _d_images(self, source: list[Word], target: list[Word]) -> list[linalg.SparseRow]:
         """d of each source word, as a sparse vector over the target words."""
         index = {w: i for i, w in enumerate(target)}
-        return [
-            {index[ww]: c for ww, c in self.alg.differential({w: Fraction(1)}).items()}
-            for w in source
-        ]
+        images = []
+        for w in source:
+            dw = self._d_cache.get(w)
+            if dw is None:
+                dw = self._d_cache[w] = self.alg.differential({w: 1})
+            images.append({index[ww]: c for ww, c in dw.items()})
+        return images
 
     def _cohomology_reps(self, n: int) -> list[FreeElement]:
         """Cocycle representatives of a basis of H^n(model)."""
-        basis_n = self.alg.basis(n)
+        basis_n = self._basis(n)
         if len(basis_n) > self.word_budget:
             raise ModelBudgetError(
                 f"free-algebra basis at degree {n} has {len(basis_n)} words, "
@@ -232,8 +253,8 @@ class _ModelBuilder:
         if not basis_n:
             return []
         reps = linalg.cohomology(
-            self._d_images(basis_n, self.alg.basis(n + 1)),
-            self._d_images(self.alg.basis(n - 1), basis_n),
+            self._d_images(basis_n, self._basis(n + 1)),
+            self._d_images(self._basis(n - 1), basis_n),
         )
         return [{basis_n[j]: v[j] for j in sorted(v)} for v in reps]
 
@@ -263,7 +284,7 @@ class _ModelBuilder:
             return
         image = linalg.Echelon(images)
         for pick, mono in enumerate(target_basis):
-            if image.insert({pick: Fraction(1)}):
+            if image.insert({pick: 1}):
                 self._add_generator("x", n, {}, Element.monomial(self.sig, mono))
 
     def build(self) -> ModelStage:

@@ -94,10 +94,10 @@ def vey_basis(q: int, kind: str) -> list[VeyClass]:
         raise ValueError("q must be positive")
     if kind not in ("W", "WO"):
         raise ValueError("kind must be 'W' or 'WO'")
-    from . import complexes
-    from .gca import Monomial
+    from .gca import AlgebraSignature, Monomial
 
-    odd = sorted(complexes.signature_for(q, kind).odd_indices)
+    sig = AlgebraSignature.W(q) if kind == "W" else AlgebraSignature.WO(q)
+    odd = sorted(sig.odd_indices)
     groups = []
     for k, i1 in enumerate(odd):
         for w in range(q + 1 - i1, q + 1):

@@ -1,7 +1,6 @@
 """Tests for the cochain complexes and the cohomology oracle."""
 
 import hashlib
-from fractions import Fraction
 
 import pytest
 
@@ -157,7 +156,19 @@ def test_assembly_matches_the_differential(q, kind):
             for mm, coeff in gca.differential(Element.monomial(cx.signature, m)).sorted_terms()
         ]
         assert cx.diff.get(n, []) == expected
-        assert all(type(coeff) is Fraction for _, _, coeff in cx.diff.get(n, []))
+        assert all(type(coeff) is int for _, _, coeff in cx.diff.get(n, []))
+
+
+@pytest.mark.parametrize("kind", ("W", "WO"))
+def test_unit_pivots_keep_elimination_in_ints(kind):
+    # every pivot met in W_q and WO_q is +-1, so no elimination step divides:
+    # the echelon rows and the representatives hold ints, not Fractions
+    cx = complexes.build_complex(5, kind)
+    for n in cx.bases:
+        rows = complexes.image_echelon(cx, n).rows.values()
+        assert all(type(x) is int for row in rows for x in row.values())
+    reps = complexes.cohomology(cx).representatives.values()
+    assert all(type(c) is int for els in reps for e in els for c in e.terms.values())
 
 
 def test_w5_cohomology_digest_is_pinned():

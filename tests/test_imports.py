@@ -4,6 +4,9 @@ Every case runs in a fresh interpreter, so modules imported by other tests
 do not count.  A new top-level import of an algebra module in the package,
 the CLI or the cache makes one of these sets grow.  So does `dataclasses` or
 `inspect`, which no job needs: importing them costs about 12 ms per run.
+`fractions` (about 3 ms, with `decimal` and `numbers`) is loaded only past a
+pivot other than +-1, which none of these jobs meets, and `hashlib` (about
+4 ms) only by jobs that hash: a cache key or the config digest.
 """
 
 import json
@@ -29,8 +32,8 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = veycalc.cli.run(argv)
     assert code == 0, code
-# the package's modules, and dataclasses and inspect, which no job may load
-watched = ("veycalc", "dataclasses", "inspect")
+# the package's modules, and the standard modules a job loads only if it must
+watched = ("veycalc", "dataclasses", "inspect", "fractions", "hashlib")
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in watched)))
 """
 
@@ -52,14 +55,16 @@ def test_importing_the_cli_loads_no_algebra_module():
     assert _loaded([]) == FRONT
 
 
-# (job, algebra modules it loads beyond FRONT), computed on an empty cache
+# (job, algebra modules it loads beyond FRONT, whether it hashes a cache key or
+# the config digest and so loads hashlib), computed on an empty cache
 JOBS = [
-    ("kappa --q 3", {"vey"}),
-    ("cohomology --complex W --q 2", {"gca", "linalg", "complexes"}),
-    ("model --q 2 --max-degree 6", {"gca", "linalg", "minimal_model"}),
-    ("vey --complex WO --q 3", {"vey", "gca", "linalg", "complexes"}),
-    ("validate --complex W --q 2", {"vey", "gca", "linalg", "complexes"}),
-    ("--version", set()),
+    ("kappa --q 3", {"vey"}, False),
+    ("cohomology --complex W --q 2", {"gca", "linalg", "complexes"}, True),
+    ("model --q 2 --max-degree 6", {"gca", "linalg", "minimal_model"}, True),
+    ("vey --complex WO --q 3", {"vey", "gca"}, False),
+    ("validate --complex W --q 2", {"vey", "gca", "linalg", "complexes"}, True),
+    ("manifold --dim 6 --compact", {"manifold", "vey", "gca"}, True),
+    ("--version", set(), True),
 ]
 
 # (job, format, modules a cache hit of it loads beyond FRONT); a cohomology
@@ -78,10 +83,11 @@ HITS = [
 ]
 
 
-@pytest.mark.parametrize("job, modules", JOBS, ids=[job for job, _ in JOBS])
-def test_job_loads_only_what_it_runs(tmp_path, job, modules):
+@pytest.mark.parametrize("job, modules, cached", JOBS, ids=[job for job, _, _ in JOBS])
+def test_job_loads_only_what_it_runs(tmp_path, job, modules, cached):
     loaded = _loaded([*job.split(), "--cache-dir", str(tmp_path)])
-    assert loaded == FRONT | {f"veycalc.{m}" for m in modules}
+    expected = FRONT | {f"veycalc.{m}" for m in modules} | ({"hashlib"} if cached else set())
+    assert loaded == expected
 
 
 @pytest.mark.parametrize(
@@ -92,4 +98,4 @@ def test_cache_hit_loads_only_what_it_renders(tmp_path, job, fmt, modules):
     assert veycalc.cli.run(argv) == 0  # fills the cache
     assert len(list(tmp_path.glob("*.json"))) == 1
     loaded = _loaded(argv)
-    assert loaded == FRONT | {f"veycalc.{m}" for m in modules}
+    assert loaded == FRONT | {f"veycalc.{m}" for m in modules} | {"hashlib"}

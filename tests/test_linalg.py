@@ -100,9 +100,12 @@ _small_ints = st.integers(min_value=-3, max_value=3)
 
 @st.composite
 def _matrices(draw):
+    """Entries in -3..3, so that non-unit pivots occur; as ints or as Fractions."""
     ncols = draw(st.integers(min_value=1, max_value=6))
     rows = draw(st.lists(st.lists(_small_ints, min_size=ncols, max_size=ncols), max_size=6))
-    return [[F(x) for x in row] for row in rows], ncols
+    if draw(st.booleans()):
+        rows = [[F(x) for x in row] for row in rows]
+    return rows, ncols
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,6 +119,17 @@ def test_property_kernel_matches_dense_gauss_jordan(a, b):
     assert all(x == 0 for row in got[len(pivots):] for x in row)
     assert linalg.rank(mat) == len(pivots)
     assert linalg.nullspace(mat, ncols) == _reference_nullspace(mat, ncols)
+    # int rows whose pivots are all +-1 stay ints: no step divides by a pivot
+    ech = linalg.Echelon()
+    unit_pivots = True
+    for row in map(linalg.sparse, mat):
+        rest = ech.reduce(row)
+        unit_pivots = unit_pivots and (not rest or rest[min(rest)] in (1, -1))
+        ech.insert(row)
+    if unit_pivots and all(type(x) is int for row in mat for x in row):
+        null = ech.nullspace(ncols)
+        assert all(type(x) is int for row in ech.rows.values() for x in row.values())
+        assert all(type(x) is int for v in null for x in v.values())
     if mat:
         rhs = [F(i % 3) for i in range(len(mat))]
         aug = [row + [y] for row, y in zip(mat, rhs)]
