@@ -244,10 +244,23 @@ def _parse_cospherical(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+# the manifold flags that build a descriptor, each with its value when absent
+_DESCRIPTOR_FLAGS = {"dim": None, "compact": False, "closed": False, "parallelizable": False,
+                     "non_orientable": False, "trivialized_over_cycles": False,
+                     "cospherical": None}
+
+
 def _cmd_manifold(args, config: Config, cache: ResultCache | None) -> dict:
     from . import manifold
 
     if args.preset:
+        given = [f"--{flag.replace('_', '-')}" for flag, absent in _DESCRIPTOR_FLAGS.items()
+                 if getattr(args, flag) is not absent]
+        if given:
+            raise UnsupportedInputError(
+                f"--preset {args.preset} conflicts with {', '.join(given)}; "
+                "a preset fixes the whole descriptor"
+            )
         descriptor = manifold.preset(args.preset)
     else:
         if args.dim is None:

@@ -291,10 +291,6 @@ class Element:
 # -- module-level operations ------------------------------------------------
 
 
-def degree(m: Monomial) -> int:
-    return m.degree()
-
-
 def differential(a: Element) -> Element:
     """d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz rule."""
     sig = a.signature

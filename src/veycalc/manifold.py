@@ -1,11 +1,24 @@
 """Per-manifold inventories of secondary characteristic classes.
 
-Given a descriptor of a codimension-q manifold, list the classes available
-on the classifying spaces of its diffeomorphism groups: the total
-Godbillon-Vey family, fiber-integration classes, section pullbacks,
-cycle-integration classes over co-spherical cycles, and braced classes.
-Detection ranks are the variable-class counts from :mod:`veycalc.vey` and
-are lower bounds; survival annotations are recorded only where known.
+:func:`report` lists the classes that a codimension-q manifold descriptor
+gives on the classifying spaces of its diffeomorphism groups, from one rule
+table.  Here v runs over ``vey.variable_set(q)``, C_i over the lower
+co-spherical cycles and e over the braced classes of degree > 2q+1; a
+global section exists when the manifold is compact and parallelizable.
+
+    family              target       method             applies when
+    gv[v]               MDiff_delta  gv_total           always
+    alpha[v]            BDiff_delta  fiber_integration  always
+    beta[v]             BbarDiff     section_pullback   a global section
+    gamma[C_i][v]       BDiff_delta  cycle_integration  parallelizable or trivialized
+    braced[e]           BbarDiff     braced             a global section, q >= 3
+    gamma_braced[C_i]   BDiff_delta  cycle_integration  a global section, q = 3
+    loop[t^d]           BbarDiff     loop_family        open and parallelizable
+
+The loop family replaces every other row; gamma_braced records are reader
+exercises.  Detection ranks are the variable-class counts from
+:mod:`veycalc.vey` and are lower bounds; survival annotations are recorded
+only where known.
 """
 
 from __future__ import annotations
@@ -137,113 +150,58 @@ def hurewicz_ok(r: int, k: int) -> str:
 def report(m: ManifoldDescriptor) -> list[ClassRecord]:
     """Characteristic-class inventory for the descriptor; pure and deterministic."""
     q = m.q
-    records: list[ClassRecord] = []
     if not m.compact and m.parallelizable:
         # Open parallelizable case: only the loop-space family applies.
         return _loop_family_records(q)
 
     from . import vey
 
-    variables = vey.variable_set(q)
-    vq = len(variables)
-
-    # (a) the total classes, one per variable class, on the flat-bundle total space
-    for v in variables:
-        records.append(
-            ClassRecord(
-                name=f"gv[{v.name()}]",
-                degree=2 * q + 1,
-                target="MDiff_delta",
-                method="gv_total",
-                detection_rank=vq,
-                survives_to_BDiff_delta="yes",
-            )
-        )
-
-    # (b) fiber integration over the fundamental class (always applicable:
-    # the degree 2q+1 exceeds 2q, and the fundamental class is co-spherical)
-    for v in variables:
-        records.append(
-            ClassRecord(
-                name=f"alpha[{v.name()}]",
-                degree=fiber_integrate_degree(2 * q + 1, q),
-                target="BDiff_delta",
-                method="fiber_integration",
-                detection_rank=vq,
-                survives_to_BDiff_delta="yes",
-            )
-        )
-
-    # (c) section pullbacks need a global section: compact and parallelizable
-    if m.compact and m.parallelizable:
-        for v in variables:
-            records.append(
-                ClassRecord(
-                    name=f"beta[{v.name()}]",
-                    degree=2 * q + 1,
-                    target="BbarDiff",
-                    method="section_pullback",
-                    detection_rank=vq,
-                    survives_to_BDiff_delta="unknown",
-                )
-            )
-
-    # (d) integration over lower co-spherical cycles needs the tangent bundle
-    # trivial over the cycle supports
-    if m.parallelizable or m.trivialized_over_cycles:
-        cycle_index = 0
-        for k, count in sorted(m.cospherical_degrees):
-            survival = "killed" if q == 2 and k == 1 else "unknown"
-            for _ in range(count):
-                cycle_index += 1
-                for v in variables:
-                    records.append(
-                        ClassRecord(
-                            name=f"gamma[C_{cycle_index}][{v.name()}]",
-                            degree=2 * q + 1 - k,
-                            target="BDiff_delta",
-                            method="cycle_integration",
-                            detection_rank=count * vq,
-                            survives_to_BDiff_delta=survival,
-                        )
-                    )
-
-    # (e) braced classes: need a section (compact and parallelizable) and q >= 3
-    if m.compact and m.parallelizable and q >= 3:
+    names = [v.name() for v in vey.variable_set(q)]
+    vq = len(names)
+    top = 2 * q + 1
+    has_section = m.compact and m.parallelizable
+    # The lower co-spherical cycles, numbered C_1, C_2, ... in degree order, as
+    # (i, (degree k, count of cycles in degree k)); the fundamental class is implicit.
+    cycles = list(enumerate((kc for kc in sorted(m.cospherical_degrees) for _ in range(kc[1])), 1))
+    # One row per family over the variable classes: (name prefix, degree,
+    # target, method, detection rank, survival, applies).
+    families = [
+        ("gv", top, "MDiff_delta", "gv_total", vq, "yes", True),
+        # the degree 2q+1 exceeds 2q, and the fundamental class is co-spherical
+        ("alpha", fiber_integrate_degree(top, q), "BDiff_delta", "fiber_integration",
+         vq, "yes", True),
+        ("beta", top, "BbarDiff", "section_pullback", vq, "unknown", has_section),
+    ] + [
+        # needs the tangent bundle trivial over the cycle supports
+        (f"gamma[C_{i}]", top - k, "BDiff_delta", "cycle_integration", count * vq,
+         "killed" if q == 2 and k == 1 else "unknown",
+         m.parallelizable or m.trivialized_over_cycles)
+        for i, (k, count) in cycles
+    ]
+    records = [
+        ClassRecord(f"{prefix}[{name}]", degree, target, method, rank, survival)
+        for prefix, degree, target, method, rank, survival, applies in families
+        if applies
+        for name in names
+    ]
+    if has_section and q >= 3:
         extended, counts = vey.extended_basis(q)
-        braced_degrees = sorted(d for d in counts if d > 2 * q + 1)
-        for e in extended:
-            if e.degree > 2 * q + 1:
-                records.append(
-                    ClassRecord(
-                        name=f"braced[{e.name()}]",
-                        degree=e.degree,
-                        target="BbarDiff",
-                        method="braced",
-                        detection_rank=counts[e.degree],
-                        survives_to_BDiff_delta="unknown",
-                    )
-                )
-        # additional families: cycle integration of the braced classes over
-        # lower co-spherical cycles; sketched but not carried out in detail
-        # in the source material, so marked as reader-exercise records
+        records += [
+            ClassRecord(f"braced[{e.name()}]", e.degree, "BbarDiff", "braced",
+                        counts[e.degree], "unknown")
+            for e in extended
+            if e.degree > top
+        ]
         if q == 3:
-            cycle_index = 0
-            for k, count in sorted(m.cospherical_degrees):
-                for _ in range(count):
-                    cycle_index += 1
-                    for d in braced_degrees:
-                        records.append(
-                            ClassRecord(
-                                name=f"gamma_braced[C_{cycle_index}][deg{d}]",
-                                degree=d - k,
-                                target="BDiff_delta",
-                                method="cycle_integration",
-                                detection_rank=count * vq,
-                                survives_to_BDiff_delta="unknown",
-                                note="reader-exercise",
-                            )
-                        )
+            # cycle integration of the braced classes: sketched but not carried
+            # out in detail in the source material, so marked reader-exercise
+            records += [
+                ClassRecord(f"gamma_braced[C_{i}][deg{d}]", d - k, "BDiff_delta",
+                            "cycle_integration", count * vq, "unknown", note="reader-exercise")
+                for i, (k, count) in cycles
+                for d in counts
+                if d > top
+            ]
 
     records.sort(key=lambda r: (r.degree, r.method, r.name))
     return records
@@ -283,15 +241,23 @@ def _preset_int(base: str, arg: str, noun: str) -> int:
         ) from exc
 
 
+# The compact, closed, orientable presets without a parameter: name -> (q,
+# parallelizable, co-spherical degrees).
+_FIXED_PRESETS = {
+    "S1": (1, True, ()),
+    "S2": (2, False, ()),
+    "T2": (2, True, ((1, 2),)),
+    "S3": (3, True, ()),
+    "T3": (3, True, ((1, 3), (2, 3))),
+}
+
+
 def preset(name: str) -> ManifoldDescriptor:
     """Named descriptors: S1, S2, T2, Sigma_g:g, S3, T3, Rq:q."""
     base, _, arg = name.partition(":")
-    if base == "S1":
-        return ManifoldDescriptor(1, True, True, True, True, (), label="S1")
-    if base == "S2":
-        return ManifoldDescriptor(2, True, True, True, False, (), label="S2")
-    if base == "T2":
-        return ManifoldDescriptor(2, True, True, True, True, ((1, 2),), label="T2")
+    if base in _FIXED_PRESETS:
+        q, parallelizable, cospherical = _FIXED_PRESETS[base]
+        return ManifoldDescriptor(q, True, True, True, parallelizable, cospherical, label=base)
     if base == "Sigma_g":
         g = _preset_int(base, arg, "genus")
         if g < 2:
@@ -305,12 +271,6 @@ def preset(name: str) -> ManifoldDescriptor:
             ((1, 2 * g),),
             trivialized_over_cycles=True,
             label=f"Sigma_{g}",
-        )
-    if base == "S3":
-        return ManifoldDescriptor(3, True, True, True, True, (), label="S3")
-    if base == "T3":
-        return ManifoldDescriptor(
-            3, True, True, True, True, ((1, 3), (2, 3)), label="T3"
         )
     if base == "Rq":
         q = _preset_int(base, arg, "dimension")

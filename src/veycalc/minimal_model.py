@@ -192,7 +192,6 @@ class _ModelBuilder:
         self.sig = AlgebraSignature.I(q)
         self.alg = FreeAlgebra()
         self.generators: dict[int, list[str]] = {}
-        self.diffs: dict[str, FreeElement] = {}
         self.psi: dict[str, Element] = {}
         # psi and d of a word never change: generators are appended, with psi
         # and d set once; a degree's basis changes only when one is appended
@@ -263,7 +262,6 @@ class _ModelBuilder:
         gid = f"{prefix}{degree}_{len(gids)}"
         self.alg.add_generator(gid, degree, diff)
         gids.append(gid)
-        self.diffs[gid] = diff
         self.psi[gid] = psi
 
     def _stage(self, n: int) -> None:
@@ -295,8 +293,9 @@ class _ModelBuilder:
             dim_model = len(self._cohomology_reps(n))
             dim_target = len(gca.basis_of_degree(self.sig, n))
             check[n] = dim_model == dim_target
+        alg = self.alg
         model = ModelStage(
-            self.q, self.cap, self.alg, self.generators, self.diffs, self.psi, check
+            self.q, self.cap, alg, self.generators, dict(zip(alg.gids, alg.diffs)), self.psi, check
         )
         _assert_minimal(model)
         return model

@@ -72,13 +72,6 @@ def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[b
     return y_part == (1,), weight == q, rigid, degree == 2 * q + 1 and not rigid
 
 
-def classify(v: VeyClass) -> VeyClass:
-    """Fill the classification flags; pure function of (I, J, q)."""
-    m = v.monomial
-    flags = _flags(v.q, m.y_part, m.weight(), v.degree)
-    return VeyClass(m, v.complex_kind, v.q, v.degree, *flags)
-
-
 def _admissible(q: int, i_min: int, weight: int, kind: str) -> list[tuple[int, ...]]:
     """The c-parts of the given weight that meet the Vey condition, in partition order."""
     from . import gca

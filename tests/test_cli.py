@@ -73,6 +73,22 @@ def test_invalid_input_exit_code(capsys, cache_dir):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--dim", "3"], ["--dim", "0"], ["--compact"], ["--closed"], ["--parallelizable"],
+     ["--non-orientable"], ["--trivialized-over-cycles"], ["--cospherical", "1:1"],
+     ["--compact", "--parallelizable"]],
+)
+def test_preset_with_descriptor_flags_exit_2(capsys, cache_dir, flags):
+    code, out, err = run(
+        capsys, ["manifold", "--preset", "S1", *flags, "--cache-dir", cache_dir]
+    )
+    assert code == 2
+    assert out == ""
+    assert "conflicts with " + ", ".join(f for f in flags if f.startswith("--")) in err
+    assert not pathlib.Path(cache_dir).exists()
+
+
 def test_missing_subcommand(capsys):
     code, _, err = run(capsys, [])
     assert code == 2
@@ -249,6 +265,16 @@ def test_required_keys_follow_the_schemas():
         schema = json.loads((SCHEMAS / f"{name}.json").read_text())
         assert set(schema["required"]) <= set(REQUIRED_KEYS[command])
         assert set(REQUIRED_KEYS[command]) <= set(schema["properties"])
+
+
+def test_manifold_enums_follow_the_schema():
+    from veycalc import manifold
+
+    schema = json.loads((SCHEMAS / "manifold_report.json").read_text())
+    fields = schema["properties"]["records"]["items"]["properties"]
+    assert fields["target"]["enum"] == list(manifold.TARGETS)
+    assert fields["method"]["enum"] == list(manifold.METHODS)
+    assert fields["survives_to_BDiff_delta"]["enum"] == list(manifold.SURVIVAL)
 
 
 def _drop_ranks(payload: dict) -> dict:

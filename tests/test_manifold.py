@@ -1,11 +1,12 @@
 """Tests for manifold class inventories, including golden-file matches."""
 
+import itertools
 import json
 import pathlib
 
 import pytest
 
-from veycalc import manifold
+from veycalc import manifold, vey
 from veycalc.cache import canonical_json
 from veycalc.manifold import (
     ManifoldDescriptor,
@@ -170,3 +171,52 @@ def test_report_is_pure():
 def test_unknown_preset():
     with pytest.raises(UnsupportedInputError):
         preset("Klein")
+
+
+COSPHERICAL_LISTS = [(), ((1, 1),), ((1, 2),), ((1, 4),), ((2, 1),), ((1, 3), (2, 3)),
+                     ((1, 1), (1, 2)), ((3, 1), (1, 1)), ((2, 3), (3, 1)), ((2, 2), (4, 1))]
+
+
+def _descriptors():
+    for q in range(1, 7):
+        for compact, parallelizable, trivialized in itertools.product((False, True), repeat=3):
+            for cospherical in COSPHERICAL_LISTS:
+                if all(k < q for k, _ in cospherical):
+                    yield ManifoldDescriptor(q, compact, compact, True, parallelizable,
+                                             cospherical, trivialized)
+
+
+def test_inventory_follows_the_rules():
+    descriptors = list(_descriptors())
+    assert len(descriptors) == 336
+    for d in descriptors:
+        q = d.q
+        records = report(d)
+        names = [r.name for r in records]
+        assert len(set(names)) == len(names)
+        assert records == sorted(records, key=lambda r: (r.degree, r.method, r.name))
+        if not d.compact and d.parallelizable:
+            assert {r.method for r in records} == {"loop_family"}
+            continue
+        counts = dict.fromkeys(manifold.METHODS, 0)
+        for r in records:
+            if r.note != "reader-exercise":
+                counts[r.method] += 1
+        # one class per variable class in each family over them; a global
+        # section needs a compact parallelizable manifold, and integration
+        # over a lower co-spherical cycle needs the tangent bundle trivial
+        # over the cycles; braced classes are the extended classes above
+        # degree 2q+1
+        vq = vey.v_count(q)
+        section = d.compact and d.parallelizable
+        framed = d.parallelizable or d.trivialized_over_cycles
+        _, by_degree = vey.extended_basis(q)
+        braced = sum(n for deg, n in by_degree.items() if deg > 2 * q + 1)
+        assert counts == {
+            "gv_total": vq,
+            "fiber_integration": vq,
+            "section_pullback": vq if section else 0,
+            "cycle_integration": sum(c for _, c in d.cospherical_degrees) * vq if framed else 0,
+            "braced": braced if section and q >= 3 else 0,
+            "loop_family": 0,
+        }, d.to_json_obj()
