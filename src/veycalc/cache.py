@@ -61,8 +61,8 @@ class Config:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if cache_dir is _UNSET:
             cache_dir = default_cache_dir()
-        if not isinstance(cache_dir, str):
-            raise ConfigError(f"cache_dir must be a string, got {cache_dir!r}")
+        if not isinstance(cache_dir, str) or not cache_dir:
+            raise ConfigError(f"cache_dir must be a non-empty string, got {cache_dir!r}")
         if output_format not in ("table", "json"):
             raise ConfigError(f"unknown output_format {output_format!r}")
         self.q_cap = q_cap

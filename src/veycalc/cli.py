@@ -5,16 +5,23 @@ emitted as byte-deterministic JSON or aligned fixed-width tables; heavyweight
 results are cached content-addressed under the configured cache directory.
 Exit codes: 0 success, 2 invalid input, 3 resource-budget refusal.
 
-Each command imports the algebra modules it runs when it runs, and the
-renderers read only the result document, so argument parsing, a cache hit
-and every error path load none of them; only a cohomology table imports
-`gca`, to label its representatives.
+Each subcommand is one row of `_SUBCOMMANDS`: help, flags as (flag, argparse
+kwargs) pairs, job and table renderer; `build_parser` adds a subparser per
+row.  A job checks its input and budget and returns (cache params or None,
+compute).  `run` serves the cached document for those params or stores what
+compute returns, and reports every budget refusal at one site.
+
+compute imports the algebra modules it runs when it runs, and the renderers
+read only the result document, so argument parsing, a cache hit and every
+error path load none of them; only a cohomology table imports `gca`, to label
+its representatives.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .cache import Config, ConfigError, ResultCache, canonical_json, load_config
@@ -152,25 +159,14 @@ def _render_kappa(doc: dict) -> str:
     return f"{doc['kappa']}\n"
 
 
-# -- commands ----------------------------------------------------------------
+# -- the subcommand table ---------------------------------------------------
 
 
-def _cached(cache: ResultCache | None, command: str, params: dict, compute) -> dict:
-    """The cached result of (command, params), or compute() stored in the cache."""
-    if cache:
-        hit = cache.get(command, params)
-        if hit is not None:
-            return hit
-    doc = compute()
-    if cache:
-        try:
-            cache.put(command, params, doc)
-        except OSError as exc:
-            _progress(f"veycalc: result not cached: {exc}")
-    return doc
+def _oracle_params(args, config: Config) -> dict:
+    return {"q": args.q, "kind": args.complex, "q_cap": config.q_cap}
 
 
-def _cmd_cohomology(args, config: Config, cache: ResultCache | None) -> dict:
+def _cohomology_job(args, config: Config):
     def compute() -> dict:
         from . import complexes
 
@@ -178,36 +174,37 @@ def _cmd_cohomology(args, config: Config, cache: ResultCache | None) -> dict:
         cx = complexes.build_complex(args.q, args.complex, q_cap=config.q_cap)
         return complexes.cohomology(cx).to_json_obj()
 
-    params = {"q": args.q, "kind": args.complex, "q_cap": config.q_cap}
-    return _cached(cache, "cohomology", params, compute)
+    return _oracle_params(args, config), compute
 
 
-def _cmd_vey(args, config: Config, cache: ResultCache | None) -> dict:
-    from . import vey
+def _vey_job(args, config: Config):
+    def compute() -> dict:
+        from . import vey
 
-    classes = vey.vey_basis(args.q, args.complex)
-    if args.degree is not None:
-        classes = [c for c in classes if c.degree == args.degree]
-    return {
-        "q": args.q,
-        "complex": args.complex,
-        "wo_condition": vey.WO_CONDITION,
-        "classes": [c.to_json_obj() for c in classes],
-    }
+        classes = vey.vey_basis(args.q, args.complex)
+        if args.degree is not None:
+            classes = [c for c in classes if c.degree == args.degree]
+        return {
+            "q": args.q,
+            "complex": args.complex,
+            "wo_condition": vey.WO_CONDITION,
+            "classes": [c.to_json_obj() for c in classes],
+        }
+
+    return None, compute
 
 
-def _cmd_validate(args, config: Config, cache: ResultCache | None) -> dict:
+def _validate_job(args, config: Config):
     def compute() -> dict:
         from . import vey
 
         _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
         return vey.validate_vey(args.q, args.complex, q_cap=config.q_cap).to_json_obj()
 
-    params = {"q": args.q, "kind": args.complex, "q_cap": config.q_cap}
-    return _cached(cache, "validate", params, compute)
+    return _oracle_params(args, config), compute
 
 
-def _cmd_model(args, config: Config, cache: ResultCache | None) -> dict:
+def _model_job(args, config: Config):
     if args.max_degree > config.model_degree_cap:
         raise ModelBudgetError(
             f"--max-degree {args.max_degree} exceeds the configured cap "
@@ -224,8 +221,7 @@ def _cmd_model(args, config: Config, cache: ResultCache | None) -> dict:
         doc["ranks"] = minimal_model.rank_table(model).to_json_obj()["ranks"]
         return doc
 
-    params = {"q": args.q, "max_degree": args.max_degree}
-    return _cached(cache, "model", params, compute)
+    return {"q": args.q, "max_degree": args.max_degree}, compute
 
 
 def _parse_cospherical(text: str) -> tuple[tuple[int, int], ...]:
@@ -244,18 +240,15 @@ def _parse_cospherical(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-# the manifold flags that build a descriptor, each with its value when absent
-_DESCRIPTOR_FLAGS = {"dim": None, "compact": False, "closed": False, "parallelizable": False,
-                     "non_orientable": False, "trivialized_over_cycles": False,
-                     "cospherical": None}
-
-
-def _cmd_manifold(args, config: Config, cache: ResultCache | None) -> dict:
+def _manifold_job(args, config: Config):
     from . import manifold
 
-    if args.preset:
-        given = [f"--{flag.replace('_', '-')}" for flag, absent in _DESCRIPTOR_FLAGS.items()
-                 if getattr(args, flag) is not absent]
+    if args.preset is not None:
+        # each flag of the row after --preset builds a descriptor; absent, a
+        # switch reads False and any other flag None
+        given = [flag for flag, kwargs in _SUBCOMMANDS["manifold"].flags[1:]
+                 if getattr(args, flag[2:].replace("-", "_"))
+                 is not (False if kwargs.get("action") == "store_true" else None)]
         if given:
             raise UnsupportedInputError(
                 f"--preset {args.preset} conflicts with {', '.join(given)}; "
@@ -282,31 +275,58 @@ def _cmd_manifold(args, config: Config, cache: ResultCache | None) -> dict:
             "records": [r.to_json_obj() for r in records],
         }
 
-    return _cached(cache, "manifold", {"descriptor": descriptor.to_json_obj()}, compute)
+    return {"descriptor": descriptor.to_json_obj()}, compute
 
 
-def _cmd_kappa(args, config: Config, cache: ResultCache | None) -> dict:
-    from . import vey
+def _kappa_job(args, config: Config):
+    def compute() -> dict:
+        from . import vey
 
-    return {"q": args.q, "kappa": vey.kappa(args.q)}
+        return {"q": args.q, "kappa": vey.kappa(args.q)}
+
+    return None, compute
 
 
-_RENDERERS = {
-    "cohomology": _render_cohomology,
-    "vey": _render_vey,
-    "validate": _render_validation,
-    "model": _render_model,
-    "manifold": _render_manifold,
-    "kappa": _render_kappa,
-}
+class _Subcommand(NamedTuple):
+    help: str
+    flags: tuple  # (flag, argparse kwargs) pairs
+    job: Callable  # (args, config) -> (cache params or None, compute)
+    render: Callable[[dict], str]  # the result document as a table
 
-_COMMANDS = {
-    "cohomology": _cmd_cohomology,
-    "vey": _cmd_vey,
-    "validate": _cmd_validate,
-    "model": _cmd_model,
-    "manifold": _cmd_manifold,
-    "kappa": _cmd_kappa,
+
+_Q = ("--q", {"type": int, "required": True})
+_VEY_COMPLEX = ("--complex", {"choices": ("W", "WO"), "required": True})
+_SWITCH = {"action": "store_true"}
+
+_SUBCOMMANDS = {
+    "cohomology": _Subcommand(
+        "exact cohomology of W_q / WO_q / I_q",
+        (("--complex", {"choices": KINDS, "required": True}), _Q),
+        _cohomology_job, _render_cohomology,
+    ),
+    "vey": _Subcommand(
+        "Vey basis enumeration and classification",
+        (_VEY_COMPLEX, _Q, ("--degree", {"type": int})), _vey_job, _render_vey,
+    ),
+    "validate": _Subcommand(
+        "cross-check the Vey basis against the oracle",
+        (_VEY_COMPLEX, _Q), _validate_job, _render_validation,
+    ),
+    "model": _Subcommand(
+        "bigraded minimal model of I_q",
+        (_Q, ("--max-degree", {"type": int, "required": True})), _model_job, _render_model,
+    ),
+    "manifold": _Subcommand(
+        "characteristic-class inventory for a manifold",
+        (("--preset", {"help": "S1|S2|T2|Sigma_g:g|S3|T3|Rq:q"}), ("--dim", {"type": int}),
+         ("--compact", _SWITCH), ("--closed", _SWITCH), ("--parallelizable", _SWITCH),
+         ("--non-orientable", _SWITCH), ("--trivialized-over-cycles", _SWITCH),
+         ("--cospherical", {"help": "comma list of k:count"})),
+        _manifold_job, _render_manifold,
+    ),
+    "kappa": _Subcommand(
+        "number of Pontrjagin classes usable for bracing", (_Q,), _kappa_job, _render_kappa,
+    ),
 }
 
 
@@ -341,40 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="store_true", help="print version and config digest"
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add_parser(name: str, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("cohomology", help="exact cohomology of W_q / WO_q / I_q")
-    p.add_argument("--complex", choices=KINDS, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = add_parser("vey", help="Vey basis enumeration and classification")
-    p.add_argument("--complex", choices=("W", "WO"), required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--degree", type=int)
-
-    p = add_parser("validate", help="cross-check the Vey basis against the oracle")
-    p.add_argument("--complex", choices=("W", "WO"), required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = add_parser("model", help="bigraded minimal model of I_q")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-
-    p = add_parser("manifold", help="characteristic-class inventory for a manifold")
-    p.add_argument("--preset", help="S1|S2|T2|Sigma_g:g|S3|T3|Rq:q")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--compact", action="store_true")
-    p.add_argument("--closed", action="store_true")
-    p.add_argument("--parallelizable", action="store_true")
-    p.add_argument("--non-orientable", action="store_true")
-    p.add_argument("--trivialized-over-cycles", action="store_true")
-    p.add_argument("--cospherical", help="comma list of k:count")
-
-    p = add_parser("kappa", help="number of Pontrjagin classes usable for bracing")
-    p.add_argument("--q", type=int, required=True)
-
+    for name, subcommand in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=subcommand.help)
+        for flag, kwargs in subcommand.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -385,7 +375,7 @@ def run(argv=None) -> int:
         # SUPPRESS defaults leave the attribute unset when the flag is absent
         config = load_config(getattr(args, "config", None))
         cache_dir = getattr(args, "cache_dir", None)
-        if cache_dir:
+        if cache_dir is not None:
             config = Config(**{**config.to_json_obj(), "cache_dir": cache_dir})
         if args.version:
             print(f"veycalc {__version__} (config {config.digest()})")
@@ -394,8 +384,19 @@ def run(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("veycalc: a subcommand is required", file=sys.stderr)
             return EXIT_INVALID
-        cache = None if getattr(args, "no_cache", False) else ResultCache(config.cache_dir)
-        doc = _COMMANDS[args.command](args, config, cache)
+        subcommand = _SUBCOMMANDS[args.command]
+        params, compute = subcommand.job(args, config)
+        cache = None
+        if params is not None and not getattr(args, "no_cache", False):
+            cache = ResultCache(config.cache_dir)
+        doc = cache.get(args.command, params) if cache else None
+        if doc is None:
+            doc = compute()
+            if cache:
+                try:
+                    cache.put(args.command, params, doc)
+                except OSError as exc:
+                    _progress(f"veycalc: result not cached: {exc}")
     except (ConfigError, UnsupportedInputError, ValueError) as exc:
         print(f"veycalc: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -406,18 +407,11 @@ def run(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_BUDGET
-    except ModelBudgetError as exc:
-        print(
-            f"veycalc: resource budget exceeded: {exc} "
-            f"(attempted dimension {exc.attempted_dimension})",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
     fmt = getattr(args, "format", None) or config.output_format
     if fmt == "json":
         sys.stdout.write(canonical_json(doc) + "\n")
     else:
-        sys.stdout.write(_RENDERERS[args.command](doc))
+        sys.stdout.write(subcommand.render(doc))
     return EXIT_OK
 
 

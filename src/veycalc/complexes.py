@@ -93,8 +93,7 @@ def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComple
     if q > q_cap:
         est = dimension_estimate(q, kind)
         raise ResourceBudgetError(
-            f"{kind}_{q} exceeds the configured cap q <= {q_cap} "
-            f"(total dimension would be {est})",
+            f"{kind}_{q} exceeds the configured cap q <= {q_cap}",
             estimate=est,
         )
     sig = signature_for(q, kind)

@@ -21,9 +21,11 @@ class ResourceBudgetError(RuntimeError):
         self.estimate = estimate
 
 
-class ModelBudgetError(RuntimeError):
+class ModelBudgetError(ResourceBudgetError):
+    """A model budget refusal; its estimate is the attempted dimension."""
+
     def __init__(self, message: str, attempted_dimension: int):
-        super().__init__(message)
+        super().__init__(message, estimate=attempted_dimension)
         self.attempted_dimension = attempted_dimension
 
 

@@ -254,8 +254,10 @@ _FIXED_PRESETS = {
 
 def preset(name: str) -> ManifoldDescriptor:
     """Named descriptors: S1, S2, T2, Sigma_g:g, S3, T3, Rq:q."""
-    base, _, arg = name.partition(":")
+    base, colon, arg = name.partition(":")
     if base in _FIXED_PRESETS:
+        if colon:
+            raise UnsupportedInputError(f"bad preset {name}; {base} takes no argument")
         q, parallelizable, cospherical = _FIXED_PRESETS[base]
         return ManifoldDescriptor(q, True, True, True, parallelizable, cospherical, label=base)
     if base == "Sigma_g":

@@ -109,6 +109,12 @@ def test_invalid_monomial_message_is_unchanged():
     )
 
 
+def test_model_budget_error_is_a_resource_budget_error():
+    exc = errors.ModelBudgetError("over budget", attempted_dimension=7)
+    assert isinstance(exc, errors.ResourceBudgetError)
+    assert exc.attempted_dimension == exc.estimate == 7
+
+
 def test_value_classes_still_validate():
     with pytest.raises(ConfigError):
         Config(q_cap=0)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -47,6 +48,12 @@ def test_kappa(capsys, cache_dir):
     assert out.strip() == "1"
 
 
+def _refusal_estimate(err: str) -> int:
+    """The estimate of a budget refusal, which the message states exactly once."""
+    (estimate,) = re.findall(r"\(dimension estimate (\d+)\)", err)
+    return int(estimate)
+
+
 def test_budget_exit_code(capsys, cache_dir):
     code, out, err = run(
         capsys,
@@ -54,23 +61,33 @@ def test_budget_exit_code(capsys, cache_dir):
     )
     assert code == 3
     assert out == ""
-    assert "dimension estimate" in err
+    estimate = _refusal_estimate(err)
+    assert estimate > 10**30
+    assert err.count(str(estimate)) == 1  # not restated by the refusal's own message
 
 
 def test_model_budget_exit_code(capsys, cache_dir):
-    code, _, err = run(
+    code, out, err = run(
         capsys, ["model", "--q", "1", "--max-degree", "99", "--cache-dir", cache_dir]
     )
     assert code == 3
+    assert out == ""
     assert "cap" in err
+    assert _refusal_estimate(err) == 99
 
 
-def test_invalid_input_exit_code(capsys, cache_dir):
-    code, _, err = run(
-        capsys, ["manifold", "--preset", "bogus", "--cache-dir", cache_dir]
-    )
+@pytest.mark.parametrize(
+    "flags",
+    [["--preset", "bogus"], ["--preset", "S1:junk"], ["--preset", "T3:2"],
+     ["--preset", ""], ["--preset", "", "--dim", "1"]],
+    ids=["unknown", "S1-argument", "T3-argument", "empty", "empty-with-dim"],
+)
+def test_invalid_input_exit_code(capsys, cache_dir, flags):
+    code, out, err = run(capsys, ["manifold", *flags, "--cache-dir", cache_dir])
     assert code == 2
+    assert out == ""
     assert "invalid input" in err
+    assert not pathlib.Path(cache_dir).exists()
 
 
 @pytest.mark.parametrize(
@@ -195,8 +212,10 @@ def test_config_rejects_removed_wo_condition_key(tmp_path, capsys, cache_dir):
 
 @pytest.mark.parametrize(
     "data",
-    [{"q_cap": "7"}, {"model_degree_cap": None}, {"cache_dir": 5}, {"q_cap": 2.5}],
-    ids=["q_cap-string", "model_degree_cap-null", "cache_dir-number", "q_cap-float"],
+    [{"q_cap": "7"}, {"model_degree_cap": None}, {"cache_dir": 5}, {"q_cap": 2.5},
+     {"cache_dir": ""}],
+    ids=["q_cap-string", "model_degree_cap-null", "cache_dir-number", "q_cap-float",
+         "cache_dir-empty"],
 )
 def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, cache_dir, data):
     cfg = tmp_path / "cfg.json"
@@ -206,6 +225,17 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, capsys, cache_dir, data):
     )
     assert code == 2
     assert "invalid input" in err
+
+
+def test_empty_cache_dir_flag_exit_2(tmp_path, monkeypatch, capsys):
+    # an empty --cache-dir is invalid, not a fallback to the default directory
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("VEYCALC_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, ["cohomology", "--complex", "W", "--q", "1", "--cache-dir", ""])
+    assert code == 2
+    assert out == ""
+    assert "cache_dir" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--classify", "--validate"])
@@ -330,3 +360,20 @@ def test_unwritable_cache_keeps_the_result(tmp_path, capsys):
     assert "not cached" in err
     _, uncached, _ = run(capsys, argv + ["--no-cache"])
     assert out == uncached
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_subcommand_help_lists_its_flags(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([name, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag, _ in cli._SUBCOMMANDS[name].flags:
+        assert flag in out
+
+
+def test_subcommands_follow_the_readme():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = readme.split("- **`veycalc.cli`**", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"`([a-z]+)`", bullet.split("subcommands", 1)[1])
+    assert listed == list(cli._SUBCOMMANDS)
