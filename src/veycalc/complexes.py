@@ -26,9 +26,8 @@ def signature_for(q: int, kind: str) -> AlgebraSignature:
 
 
 def dimension_estimate(q: int, kind: str) -> int:
-    """Total monomial count, computable without building anything."""
-    sig = signature_for(q, kind)
-    return sum(gca.basis_dimension_series(sig))
+    """Total monomial count in closed form: every y-subset times every c_J."""
+    return 2 ** len(signature_for(q, kind).odd_indices) * sum(gca.c_series(q))
 
 
 Triplet = tuple[int, int, int]

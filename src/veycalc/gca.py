@@ -8,6 +8,11 @@ truncation that makes every complex here finite dimensional.  The
 differential is d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz
 rule.
 
+Dimensions are counted without enumerating: free_series is the one routine
+for the Poincare series of a free graded-commutative algebra, which counts
+the bases here, the size estimates of a refusal and the loop-space series of
+:mod:`veycalc.minimal_model`.
+
 All coefficients are exact rationals: an integral coefficient is a Python
 int, and any other one a fractions.Fraction, which is only imported when a
 coefficient needs it.  Elements and signatures are immutable values; every
@@ -17,7 +22,7 @@ operation is a pure function.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -363,32 +368,32 @@ def top_degree(sig: AlgebraSignature) -> int:
     return sum(2 * i - 1 for i in sig.odd_indices) + 2 * sig.q
 
 
-@lru_cache(maxsize=None)
-def partition_count(n: int, max_part: int) -> int:
-    """Number of partitions of n into parts <= max_part (independent count)."""
-    if n == 0:
-        return 1
-    if n < 0 or max_part == 0:
-        return 0
-    return partition_count(n - max_part, max_part) + partition_count(n, max_part - 1)
+def free_series(degrees: Iterable[int], cap: int, series: list[int] | None = None) -> list[int]:
+    """Poincare series through t^cap of the free graded-commutative algebra on
+    generators of the given positive degrees, times series (default 1), which
+    is multiplied in place: by 1 + t^d for each odd d, by 1/(1 - t^d) for each
+    even d."""
+    if series is None:
+        series = [1] + [0] * cap
+    for d in degrees:
+        if d % 2:
+            for k in range(cap, d - 1, -1):
+                series[k] += series[k - d]
+        else:
+            for k in range(d, cap + 1):
+                series[k] += series[k - d]
+    return series
+
+
+def c_series(q: int) -> list[int]:
+    """Monomials c_J of weight <= q per degree 0..2q: c_i has degree 2i, and
+    weight <= q is degree <= 2q."""
+    return free_series(range(2, 2 * q + 1, 2), 2 * q)
 
 
 def basis_dimension_series(sig: AlgebraSignature) -> list[int]:
-    """Generating-function count of monomials per degree, independent of the
-    enumerator: product of (1 + t^(2i-1)) over allowed y-indices times the
-    weight-truncated polynomial series counted by partitions."""
+    """Count of monomials per degree from the generating function, independent
+    of the enumerator: the c-series times (1 + t^(2i-1)) per allowed y-index."""
     top = top_degree(sig)
-    series = [0] * (top + 1)
-    series[0] = 1
-    for i in sorted(sig.odd_indices):
-        d = 2 * i - 1
-        nxt = series[:]
-        for k in range(top + 1 - d):
-            nxt[k + d] += series[k]
-        series = nxt
-    out = [0] * (top + 1)
-    for w in range(sig.q + 1):
-        cnt = partition_count(w, sig.q)
-        for k in range(top + 1 - 2 * w):
-            out[k + 2 * w] += series[k] * cnt
-    return out
+    series = c_series(sig.q) + [0] * (top - 2 * sig.q)
+    return free_series((2 * i - 1 for i in sig.odd_indices), top, series)

@@ -343,42 +343,12 @@ class PoincareSeries(NamedTuple):
         return {"coefficients": list(self.coefficients)}
 
 
-def _mul_series(a: list[int], b: list[int], cap: int) -> list[int]:
-    out = [0] * (cap + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > cap:
-            continue
-        for j, y in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += x * y
-    return out
-
-
 def loop_poincare(ranks: RankTable | dict[int, int], loops: int, cap: int) -> PoincareSeries:
     """Poincare series of the free graded-commutative algebra on the
-    delooped generating set: each degree-m generator count shifts to m - loops
-    (dropping nonpositive degrees); odd generators contribute (1 + t^m),
-    even generators 1/(1 - t^m)."""
+    delooped generating set: each degree-m generator count shifts to m - loops,
+    dropping nonpositive degrees (see gca.free_series)."""
     if loops < 0:
         raise ValueError("loops must be nonnegative")
     g = ranks.ranks if isinstance(ranks, RankTable) else ranks
-    series = [0] * (cap + 1)
-    series[0] = 1
-    for deg in sorted(g):
-        count = g[deg]
-        m = deg - loops
-        if m <= 0 or count == 0:
-            continue
-        if m % 2 == 1:
-            factor = [0] * (cap + 1)
-            factor[0] = 1
-            if m <= cap:
-                factor[m] = 1
-            for _ in range(count):
-                series = _mul_series(series, factor, cap)
-        else:
-            geometric = [1 if k % m == 0 else 0 for k in range(cap + 1)]
-            for _ in range(count):
-                series = _mul_series(series, geometric, cap)
-    return PoincareSeries(series)
+    degrees = (deg - loops for deg, count in g.items() if deg > loops for _ in range(count))
+    return PoincareSeries(gca.free_series(degrees, cap))

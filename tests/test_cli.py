@@ -1,8 +1,11 @@
 """Tests for the CLI: exit codes, JSON determinism, caching, config."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,7 @@ from veycalc.cache import (
 )
 
 SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
+SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -64,6 +68,21 @@ def test_budget_exit_code(capsys, cache_dir):
     estimate = _refusal_estimate(err)
     assert estimate > 10**30
     assert err.count(str(estimate)) == 1  # not restated by the refusal's own message
+
+
+@pytest.mark.parametrize("command", ["cohomology", "validate"])
+def test_large_q_refusal_does_not_hang(tmp_path, command):
+    # the refusal's estimate is a closed form, not a series of length ~q^2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "veycalc.cli", command, "--complex", "W", "--q", "1000",
+         "--cache-dir", str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert _refusal_estimate(proc.stderr) > 2**1000  # the y-subsets alone
 
 
 def test_model_budget_exit_code(capsys, cache_dir):

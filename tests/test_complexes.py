@@ -35,6 +35,13 @@ def test_budget_refusal():
     assert exc.value.estimate > 0
 
 
+@pytest.mark.parametrize("kind", ["W", "WO", "I"])
+def test_dimension_estimate_is_the_series_total(kind):
+    for q in range(1, 13):
+        sig = complexes.signature_for(q, kind)
+        assert complexes.dimension_estimate(q, kind) == sum(gca.basis_dimension_series(sig)), q
+
+
 def test_cohomology_w1():
     h = complexes.cohomology(complexes.build_complex(1, "W"))
     assert h.dims == {0: 1, 3: 1}

@@ -1,5 +1,6 @@
 """Unit tests for the graded-commutative algebra core."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,40 @@ def test_dimension_series_matches_enumeration():
             series = gca.basis_dimension_series(sig)
             for n, basis in gca.iter_basis(sig):
                 assert len(basis) == series[n], (sig, n)
+
+
+def _free_algebra_counts(degrees: list[int], cap: int) -> list[int]:
+    """Word counts per degree of the free algebra on generators of these
+    (nondecreasing) degrees, by enumerating the words."""
+    from veycalc.minimal_model import FreeAlgebra
+
+    alg = FreeAlgebra()
+    for k, d in enumerate(degrees):
+        alg.add_generator(f"g{k}", d, {})
+    return [len(alg.basis(n)) for n in range(cap + 1)]
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [[], [1], [3, 3, 5], [2], [2, 2, 4], [1, 2, 3, 4, 5, 6], [3, 20], [15, 16]],
+    ids=["empty", "one-odd", "odd-repeated", "one-even", "even-repeated",
+         "mixed", "over-cap", "all-over-cap"],
+)
+def test_free_series_counts_the_free_algebra(degrees):
+    assert gca.free_series(degrees, 14) == _free_algebra_counts(degrees, 14)
+
+
+def test_free_series_counts_random_free_algebras():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        degrees = sorted(rng.randint(1, 16) for _ in range(rng.randint(0, 6)))
+        assert gca.free_series(degrees, 14) == _free_algebra_counts(degrees, 14), degrees
+
+
+def test_free_series_multiplies_the_given_series_in_place():
+    series = [1, 1, 0, 0, 0]  # 1 + t
+    assert gca.free_series([2], 4, series) is series
+    assert series == [1, 1, 1, 1, 1]  # (1 + t) / (1 - t^2)
 
 
 # -- hypothesis property tests ----------------------------------------------
