@@ -15,17 +15,18 @@ from pathlib import Path
 from . import __version__
 from .errors import DEFAULT_Q_CAP
 
-# The keys of each command's document, which a cached payload must carry: the
-# `required` lists of docs/schemas/{cohomology_result,validation_report,model,
-# manifold_report}.json, plus `ranks`, which `veycalc model` always writes.
-# They are held here so that a cache hit reads no schema file.
+# The keys of each command's document, which a cached payload must carry, each
+# with the type json.load gives for its schema type: the `required` lists of
+# docs/schemas/{cohomology_result,validation_report,model,manifold_report}.json,
+# plus `ranks`, which `veycalc model` always writes.  They are held here so that
+# a cache hit reads no schema file.
 REQUIRED_KEYS = {
-    "cohomology": ("kind", "q", "dims", "representatives", "total_dim_check"),
-    "validate": ("q", "kind", "ok", "per_degree"),
-    "model": (
-        "q", "degree_cap", "generators", "differentials", "quasi_iso_check", "ranks"
-    ),
-    "manifold": ("descriptor", "records"),
+    "cohomology": {"kind": str, "q": int, "dims": dict, "representatives": dict,
+                   "total_dim_check": int},
+    "validate": {"q": int, "kind": str, "ok": bool, "per_degree": list},
+    "model": {"q": int, "degree_cap": int, "generators": dict, "differentials": dict,
+              "quasi_iso_check": dict, "ranks": dict},
+    "manifold": {"descriptor": dict, "records": list},
 }
 
 
@@ -126,8 +127,8 @@ class ResultCache:
     def get(self, command: str, params: dict):
         """Cached payload for (command, params, version), or None.  An entry that
         is not an object, is stored under another key, or has a non-object
-        payload or one without the command's REQUIRED_KEYS is a miss, like an
-        unreadable file."""
+        payload or one without the command's REQUIRED_KEYS, each of its type,
+        is a miss, like an unreadable file."""
         key = cache_key(command, params)
         try:
             with open(self._path(key), encoding="utf-8") as fh:
@@ -141,7 +142,8 @@ class ResultCache:
         payload = entry.get("payload")
         if not isinstance(payload, dict):
             return None
-        if not all(k in payload for k in REQUIRED_KEYS.get(command, ())):
+        # type(), not isinstance(): a JSON true is a bool, which is an int
+        if any(type(payload.get(k)) is not t for k, t in REQUIRED_KEYS.get(command, {}).items()):
             return None
         return payload
 

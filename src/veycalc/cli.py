@@ -6,15 +6,17 @@ results are cached content-addressed under the configured cache directory.
 Exit codes: 0 success, 2 invalid input, 3 resource-budget refusal.
 
 Each subcommand is one row of `_SUBCOMMANDS`: help, flags as (flag, argparse
-kwargs) pairs, job and table renderer; `build_parser` adds a subparser per
-row.  A job checks its input and budget and returns (cache params or None,
-compute).  `run` serves the cached document for those params or stores what
-compute returns, and reports every budget refusal at one site.
+kwargs) pairs, job, table renderer and, for `vey` alone, a JSON writer;
+`build_parser` adds a subparser per row.  A job checks its input and budget
+and returns (cache params or None, compute).  `run` serves the cached document
+for those params or stores what compute returns, and reports every budget
+refusal at one site.  `vey` is never cached: its compute returns (q, kind,
+classes), which `veycalc.vey` writes row by row.
 
-compute imports the algebra modules it runs when it runs, and the renderers
-read only the result document, so argument parsing, a cache hit and every
-error path load none of them; only a cohomology table imports `gca`, to label
-its representatives.
+compute imports the algebra modules it runs when it runs, and the other
+renderers read only the result document, so argument parsing, a cache hit and
+every error path load none of them; only a cohomology table imports `gca`, to
+label its representatives.
 """
 
 from __future__ import annotations
@@ -75,21 +77,20 @@ def _render_cohomology(doc: dict) -> str:
     return head + _table(["degree", "dim", "representatives"], rows)
 
 
-def _render_vey(doc: dict) -> str:
-    rows = []
-    for c in doc["classes"]:
-        rows.append(
-            [
-                c["name"],
-                str(c["degree"]),
-                "x" if c["generalized_gv"] else "",
-                "x" if c["residual"] else "",
-                "x" if c["rigid"] else "",
-                "x" if c["variable_candidate"] else "",
-            ]
-        )
-    head = f"Vey basis of {doc['complex']}_{doc['q']} ({len(rows)} classes)\n"
-    return head + _table(["name", "degree", "gv", "residual", "rigid", "variable"], rows)
+def _render_vey(doc) -> str:
+    from . import vey
+
+    q, kind, classes = doc
+    head = f"Vey basis of {kind}_{q} ({len(classes)} classes)\n"
+    return head + _table(
+        ["name", "degree", "gv", "residual", "rigid", "variable"], vey.basis_table_rows(classes)
+    )
+
+
+def _write_vey_json(doc, out) -> None:
+    from . import vey
+
+    vey.write_basis_json(*doc, out)
 
 
 def _render_validation(doc: dict) -> str:
@@ -184,12 +185,7 @@ def _vey_job(args, config: Config):
         classes = vey.vey_basis(args.q, args.complex)
         if args.degree is not None:
             classes = [c for c in classes if c.degree == args.degree]
-        return {
-            "q": args.q,
-            "complex": args.complex,
-            "wo_condition": vey.WO_CONDITION,
-            "classes": [c.to_json_obj() for c in classes],
-        }
+        return args.q, args.complex, classes
 
     return None, compute
 
@@ -291,7 +287,8 @@ class _Subcommand(NamedTuple):
     help: str
     flags: tuple  # (flag, argparse kwargs) pairs
     job: Callable  # (args, config) -> (cache params or None, compute)
-    render: Callable[[dict], str]  # the result document as a table
+    render: Callable[..., str]  # the result as a table
+    write_json: Callable | None = None  # (result, out): writes it itself, in place of canonical_json
 
 
 _Q = ("--q", {"type": int, "required": True})
@@ -306,7 +303,7 @@ _SUBCOMMANDS = {
     ),
     "vey": _Subcommand(
         "Vey basis enumeration and classification",
-        (_VEY_COMPLEX, _Q, ("--degree", {"type": int})), _vey_job, _render_vey,
+        (_VEY_COMPLEX, _Q, ("--degree", {"type": int})), _vey_job, _render_vey, _write_vey_json,
     ),
     "validate": _Subcommand(
         "cross-check the Vey basis against the oracle",
@@ -408,10 +405,12 @@ def run(argv=None) -> int:
         )
         return EXIT_BUDGET
     fmt = getattr(args, "format", None) or config.output_format
-    if fmt == "json":
-        sys.stdout.write(canonical_json(doc) + "\n")
-    else:
+    if fmt != "json":
         sys.stdout.write(subcommand.render(doc))
+    elif subcommand.write_json is not None:
+        subcommand.write_json(doc, sys.stdout)
+    else:
+        sys.stdout.write(canonical_json(doc) + "\n")
     return EXIT_OK
 
 

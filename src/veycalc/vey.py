@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import DEFAULT_Q_CAP
 
@@ -106,6 +106,64 @@ def vey_basis(q: int, kind: str) -> list[VeyClass]:
     # partition order gives the canonical (degree, I, J) order
     groups.sort(key=lambda g: g[:2])
     return [v for _, _, classes in groups for v in classes]
+
+
+_BATCH = 256  # JSON rows per write; on an unbuffered stdout each write is a system call
+
+
+class _Pieces(dict):
+    """A y_part (is_y) or c_part -> (its JSON list text, its label), encoded on first use."""
+
+    def __init__(self, is_y: bool):
+        self.is_y = is_y
+
+    def __missing__(self, part: tuple[int, ...]) -> tuple[str, str]:
+        from .gca import Monomial
+
+        m = Monomial(part, ()) if self.is_y else Monomial((), part)
+        piece = self[part] = ("[" + ",".join(map(str, part)) + "]", m.label())
+        return piece
+
+
+def _json_rows(classes: list[VeyClass]) -> Iterator[str]:
+    """Each class's `canonical_json(c.to_json_obj())`, built from its pieces."""
+    ys, cs = _Pieces(True), _Pieces(False)
+    b = ("false", "true")
+    for v in classes:
+        (yj, yl), (cj, cl) = ys[v.monomial.y_part], cs[v.monomial.c_part]
+        yield (
+            f'{{"complex":"{v.complex_kind}","degree":{v.degree},'
+            f'"generalized_gv":{b[v.is_generalized_gv]},"monomial":{{"c":{cj},"y":{yj}}},'
+            f'"name":"{yl}{cl}","q":{v.q},"residual":{b[v.is_residual]},'
+            f'"rigid":{b[v.is_rigid]},"variable_candidate":{b[v.is_variable_candidate]}}}'
+        )
+
+
+def write_basis_json(q: int, kind: str, classes: list[VeyClass], out) -> None:
+    """Write the `vey` JSON document and a newline to `out`, _BATCH rows per
+    write: the bytes of `canonical_json` of {"q", "complex", "wo_condition",
+    "classes": [c.to_json_obj() for c in classes]}, without that dict or text."""
+    from .cache import canonical_json
+
+    rows = _json_rows(classes)
+    out.write('{"classes":[')
+    sep = ""
+    while batch := list(itertools.islice(rows, _BATCH)):
+        out.write(sep + ",".join(batch))
+        sep = ","
+    tail = canonical_json({"complex": kind, "q": q, "wo_condition": WO_CONDITION})
+    out.write("]," + tail[1:] + "\n")
+
+
+def basis_table_rows(classes: list[VeyClass]) -> list[list[str]]:
+    """The `vey` table cells of each class: name, degree and the four flag marks."""
+    ys, cs = _Pieces(True), _Pieces(False)
+    x = ("", "x")
+    return [
+        [ys[v.monomial.y_part][1] + cs[v.monomial.c_part][1], str(v.degree),
+         x[v.is_generalized_gv], x[v.is_residual], x[v.is_rigid], x[v.is_variable_candidate]]
+        for v in classes
+    ]
 
 
 def variable_set(q: int) -> list[VeyClass]:

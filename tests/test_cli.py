@@ -293,13 +293,32 @@ def test_config_defaults():
 def test_cache_serves_no_malformed_entry(tmp_path, corrupt):
     cache = ResultCache(str(tmp_path))
     for command, keys in REQUIRED_KEYS.items():
-        payload = dict.fromkeys(keys, 0)
+        payload = {k: t() for k, t in keys.items()}  # well typed: {}, [], 0, False, ""
         cache.put(command, {"a": 1}, payload)
         assert cache.get(command, {"a": 1}) == payload
     for path in tmp_path.glob("*.json"):
         path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     for command in REQUIRED_KEYS:
         assert cache.get(command, {"a": 1}) is None
+
+
+# (command, a required key, a value of another JSON type than its schema's)
+WRONG_TYPES = [
+    ("cohomology", "dims", 5),
+    ("validate", "ok", 1),  # an integer is no boolean
+    ("model", "q", True),  # and a boolean no integer
+    ("manifold", "records", {}),
+]
+
+
+@pytest.mark.parametrize("command, key, value", WRONG_TYPES, ids=[c for c, _, _ in WRONG_TYPES])
+def test_cache_serves_no_wrong_typed_entry(tmp_path, command, key, value):
+    cache = ResultCache(str(tmp_path))
+    payload = {k: t() for k, t in REQUIRED_KEYS[command].items()}
+    cache.put(command, {"a": 1}, {**payload, key: value})
+    assert cache.get(command, {"a": 1}) is None
+    cache.put(command, {"a": 1}, payload)
+    assert cache.get(command, {"a": 1}) == payload
 
 
 def test_required_keys_follow_the_schemas():
@@ -309,11 +328,18 @@ def test_required_keys_follow_the_schemas():
         "model": "model",
         "manifold": "manifold_report",
     }
+    json_types = {"object": dict, "array": list, "integer": int, "boolean": bool, "string": str}
     assert set(REQUIRED_KEYS) == set(schemas)
     for command, name in schemas.items():
         schema = json.loads((SCHEMAS / f"{name}.json").read_text())
         assert set(schema["required"]) <= set(REQUIRED_KEYS[command])
         assert set(REQUIRED_KEYS[command]) <= set(schema["properties"])
+        for key, t in REQUIRED_KEYS[command].items():
+            prop = schema["properties"][key]
+            if "enum" in prop:
+                assert {type(v) for v in prop["enum"]} == {t}, (command, key)
+            else:
+                assert json_types[prop["type"]] is t, (command, key)
 
 
 def test_manifold_enums_follow_the_schema():
@@ -340,8 +366,12 @@ def _drop_ranks(payload: dict) -> dict:
         # `ranks` is optional in the schema but always in the command's output
         (["model", "--q", "1", "--max-degree", "4"], _drop_ranks),
         (["manifold", "--preset", "S1"], lambda p: {"kind": "W"}),
+        # every key present, two of the wrong type
+        (["cohomology", "--complex", "W", "--q", "3"],
+         lambda p: {**p, "dims": 5, "total_dim_check": "x"}),
     ],
-    ids=["cohomology", "validate", "model", "model-without-ranks", "manifold"],
+    ids=["cohomology", "validate", "model", "model-without-ranks", "manifold",
+         "cohomology-wrong-types"],
 )
 def test_entry_missing_keys_is_recomputed(capsys, cache_dir, argv, corrupt, fmt):
     argv = [*argv, "--format", fmt, "--cache-dir", cache_dir]
@@ -396,3 +426,30 @@ def test_subcommands_follow_the_readme():
     bullet = readme.split("- **`veycalc.cli`**", 1)[1].split("\n\n", 1)[0]
     listed = re.findall(r"`([a-z]+)`", bullet.split("subcommands", 1)[1])
     assert listed == list(cli._SUBCOMMANDS)
+
+
+def test_vey_json_peak_memory_is_near_the_output(monkeypatch):
+    # the rows go out in batches, so the peak is about the class list, not a
+    # dict per class plus the whole document text (8.8x the output when so built)
+    import tracemalloc
+
+    from veycalc import gca, vey  # noqa: F401 -- imported before tracing starts
+
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+            return len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.run(["vey", "--complex", "W", "--q", "8", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 700_000
+    assert peak < 3 * sink.size

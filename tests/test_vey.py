@@ -197,3 +197,86 @@ def test_validate_w6_against_oracle():
 
 def test_validate_w7_past_the_default_cap():
     assert vey.validate_vey(7, "W", q_cap=7).ok
+
+
+# -- the `vey` JSON rows and table cells against the dict-based references ----
+
+BASES = [("W", q) for q in range(1, 8)] + [("WO", q) for q in range(1, 11)]
+
+
+def _dict_document(q, kind, classes) -> dict:
+    return {
+        "q": q,
+        "complex": kind,
+        "wo_condition": vey.WO_CONDITION,
+        "classes": [c.to_json_obj() for c in classes],
+    }
+
+
+def _dict_cells(c) -> list[str]:
+    d = c.to_json_obj()
+    marks = ("generalized_gv", "residual", "rigid", "variable_candidate")
+    return [d["name"], str(d["degree"]), *("x" if d[k] else "" for k in marks)]
+
+
+class _Writes:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+
+def _written(q, kind, classes) -> list[str]:
+    out = _Writes()
+    vey.write_basis_json(q, kind, classes, out)
+    return out.chunks
+
+
+@pytest.mark.parametrize("kind, q", BASES, ids=[f"{k}{q}" for k, q in BASES])
+def test_json_rows_and_table_cells_match_the_dicts(kind, q):
+    from veycalc.cache import canonical_json
+
+    classes = vey.vey_basis(q, kind)
+    rows = list(vey._json_rows(classes))
+    assert rows == [canonical_json(c.to_json_obj()) for c in classes]
+    assert vey.basis_table_rows(classes) == [_dict_cells(c) for c in classes]
+    chunks = _written(q, kind, classes)
+    assert "".join(chunks) == canonical_json(_dict_document(q, kind, classes)) + "\n"
+    # one write for the head, one per batch of rows, one for the tail
+    assert len(chunks) == -(-len(classes) // vey._BATCH) + 2
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-batch-size", "one-past"])
+def test_json_document_at_the_batch_boundary(monkeypatch, extra):
+    from veycalc.cache import canonical_json
+
+    classes = vey.vey_basis(5, "WO")
+    monkeypatch.setattr(vey, "_BATCH", len(classes) - extra)
+    chunks = _written(5, "WO", classes)
+    assert len(chunks) == 3 + extra
+    assert "".join(chunks) == canonical_json(_dict_document(5, "WO", classes)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind, q, degree",
+    [("W", 4, 9), ("W", 6, 15), ("WO", 9, 19), ("WO", 10, 21), ("W", 3, 2), ("WO", 4, 0)],
+)
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_cli_degree_filter_matches_the_dicts(capsys, kind, q, degree, fmt):
+    from veycalc import cli
+    from veycalc.cache import canonical_json
+
+    argv = ["vey", "--complex", kind, "--q", str(q), "--degree", str(degree), "--format", fmt]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    classes = [c for c in vey.vey_basis(q, kind) if c.degree == degree]
+    doc = _dict_document(q, kind, classes)
+    if fmt == "json":
+        assert out == canonical_json(doc) + "\n"
+        assert ('"classes":[]' in out) == (not classes)
+    else:
+        head = f"Vey basis of {kind}_{q} ({len(classes)} classes)\n"
+        headers = ["name", "degree", "gv", "residual", "rigid", "variable"]
+        assert out == head + cli._table(headers, [_dict_cells(c) for c in classes])
