@@ -1,8 +1,11 @@
 """Content-addressed result cache and static configuration.
 
-Cache keys are digests of (command, parameters, library version), so stale
-results from older library versions are never served.  Writes are atomic
-(write to a temp file, then rename).
+An entry's key is the canonical JSON text of (command, parameters, library
+version), so stale results from older library versions are never served.  It
+is stored as `<command>-<CRC-32 of the key>.json` and holds the key in full,
+which a read compares: two keys with one address overwrite each other and miss,
+but never serve each other's payload.  Writes are atomic (write to a temp file,
+then rename).
 """
 
 from __future__ import annotations
@@ -108,13 +111,17 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def cache_key(command: str, params: dict) -> str:
-    import hashlib  # here, not at the top: `vey` and `kappa` jobs never hash
+def _key_text(command: str, params: dict) -> str:
+    return canonical_json({"command": command, "params": params, "version": __version__})
 
-    payload = canonical_json(
-        {"command": command, "params": params, "version": __version__}
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+
+def cache_key(command: str, params: dict) -> str:
+    """File name stem of the entry for (command, params); not unique, see `ResultCache.get`."""
+    # a zlib checksum, not a hashlib digest: importing hashlib loads OpenSSL's
+    # libcrypto; imported here, not at the top, as `vey` and `kappa` jobs never hash
+    import zlib
+
+    return f"{command}-{zlib.crc32(_key_text(command, params).encode()):08x}"
 
 
 class ResultCache:
@@ -126,16 +133,15 @@ class ResultCache:
 
     def get(self, command: str, params: dict):
         """Cached payload for (command, params, version), or None.  An entry that
-        is not an object, is stored under another key, or has a non-object
-        payload or one without the command's REQUIRED_KEYS, each of its type,
-        is a miss, like an unreadable file."""
-        key = cache_key(command, params)
+        is not an object, holds another key text (such as one that shares the
+        address), or has a non-object payload or one without the command's
+        REQUIRED_KEYS, each of its type, is a miss, like an unreadable file."""
         try:
-            with open(self._path(key), encoding="utf-8") as fh:
+            with open(self._path(cache_key(command, params)), encoding="utf-8") as fh:
                 entry = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
-        if not isinstance(entry, dict) or entry.get("key") != key:
+        if not isinstance(entry, dict) or entry.get("key") != _key_text(command, params):
             return None
         if entry.get("version") != __version__:
             return None
@@ -147,25 +153,30 @@ class ResultCache:
             return None
         return payload
 
-    def put(self, command: str, params: dict, payload) -> None:
+    def put(self, command: str, params: dict, payload) -> str:
+        """Store payload; return `canonical_json(payload)`, which the entry embeds.
+
+        The file is `canonical_json` of {created_at, key, payload, version},
+        written around the one payload text rather than encoding it again."""
         import tempfile  # only a write needs it; a cache hit skips the import
 
-        key = cache_key(command, params)
-        entry = {
-            "key": key,
-            "version": __version__,
+        text = canonical_json(payload)
+        head = canonical_json({
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "payload": payload,
-        }
+            "key": _key_text(command, params),
+        })
+        tail = canonical_json({"version": __version__})
         self.dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(entry))
-            os.replace(tmp, self._path(key))
+                # keys in sorted order: created_at, key | payload | version
+                fh.writelines((head[:-1], ',"payload":', text, ",", tail[1:]))
+            os.replace(tmp, self._path(cache_key(command, params)))
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
+        return text

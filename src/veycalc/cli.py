@@ -11,7 +11,8 @@ kwargs) pairs, job, table renderer and, for `vey` alone, a JSON writer;
 and returns (cache params or None, compute).  `run` serves the cached document
 for those params or stores what compute returns, and reports every budget
 refusal at one site.  `vey` is never cached: its compute returns (q, kind,
-classes), which `veycalc.vey` writes row by row.
+classes), which `veycalc.vey` writes row by row.  `main`, the console entry
+point, runs `run`, then freezes the heap so that exit skips collecting it.
 
 compute imports the algebra modules it runs when it runs, and the other
 renderers read only the result document, so argument parsing, a cache hit and
@@ -22,6 +23,8 @@ label its representatives.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -32,6 +35,17 @@ from .errors import KINDS, ModelBudgetError, ResourceBudgetError, UnsupportedInp
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+
+_HUGE = 10**1000  # the smallest estimate with more than 1000 digits
+
+
+def _estimate_text(estimate: int) -> str:
+    """The estimate in full, or as ~10^k past 1000 digits, which `str` may refuse."""
+    if estimate < _HUGE:
+        return str(estimate)
+    import math
+
+    return f"~10^{math.floor(math.log10(estimate))}"
 
 
 def _progress(message: str) -> None:
@@ -387,11 +401,12 @@ def run(argv=None) -> int:
         if params is not None and not getattr(args, "no_cache", False):
             cache = ResultCache(config.cache_dir)
         doc = cache.get(args.command, params) if cache else None
+        text = None  # canonical_json(doc), once the cache has encoded it
         if doc is None:
             doc = compute()
             if cache:
                 try:
-                    cache.put(args.command, params, doc)
+                    text = cache.put(args.command, params, doc)
                 except OSError as exc:
                     _progress(f"veycalc: result not cached: {exc}")
     except (ConfigError, UnsupportedInputError, ValueError) as exc:
@@ -400,7 +415,7 @@ def run(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(
             f"veycalc: resource budget exceeded: {exc} "
-            f"(dimension estimate {exc.estimate})",
+            f"(dimension estimate {_estimate_text(exc.estimate)})",
             file=sys.stderr,
         )
         return EXIT_BUDGET
@@ -410,12 +425,26 @@ def run(argv=None) -> int:
     elif subcommand.write_json is not None:
         subcommand.write_json(doc, sys.stdout)
     else:
-        sys.stdout.write(canonical_json(doc) + "\n")
+        sys.stdout.write((text or canonical_json(doc)) + "\n")
     return EXIT_OK
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the flush at exit
+        # cannot raise again, and exit 1 as for EPIPE, with no traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    # Move every live object to the permanent generation, so interpreter
+    # teardown does not collect the module graph after the output is written.
+    # atexit handlers, stream flushes and the exit code are unchanged; the
+    # collector ran as usual during the job.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

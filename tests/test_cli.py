@@ -1,5 +1,6 @@
 """Tests for the CLI: exit codes, JSON determinism, caching, config."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from veycalc import cli
+from veycalc import __version__, cli
+from veycalc import cache as cache_module
 from veycalc.cache import (
     REQUIRED_KEYS,
     Config,
@@ -70,19 +72,83 @@ def test_budget_exit_code(capsys, cache_dir):
     assert err.count(str(estimate)) == 1  # not restated by the refusal's own message
 
 
+def test_huge_estimate_is_printed_bounded(monkeypatch, capsys, cache_dir):
+    # str() of an int past 4300 digits raises ValueError; the refusal must not
+    from veycalc import complexes
+
+    monkeypatch.setattr(complexes, "dimension_estimate", lambda q, kind: 10**5000)
+    code, out, err = run(capsys, ["cohomology", "--complex", "W", "--q", "7",
+                                  "--cache-dir", cache_dir])
+    assert code == 3
+    assert out == ""
+    assert re.findall(r"\(dimension estimate ([^)]*)\)", err) == ["~10^5000"]
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("command", ["cohomology", "validate"])
 def test_large_q_refusal_does_not_hang(tmp_path, command):
     # the refusal's estimate is a closed form, not a series of length ~q^2
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "veycalc.cli", command, "--complex", "W", "--q", "1000",
          "--cache-dir", str(tmp_path / "cache")],
-        env=env, capture_output=True, text=True, timeout=10,
+        env=_child_env(), capture_output=True, text=True, timeout=10,
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert _refusal_estimate(proc.stderr) > 2**1000  # the y-subsets alone
+
+
+# `main()` in a fresh interpreter, whose atexit hook records the number of
+# objects `gc.freeze()` moved to the permanent generation
+MAIN_CHILD = """
+import atexit, gc, sys
+from veycalc.cli import main
+path = sys.argv.pop(1)
+def record():
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+atexit.register(record)
+main()
+"""
+
+MAIN_JOBS = [
+    ["cohomology", "--complex", "W", "--q", "2", "--format", "json"],
+    ["manifold", "--preset", "T2", "--format", "table"],
+    ["vey", "--complex", "WO", "--q", "4", "--format", "json"],  # streamed
+    ["manifold", "--preset", "bogus"],  # exit 2
+    ["cohomology", "--complex", "W", "--q", "99"],  # exit 3
+]
+
+
+@pytest.mark.parametrize("argv", MAIN_JOBS, ids=["json", "table", "vey", "exit-2", "exit-3"])
+def test_main_matches_run_and_freezes_before_exit(tmp_path, capsys, argv):
+    frozen = tmp_path / "frozen"
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_CHILD, str(frozen), *argv,
+         "--cache-dir", str(tmp_path / "child-cache")],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    code, out, err = run(capsys, [*argv, "--cache-dir", str(tmp_path / "cache")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert int(frozen.read_text()) > 0  # the atexit hook ran, after the freeze
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "veycalc.cli", "vey", "--complex", "W", "--q", "8",
+         "--format", "json"],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{"classes"'
+    proc.stdout.close()  # the output is about 0.7 MB, far past the pipe's buffer
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_model_budget_exit_code(capsys, cache_dir):
@@ -158,7 +224,39 @@ def test_cache_keys_are_versioned(tmp_path):
     assert cache.get("cmd", {"a": 1}) is None
 
 
+def test_colliding_addresses_never_serve_each_other(tmp_path, monkeypatch):
+    # every key at one address: the entry's full key text tells them apart
+    monkeypatch.setattr(cache_module, "cache_key", lambda command, params: "same")
+    cache = ResultCache(str(tmp_path))
+    cache.put("cmd", {"a": 1}, {"x": 1})
+    assert cache.get("cmd", {"a": 2}) is None
+    cache.put("cmd", {"a": 2}, {"x": 2})
+    assert cache.get("cmd", {"a": 1}) is None  # overwritten: a miss, not {"x": 2}
+    assert cache.get("cmd", {"a": 2}) == {"x": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["same.json"]
+
+
+def test_entry_under_the_old_address_is_never_read(capsys, cache_dir):
+    # the sha256-named entries of earlier versions: a wrong payload planted
+    # under that name, in that format, is not served
+    argv = ["cohomology", "--complex", "W", "--q", "1", "--format", "json"]
+    params = {"q": 1, "kind": "W", "q_cap": Config().q_cap}
+    key = hashlib.sha256(canonical_json(
+        {"command": "cohomology", "params": params, "version": __version__}
+    ).encode()).hexdigest()
+    planted = {"kind": "W", "q": 1, "dims": {}, "representatives": {}, "total_dim_check": 0}
+    os.makedirs(cache_dir)
+    pathlib.Path(cache_dir, f"{key}.json").write_text(canonical_json(
+        {"key": key, "version": __version__, "created_at": "", "payload": planted}
+    ))
+    code, out, _ = run(capsys, argv + ["--cache-dir", cache_dir])
+    assert code == 0
+    assert json.loads(out)["dims"] == {"0": 1, "3": 1}
+    assert len(list(pathlib.Path(cache_dir).glob("cohomology-*.json"))) == 1
+
+
 def test_json_round_trip_all_commands(capsys, cache_dir):
+    docs = []
     for argv in (
         ["cohomology", "--complex", "W", "--q", "2"],
         ["vey", "--q", "2", "--complex", "WO"],
@@ -173,6 +271,15 @@ def test_json_round_trip_all_commands(capsys, cache_dir):
         assert code == 0
         doc = json.loads(out)
         assert canonical_json(doc) + "\n" == out  # emit-parse-emit identity
+        docs.append(doc)
+    # each entry is the canonical text of what it parses to, its payload a printed document
+    entries = list(pathlib.Path(cache_dir).glob("*.json"))
+    assert len(entries) == 4
+    for path in entries:
+        text = path.read_text()
+        entry = json.loads(text)
+        assert canonical_json(entry) == text
+        assert entry["payload"] in docs
 
 
 def test_table_output_is_aligned(capsys, cache_dir):
