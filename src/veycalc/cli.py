@@ -185,6 +185,7 @@ def _cohomology_job(args, config: Config):
     def compute() -> dict:
         from . import complexes
 
+        complexes.check_q_cap(args.q, args.complex, config.q_cap)  # before the progress line
         _progress(f"computing H*({args.complex}_{args.q}) ...")
         cx = complexes.build_complex(args.q, args.complex, q_cap=config.q_cap)
         return complexes.cohomology(cx).to_json_obj()
@@ -196,18 +197,16 @@ def _vey_job(args, config: Config):
     def compute() -> dict:
         from . import vey
 
-        classes = vey.vey_basis(args.q, args.complex)
-        if args.degree is not None:
-            classes = [c for c in classes if c.degree == args.degree]
-        return args.q, args.complex, classes
+        return args.q, args.complex, vey.vey_basis(args.q, args.complex, args.degree)
 
     return None, compute
 
 
 def _validate_job(args, config: Config):
     def compute() -> dict:
-        from . import vey
+        from . import complexes, vey
 
+        complexes.check_q_cap(args.q, args.complex, config.q_cap)  # before the progress line
         _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
         return vey.validate_vey(args.q, args.complex, q_cap=config.q_cap).to_json_obj()
 

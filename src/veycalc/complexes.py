@@ -70,7 +70,7 @@ class GradedComplex:
             m[r][c] += v
         return m
 
-    def _index(self, n: int) -> dict[Monomial, int]:
+    def index(self, n: int) -> dict[Monomial, int]:
         """Position of each monomial in the degree-n basis, built once per degree."""
         index = self._indices.get(n)
         if index is None:
@@ -78,23 +78,27 @@ class GradedComplex:
         return index
 
     def element_vector(self, a: Element, n: int) -> linalg.SparseRow:
-        index = self._index(n)
+        index = self.index(n)
         for m in a.terms:
             if m not in index:
                 raise ValueError(f"monomial {m.label()} not in the degree-{n} basis")
         return {index[m]: coeff for m, coeff in a.terms.items()}
 
 
-def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComplex:
-    """Assemble the full complex with per-degree bases and differentials."""
+def check_q_cap(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> None:
+    """Refuse a q that is not positive or is over the cap, before any work."""
     if q < 1:
         raise ValueError("q must be positive")
     if q > q_cap:
-        est = dimension_estimate(q, kind)
         raise ResourceBudgetError(
             f"{kind}_{q} exceeds the configured cap q <= {q_cap}",
-            estimate=est,
+            estimate=dimension_estimate(q, kind),
         )
+
+
+def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComplex:
+    """Assemble the full complex with per-degree bases and differentials."""
+    check_q_cap(q, kind, q_cap)
     sig = signature_for(q, kind)
     bases: dict[int, list[Monomial]] = {}
     for n, basis in gca.iter_basis(sig):
@@ -102,7 +106,7 @@ def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComple
             bases[n] = basis
     cx = GradedComplex(sig, kind, bases, {})
     for n, basis in bases.items():
-        target = cx._index(n + 1)
+        target = cx.index(n + 1)
         triplets: list[Triplet] = []
         for col, m in enumerate(basis):
             # d(y_I c_J) = sum_k (-1)^k y_(I - i_k) c_(i_k) c_J (k from 0), keeping

@@ -19,7 +19,6 @@ from .errors import DEFAULT_Q_CAP
 # The algebra stack is imported where it is used, so `kappa` loads this
 # module alone.
 if TYPE_CHECKING:
-    from .complexes import GradedComplex
     from .gca import Monomial
 
 # Reading of the WO condition "i_1 <= any odd j_k": i_1 <= every odd entry
@@ -79,9 +78,10 @@ def _admissible(q: int, i_min: int, weight: int, kind: str) -> list[tuple[int, .
     return [c for c in gca.c_parts(q, weight) if _vey_condition(i_min, c, kind)]
 
 
-def vey_basis(q: int, kind: str) -> list[VeyClass]:
+def vey_basis(q: int, kind: str, degree: int | None = None) -> list[VeyClass]:
     """All Vey-form monomials y_I c_J (s >= 1) for the given complex, classified,
-    in canonical order.  Pure c_J survivors (Pontrjagin monomials in WO_q) are
+    in canonical order; given `degree`, only the classes of that degree, built
+    without the others.  Pure c_J survivors (Pontrjagin monomials in WO_q) are
     not Vey-form and are reported by the oracle instead."""
     if q < 1:
         raise ValueError("q must be positive")
@@ -93,15 +93,23 @@ def vey_basis(q: int, kind: str) -> list[VeyClass]:
     odd = sorted(sig.odd_indices)
     groups = []
     for k, i1 in enumerate(odd):
+        rest_odd = odd[k + 1 :]
         for w in range(q + 1 - i1, q + 1):
-            cparts = _admissible(q, i1, w, kind)  # shared by every I starting at i_1
-            for r in range(len(odd) - k):
-                for rest in itertools.combinations(odd[k + 1 :], r):
+            base = 2 * i1 - 1 + 2 * w  # the degree of y_{i_1} c_J
+            cparts = None  # shared by every I starting at i_1; built once a class keeps it
+            for r in range(len(rest_odd) + 1):
+                if degree is not None and base + sum(2 * i - 1 for i in rest_odd[:r]) > degree:
+                    break  # the lightest r-subset (the first r) is too heavy, so is every larger r
+                for rest in itertools.combinations(rest_odd, r):
+                    d = base + sum(2 * i - 1 for i in rest)
+                    if degree is not None and d != degree:
+                        continue
+                    if cparts is None:
+                        cparts = _admissible(q, i1, w, kind)
                     ys = (i1,) + rest
-                    degree = sum(2 * i - 1 for i in ys) + 2 * w
-                    flags = _flags(q, ys, w, degree)
-                    classes = [VeyClass(Monomial(ys, c), kind, q, degree, *flags) for c in cparts]
-                    groups.append((degree, ys, classes))
+                    flags = _flags(q, ys, w, d)
+                    classes = [VeyClass(Monomial(ys, c), kind, q, d, *flags) for c in cparts]
+                    groups.append((d, ys, classes))
     # (degree, I) fixes the weight, so sorting the groups and keeping each in
     # partition order gives the canonical (degree, I, J) order
     groups.sort(key=lambda g: g[:2])
@@ -174,16 +182,9 @@ def variable_set(q: int) -> list[VeyClass]:
 @functools.cache
 def _variable_classes(q: int) -> tuple[VeyClass, ...]:
     # Degree 2q+1 forces I = (i_1) with i_1 odd and weight q+1-i_1 (a second
-    # y index pushes the degree past 2q+1), so no such class is rigid.
-    from .gca import Monomial
-
-    degree = 2 * q + 1
-    out = []
-    for i1 in range(1, q + 1, 2):
-        flags = _flags(q, (i1,), q + 1 - i1, degree)
-        for c in _admissible(q, i1, q + 1 - i1, "WO"):
-            out.append(VeyClass(Monomial((i1,), c), "WO", q, degree, *flags))
-    return tuple(out)
+    # y index pushes the degree past 2q+1), so no class of the slice is rigid
+    # and every one is a variable candidate.
+    return tuple(vey_basis(q, "WO", 2 * q + 1))
 
 
 def v_count(q: int) -> int:
@@ -225,21 +226,24 @@ def extended_basis(
     over the full extension."""
     from .gca import Monomial
 
-    base = variable_set(q)
-    max_iprime = (q + 1) // 2  # 2 i_r' <= q+1
-    out: list[ExtendedClass] = []
+    groups = []
     counts: dict[int, int] = {}
-    for v in base:
-        i1 = v.monomial.y_part[0]
-        evens = [i for i in range(2, max_iprime + 1, 2) if i > i1]
+    # the variable set runs by i_1, each i_1's classes in partition order
+    for i1, run in itertools.groupby(variable_set(q), key=lambda v: v.monomial.y_part[0]):
+        base = list(run)
+        evens = range(i1 + 1, (q + 1) // 2 + 1, 2)  # the even i' > i_1 (odd), 2 i' <= q+1
         for r in range(len(evens) + 1):
             for iprime in itertools.combinations(evens, r):
-                ypart = tuple(sorted((i1,) + iprime))
-                m = Monomial(ypart, v.monomial.c_part)
-                deg = m.degree()
-                counts[deg] = counts.get(deg, 0) + 1
-                out.append(ExtendedClass(v, iprime, m, deg))
-    out.sort(key=lambda e: e.monomial.sort_key())
+                ypart = (i1,) + iprime  # increasing, as every i' > i_1
+                deg = base[0].degree + sum(2 * i - 1 for i in iprime)
+                counts[deg] = counts.get(deg, 0) + len(base)
+                groups.append((deg, ypart, [
+                    ExtendedClass(v, iprime, Monomial(ypart, v.monomial.c_part), deg) for v in base
+                ]))
+    # as in vey_basis, sorting the groups by (degree, I) and keeping each in
+    # partition order gives the canonical (degree, I, J) order
+    groups.sort(key=lambda g: g[:2])
+    out = [e for _, _, classes in groups for e in classes]
     if degree_range is not None:
         lo, hi = degree_range
         out = [e for e in out if lo <= e.degree <= hi]
@@ -295,13 +299,11 @@ def validate_vey(
     are listed as notes rather than failures.
     """
     from . import complexes
-    from .gca import Element
 
     cx = complexes.build_complex(q, kind, q_cap=q_cap)
     hres = complexes.cohomology(cx)
-    classes = vey_basis(q, kind)
     by_degree: dict[int, list[VeyClass]] = {}
-    for v in classes:
+    for v in vey_basis(q, kind):
         by_degree.setdefault(v.degree, []).append(v)
 
     degrees = sorted(set(by_degree) | set(hres.dims))
@@ -311,14 +313,18 @@ def validate_vey(
         vs = by_degree.get(n, [])
         dim = hres.dims.get(n, 0)
         notes: list[str] = []
+        cols = [cx.index(n)[v.monomial] for v in vs]
+        # d of a basis monomial has no repeated term, so it is zero exactly
+        # when no triplet of d_n lies in its column
+        nonzero = {col for _, col, _ in cx.diff.get(n, [])}
         independent = True
-        for v in vs:
-            el = Element.monomial(cx.signature, v.monomial)
-            if not complexes.is_cocycle(cx, el):
+        for v, col in zip(vs, cols):
+            if col in nonzero:
                 independent = False
                 notes.append(f"{v.name()} is not a cocycle")
         if independent and vs:
-            independent = _independent_in_cohomology(cx, n, vs)
+            image = complexes.image_echelon(cx, n)
+            independent = all(image.insert({col: 1}) for col in cols)
             if not independent:
                 notes.append("enumerated classes are dependent modulo coboundaries")
         if n > 2 * q and len(vs) != dim:
@@ -327,10 +333,8 @@ def validate_vey(
                 f"count mismatch above 2q: enumerated {len(vs)} vs oracle {dim}"
             )
         if n <= 2 * q and dim > len(vs):
-            survivors = [e for e in hres.representatives.get(n, [])]
-            labels = ", ".join(
-                "+".join(m.label() for m, _ in e.sorted_terms()) for e in survivors
-            )
+            reps = hres.representatives.get(n, [])
+            labels = ", ".join("+".join(m.label() for m, _ in e.sorted_terms()) for e in reps)
             notes.append(
                 f"oracle sees {dim - len(vs)} non-Vey survivor(s) in low degree: {labels}"
             )
@@ -343,12 +347,3 @@ def validate_vey(
             ok = False
         checks.append(DegreeCheck(n, len(vs), dim, independent, notes))
     return ValidationReport(q, kind, checks, ok)
-
-
-def _independent_in_cohomology(cx: GradedComplex, n: int, vs: list[VeyClass]) -> bool:
-    from . import complexes
-    from .gca import Element
-
-    image = complexes.image_echelon(cx, n)
-    vecs = (cx.element_vector(Element.monomial(cx.signature, v.monomial), n) for v in vs)
-    return all(image.insert(vec) for vec in vecs)

@@ -103,6 +103,38 @@ def test_large_q_refusal_does_not_hang(tmp_path, command):
     assert _refusal_estimate(proc.stderr) > 2**1000  # the y-subsets alone
 
 
+@pytest.mark.parametrize("command", ["cohomology", "validate"])
+def test_refused_job_prints_only_the_refusal(capsys, cache_dir, command):
+    # no progress line for work the job never starts
+    from veycalc import complexes
+
+    code, out, err = run(capsys, [command, "--complex", "W", "--q", "99", "--cache-dir", cache_dir])
+    assert (code, out) == (3, "")
+    assert err == (
+        "veycalc: resource budget exceeded: W_99 exceeds the configured cap q <= 6 "
+        f"(dimension estimate {complexes.dimension_estimate(99, 'W')})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, classes, seconds",
+    [(["--complex", "WO", "--q", "24", "--degree", "49"], 1957, 5),  # v_24
+     (["--complex", "W", "--q", "14", "--degree", "0"], 0, 2)],
+    ids=["WO24-degree49", "W14-degree0"],
+)
+def test_vey_degree_builds_only_its_slice(tmp_path, argv, classes, seconds):
+    # the whole WO_24 basis takes tens of seconds to build, and a degree with
+    # no classes must cost no enumeration at all
+    proc = subprocess.run(
+        [sys.executable, "-m", "veycalc.cli", "vey", *argv, "--format", "json",
+         "--cache-dir", str(tmp_path / "cache")],
+        env=_child_env(), capture_output=True, text=True, timeout=seconds,
+    )
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["classes"]) == classes
+    assert ('"classes":[]' in proc.stdout) == (not classes)
+
+
 # `main()` in a fresh interpreter, whose atexit hook records the number of
 # objects `gc.freeze()` moved to the permanent generation
 MAIN_CHILD = """

@@ -1,5 +1,7 @@
 """Tests for Vey basis enumeration, classification, counts, validation."""
 
+import itertools
+
 import pytest
 
 from veycalc import manifold, vey
@@ -46,14 +48,14 @@ def test_variable_sets_and_counts():
 
 def test_wo_basis_enumerated_once_per_q(monkeypatch):
     # a compact parallelizable report needs the variable set and its braced
-    # extension; they and every extended_count share one direct enumeration
-    # of the degree-(2q+1) classes and never build the whole WO_q basis
+    # extension; they and every extended_count share one degree-(2q+1) slice
+    # of vey_basis and never build the whole WO_q basis
     real = vey.vey_basis
     calls = []
 
-    def counting(q, kind):
-        calls.append((q, kind))
-        return real(q, kind)
+    def counting(q, kind, degree=None):
+        calls.append((q, kind, degree))
+        return real(q, kind, degree)
 
     monkeypatch.setattr(vey, "vey_basis", counting)
     vey._variable_classes.cache_clear()
@@ -61,8 +63,22 @@ def test_wo_basis_enumerated_once_per_q(monkeypatch):
     assert [vey.extended_count(3, d) for d in (7, 10, 13)] == [3, 3, 0]
     vey.variable_set(3).clear()  # the caller's list, not the cached set
     assert vey.v_count(3) == 3
-    assert calls == []
+    assert calls == [(3, "WO", 7)]
     assert vey._variable_classes.cache_info().misses == 1
+
+
+SLICED = [("W", q) for q in range(1, 9)] + [("WO", q) for q in range(1, 13)]
+
+
+@pytest.mark.parametrize("kind, q", SLICED, ids=[f"{k}{q}" for k, q in SLICED])
+def test_degree_slice_is_the_filtered_basis(kind, q):
+    from veycalc import complexes, gca
+
+    full = vey.vey_basis(q, kind)
+    top = gca.top_degree(complexes.signature_for(q, kind))
+    assert max(v.degree for v in full) <= top
+    for d in range(-1, top + 2):
+        assert vey.vey_basis(q, kind, d) == [v for v in full if v.degree == d], d
 
 
 @pytest.mark.parametrize("q", range(1, 13))
@@ -133,6 +149,27 @@ def test_extended_basis_empty_iprime_is_variable_set():
         assert counts[2 * q + 1] == vey.v_count(q)
 
 
+@pytest.mark.parametrize("q", range(1, 15))
+def test_extended_basis_matches_a_monomial_degree_reference(q):
+    # each braced class built from its monomial alone: Monomial.degree() for
+    # its degree, a sort on Monomial.sort_key() for its place
+    from veycalc.gca import Monomial
+
+    reference, counts = [], {}
+    for v in vey.variable_set(q):
+        i1 = v.monomial.y_part[0]
+        evens = [i for i in range(2, (q + 1) // 2 + 1, 2) if i > i1]
+        for r in range(len(evens) + 1):
+            for iprime in itertools.combinations(evens, r):
+                m = Monomial(tuple(sorted((i1,) + iprime)), v.monomial.c_part)
+                counts[m.degree()] = counts.get(m.degree(), 0) + 1
+                reference.append(vey.ExtendedClass(v, iprime, m, m.degree()))
+    reference.sort(key=lambda e: e.monomial.sort_key())
+    classes, by_degree = vey.extended_basis(q)
+    assert classes == reference
+    assert list(by_degree.items()) == sorted(counts.items())
+
+
 def test_extended_basis_q7_allows_i_prime_4():
     classes, counts = vey.extended_basis(7)
     # 2*4 = 8 <= q+1 = 8, so I' = (2,4) and (4,) appear
@@ -168,6 +205,32 @@ def test_validate(q, kind):
         assert check.independent
         if check.degree > 2 * q:
             assert check.enumerated == check.oracle_dim
+
+
+def test_validate_reports_a_non_cocycle_and_a_dependent_class(monkeypatch):
+    # y1 (degree 1) has d y1 = c1, and a repeated class of degree > 2q is
+    # dependent on its first copy and breaks the count
+    from veycalc.gca import Monomial
+
+    real = vey.vey_basis
+
+    def faulty(q, kind):
+        classes = real(q, kind)
+        y1 = vey.VeyClass(Monomial((1,), (0,) * q), kind, q, 1)
+        return [y1, *classes, next(v for v in classes if v.degree > 2 * q)]
+
+    monkeypatch.setattr(vey, "vey_basis", faulty)
+    report = vey.validate_vey(2, "W")
+    assert not report.ok
+    checks = {c.degree: c for c in report.per_degree}
+    assert not checks[1].independent
+    assert checks[1].notes == ["y1 is not a cocycle"]
+    assert (checks[5].enumerated, checks[5].oracle_dim, checks[5].independent) == (3, 2, False)
+    assert checks[5].notes == [
+        "enumerated classes are dependent modulo coboundaries",
+        "count mismatch above 2q: enumerated 3 vs oracle 2",
+    ]
+    assert all(c.independent for c in report.per_degree if c.degree not in (1, 5))
 
 
 def test_validate_flags_w2_degree8():
