@@ -1,14 +1,14 @@
 """Finite cochain complexes W_q, WO_q, I_q and their exact cohomology.
 
 The complexes are assembled degree by degree from the monomial bases of
-:mod:`veycalc.gca`; differentials are stored as sparse triplet lists with
-coefficients +-1.  Cohomology is computed by elimination over Q and serves
-as the brute-force oracle for the combinatorial basis enumeration.
+:mod:`veycalc.gca`; differentials are sparse triplet lists with coefficients
++-1.  Cohomology, by elimination over Q with each differential eliminated
+once (:func:`passes`), is the brute-force oracle for the basis enumeration.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import gca, linalg
 from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError
@@ -155,22 +155,25 @@ def _columns(cx: GradedComplex, n: int) -> list[linalg.SparseRow]:
     return cols
 
 
-def image_echelon(cx: GradedComplex, n: int) -> linalg.Echelon:
-    """Echelon form of the coboundaries in C^n, spanned by the columns of d_(n-1)."""
-    return linalg.Echelon(_columns(cx, n - 1))
+def passes(cx: GradedComplex) -> Iterator[tuple[int, list[linalg.SparseRow], linalg.Echelon]]:
+    """(n, ker d_n, the echelon of im d_(n-1)) for n upward: the image echelon
+    of degree n's column pass is degree n+1's coboundary echelon."""
+    coboundaries = linalg.Echelon()
+    for n in range(cx.top_degree + 1):
+        kernel, image = linalg.column_pass(_columns(cx, n))
+        yield n, kernel, coboundaries
+        coboundaries = image
 
 
 def cohomology(cx: GradedComplex) -> CohomologyResult:
     """H^n = ker d_n / im d_(n-1) with deterministic representatives."""
     dims: dict[int, int] = {}
     reps: dict[int, list[Element]] = {}
-    for n in range(cx.top_degree + 1):
-        basis = cx.basis(n)
-        if not basis:
-            continue
-        chosen = linalg.cohomology(_columns(cx, n), _columns(cx, n - 1))
+    for n, kernel, coboundaries in passes(cx):
+        chosen = linalg.cohomology(kernel, coboundaries)
         if chosen:
             dims[n] = len(chosen)
+            basis = cx.basis(n)
             reps[n] = [Element(cx.signature, {basis[j]: x for j, x in v.items()}) for v in chosen]
     return CohomologyResult(cx.kind, cx.q, dims, reps, sum(dims.values()))
 
@@ -189,6 +192,4 @@ def is_coboundary(cx: GradedComplex, a: Element) -> bool:
     if not a.is_homogeneous():
         raise ValueError("input must be homogeneous")
     n = a.degree()
-    if not cx.basis(n - 1):
-        return False
-    return not image_echelon(cx, n).reduce(cx.element_vector(a, n))
+    return not linalg.Echelon(_columns(cx, n - 1)).reduce(cx.element_vector(a, n))

@@ -11,9 +11,11 @@ ascending column order, so a span grows one row at a time.  Results are
 deterministic whatever order rows arrive in: pivots are lowest columns and
 the RREF of a row space is unique, so ranks, echelon forms and canonical
 nullspace bases are reproducible, and a greedy pass over candidates keeps
-exactly those outside the span of the ones before.  :func:`cohomology` is
-the one "cohomology in degree n" routine.  The dense list-of-rows functions
-are thin wrappers over the kernel, used by tests, which return Fractions.
+exactly those outside the span of the ones before.  :func:`column_pass`
+eliminates a map once, for both its kernel and its image echelon, and
+:func:`cohomology` is the one "cohomology in degree n" routine.  The dense
+list-of-rows functions and ``Echelon.rref``/``nullspace`` serve tests and
+tracing only; the dense ones return Fractions.
 """
 
 from __future__ import annotations
@@ -85,6 +87,12 @@ class Echelon:
             self.rows[p] = {c: x * inv for c, x in v.items()}
         return True
 
+    def copy(self) -> Echelon:
+        """The same span, to insert into without changing this one."""
+        twin = Echelon()
+        twin.rows = dict(self.rows)  # a row is replaced, never changed in place
+        return twin
+
     def rref(self) -> list[tuple[int, SparseRow]]:
         """(pivot, row) pairs of the reduced row echelon form, which replace the
         stored rows.  Back-substitutes from the highest pivot down, so each row
@@ -119,24 +127,34 @@ def dense(vec: SparseRow, ncols: int) -> Row:
     return out
 
 
-def kernel(cols: list[SparseRow]) -> list[SparseRow]:
-    """Canonical basis of {x : sum_j x_j cols[j] = 0} (one vector per free column)."""
-    rows: dict[int, SparseRow] = {}
+def column_pass(cols: list[SparseRow]) -> tuple[list[SparseRow], Echelon]:
+    """The canonical kernel basis and the image echelon of the map with these
+    columns, in one pass: column j carries its combination {j: 1} past every
+    row index, and is a kernel vector if nothing but tags is left.  The
+    pivots are the greedy basis of the column space, over which a column's
+    coordinates are unique, so the kernel is ``Echelon.nullspace`` exactly."""
+    shift = 1 + max((max(col) for col in cols if col), default=-1)
+    tagged = Echelon()
+    kernel = []
     for j, col in enumerate(cols):
-        for i, x in col.items():
-            rows.setdefault(i, {})[j] = x
-    return Echelon(rows.values()).nullspace(len(cols))
+        v = tagged.reduce({**col, shift + j: 1})
+        if min(v) >= shift:
+            kernel.append({c - shift: x for c, x in v.items()})
+        else:
+            tagged.insert(v)  # reduces nothing more: v has no stored pivot left
+    image = Echelon()
+    image.rows = {p: {c: x for c, x in row.items() if c < shift} for p, row in tagged.rows.items()}
+    return kernel, image
 
 
-def cohomology(d_out: list[SparseRow], d_in: list[SparseRow]) -> list[SparseRow]:
-    """Representatives of ker d_n / im d_(n-1), from the sparse columns of d_n
-    (one per basis element of C^n) and of d_(n-1) (vectors in C^n): the
-    canonical kernel vectors kept greedily, in order, outside the image and
-    the ones before.  Checks the count against dim ker - rank d_(n-1)."""
-    ker = kernel(d_out)
-    image = Echelon(d_in)
-    dim_h = len(ker) - image.rank
-    chosen = [v for v in ker if image.insert(v)]
+def cohomology(kernel: list[SparseRow], coboundaries: Echelon) -> list[SparseRow]:
+    """Representatives of ker d_n / im d_(n-1), from the canonical kernel of
+    d_n and the echelon of im d_(n-1): the kernel vectors kept greedily, in
+    order, outside the image and the ones before.  Each one chosen is inserted
+    into `coboundaries`, which ends up spanning ker d_n; pass a ``copy()`` to
+    keep it.  Checks the count against dim ker - rank d_(n-1)."""
+    dim_h = len(kernel) - coboundaries.rank
+    chosen = [v for v in kernel if coboundaries.insert(v)]
     if len(chosen) != dim_h:
         raise AssertionError(
             f"rank bookkeeping mismatch: {len(chosen)} representatives "
@@ -183,10 +201,7 @@ def solve(mat: Matrix, b: Row) -> Row | None:
 
 
 def independent_complement(span_rows: Matrix, candidates: Matrix) -> list[int]:
-    """Indices of candidate rows that extend the row span, greedily in order.
-
-    Used to pick cohomology representatives: rows of `span_rows` generate the
-    coboundaries, candidates are kernel vectors in canonical order.
-    """
+    """Indices of candidate rows that extend the row span, greedily in order:
+    the dense form of the selection :func:`cohomology` makes."""
     ech = Echelon(map(sparse, span_rows))
     return [i for i, cand in enumerate(candidates) if ech.insert(sparse(cand))]

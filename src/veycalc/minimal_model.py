@@ -2,11 +2,11 @@
 
 The target algebra has zero differential, so the model is built in one pass
 per degree n = 2..cap, lower degree first: H^n(model) is solved once, new
-degree-(n-1) generators are given differentials killing the kernel of
-H^n(model) -> I_q^n, and (below the cap) new closed degree-n generators hit
-its cokernel.  Generator counts per degree are the dual homotopy ranks; the
-free-algebra Poincare series of a rank table after delooping describes the
-loop-space homology families.
+degree-(n-1) generators kill the kernel of H^n(model) -> I_q^n, and (below
+the cap) new closed degree-n generators hit its cokernel.  The quasi-iso
+check takes dim H^n = words - rank d_n - rank d_(n-1).  Generator counts per
+degree are the dual homotopy ranks; the free-algebra Poincare series of a
+rank table after delooping describes the loop-space homology families.
 
 Everything is exact and deterministic.  Coefficients are ints while they
 are integral; a Fraction only comes from the elimination in
@@ -204,6 +204,12 @@ class _ModelBuilder:
         cached = self._bases.get(n)
         if cached is None or cached[0] != count:
             cached = self._bases[n] = (count, self.alg.basis(n))
+            if len(cached[1]) > self.word_budget:  # every enumerated basis, d's target too
+                raise ModelBudgetError(
+                    f"free-algebra basis at degree {n} has {len(cached[1])} words, "
+                    f"over the budget of {self.word_budget}",
+                    attempted_dimension=len(cached[1]),
+                )
         return cached[1]
 
     def _psi_word(self, w: Word) -> Element:
@@ -243,18 +249,11 @@ class _ModelBuilder:
     def _cohomology_reps(self, n: int) -> list[FreeElement]:
         """Cocycle representatives of a basis of H^n(model)."""
         basis_n = self._basis(n)
-        if len(basis_n) > self.word_budget:
-            raise ModelBudgetError(
-                f"free-algebra basis at degree {n} has {len(basis_n)} words, "
-                f"over the budget of {self.word_budget}",
-                attempted_dimension=len(basis_n),
-            )
         if not basis_n:
             return []
-        reps = linalg.cohomology(
-            self._d_images(basis_n, self._basis(n + 1)),
-            self._d_images(self._basis(n - 1), basis_n),
-        )
+        kernel, _ = linalg.column_pass(self._d_images(basis_n, self._basis(n + 1)))
+        d_in = self._d_images(self._basis(n - 1), basis_n)
+        reps = linalg.cohomology(kernel, linalg.Echelon(d_in))
         return [{basis_n[j]: v[j] for j in sorted(v)} for v in reps]
 
     def _add_generator(self, prefix: str, degree: int, diff: FreeElement, psi: Element) -> None:
@@ -265,22 +264,22 @@ class _ModelBuilder:
         self.psi[gid] = psi
 
     def _stage(self, n: int) -> None:
-        """Stage n: solve H^n(model) once.  Degree-(n-1) generators w kill the
-        kernel of H^n -> I_q^n; below the cap, closed degree-n generators x hit
-        the cokernel.  The w only remove classes that psi sends to 0 and add no
-        degree-n words (generators have degree >= 2), so one solve serves both."""
+        """Stage n: solve H^n(model) once; one column pass gives psi's kernel,
+        killed by degree-(n-1) generators w, and image, whose cokernel closed
+        degree-n generators x hit below the cap.  The w only remove classes that
+        psi sends to 0 and add no degree-n words (generators have degree >= 2),
+        so one solve serves both."""
         target_basis = gca.basis_of_degree(self.sig, n)
         target_index = {m: i for i, m in enumerate(target_basis)}
         reps = self._cohomology_reps(n)
-        images = [self._psi_vector(r, target_index) for r in reps]
-        for combo in linalg.kernel(images):
+        kernel, image = linalg.column_pass([self._psi_vector(r, target_index) for r in reps])
+        for combo in kernel:
             target: FreeElement = {}
             for j in sorted(combo):
                 target = self.alg.add(target, self.alg.scale(reps[j], combo[j]))
             self._add_generator("w", n - 1, target, Element.zero(self.sig))
         if n == self.cap:
             return
-        image = linalg.Echelon(images)
         for pick, mono in enumerate(target_basis):
             if image.insert({pick: 1}):
                 self._add_generator("x", n, {}, Element.monomial(self.sig, mono))
@@ -288,11 +287,11 @@ class _ModelBuilder:
     def build(self) -> ModelStage:
         for n in range(2, self.cap + 1):
             self._stage(n)
-        check = {}
+        check, rank = {}, {1: 0}  # rank d_n; no word has degree 1
         for n in range(2, self.cap):
-            dim_model = len(self._cohomology_reps(n))
-            dim_target = len(gca.basis_of_degree(self.sig, n))
-            check[n] = dim_model == dim_target
+            basis_n = self._basis(n)
+            rank[n] = linalg.Echelon(self._d_images(basis_n, self._basis(n + 1))).rank
+            check[n] = len(basis_n) - rank[n] - rank[n - 1] == len(gca.basis_of_degree(self.sig, n))
         alg = self.alg
         model = ModelStage(
             self.q, self.cap, alg, self.generators, dict(zip(alg.gids, alg.diffs)), self.psi, check

@@ -298,20 +298,17 @@ def validate_vey(
     extra non-Vey survivors (the unit, surviving Pontrjagin monomials), which
     are listed as notes rather than failures.
     """
-    from . import complexes
+    from . import complexes, linalg
 
     cx = complexes.build_complex(q, kind, q_cap=q_cap)
-    hres = complexes.cohomology(cx)
     by_degree: dict[int, list[VeyClass]] = {}
     for v in vey_basis(q, kind):
         by_degree.setdefault(v.degree, []).append(v)
 
-    degrees = sorted(set(by_degree) | set(hres.dims))
     checks: list[DegreeCheck] = []
     ok = True
-    for n in degrees:
+    for n, kernel, coboundaries in complexes.passes(cx):
         vs = by_degree.get(n, [])
-        dim = hres.dims.get(n, 0)
         notes: list[str] = []
         cols = [cx.index(n)[v.monomial] for v in vs]
         # d of a basis monomial has no repeated term, so it is zero exactly
@@ -323,18 +320,22 @@ def validate_vey(
                 independent = False
                 notes.append(f"{v.name()} is not a cocycle")
         if independent and vs:
-            image = complexes.image_echelon(cx, n)
+            image = coboundaries.copy()  # representatives are chosen against the original
             independent = all(image.insert({col: 1}) for col in cols)
             if not independent:
                 notes.append("enumerated classes are dependent modulo coboundaries")
+        reps = linalg.cohomology(kernel, coboundaries)
+        dim = len(reps)
+        if not vs and not dim:
+            continue
         if n > 2 * q and len(vs) != dim:
             ok = False
             notes.append(
                 f"count mismatch above 2q: enumerated {len(vs)} vs oracle {dim}"
             )
         if n <= 2 * q and dim > len(vs):
-            reps = hres.representatives.get(n, [])
-            labels = ", ".join("+".join(m.label() for m, _ in e.sorted_terms()) for e in reps)
+            # a basis is in Monomial.sort_key order, so terms sort by index
+            labels = ", ".join("+".join(cx.basis(n)[j].label() for j in sorted(v)) for v in reps)
             notes.append(
                 f"oracle sees {dim - len(vs)} non-Vey survivor(s) in low degree: {labels}"
             )

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from veycalc import complexes, gca, minimal_model
+from veycalc import complexes, gca, linalg, minimal_model
 from veycalc.cache import canonical_json
 from veycalc.complexes import ResourceBudgetError
 from veycalc.gca import AlgebraSignature, Element, Monomial
@@ -171,11 +171,29 @@ def test_unit_pivots_keep_elimination_in_ints(kind):
     # every pivot met in W_q and WO_q is +-1, so no elimination step divides:
     # the echelon rows and the representatives hold ints, not Fractions
     cx = complexes.build_complex(5, kind)
-    for n in cx.bases:
-        rows = complexes.image_echelon(cx, n).rows.values()
+    for n, kernel, coboundaries in complexes.passes(cx):
+        rows = coboundaries.rows.values()
         assert all(type(x) is int for row in rows for x in row.values())
+        assert all(type(x) is int for v in kernel for x in v.values())
     reps = complexes.cohomology(cx).representatives.values()
     assert all(type(c) is int for els in reps for e in els for c in e.terms.values())
+
+
+@pytest.mark.parametrize("q, kind, inserts", [(5, "W", 608), (6, "WO", 240)])
+def test_cohomology_eliminates_each_differential_once(monkeypatch, q, kind, inserts):
+    # one insert per column of d_n outside the span of those before (rank d_n),
+    # in the column pass, and one per kernel vector offered to a coboundary
+    # echelon (dim ker d_n): one per basis element, 223 + 385 for W_5 and
+    # 83 + 157 for WO_6.  A second elimination of any d_n adds more.
+    cx = complexes.build_complex(q, kind)
+    offered = sum(len(kernel) for _, kernel, _ in complexes.passes(cx))
+    ranks = sum(linalg.column_pass(complexes._columns(cx, n))[1].rank for n in cx.bases)
+    assert sum(len(b) for b in cx.bases.values()) == ranks + offered == inserts
+    real = linalg.Echelon.insert
+    calls = []
+    monkeypatch.setattr(linalg.Echelon, "insert", lambda self, v: calls.append(1) or real(self, v))
+    complexes.cohomology(cx)
+    assert len(calls) == inserts
 
 
 def test_w5_cohomology_digest_is_pinned():

@@ -51,18 +51,23 @@ def test_independent_complement():
 
 
 
+def _cohomology(d_out, d_in):
+    """linalg.cohomology from the sparse columns of d_n and of d_(n-1)."""
+    return linalg.cohomology(linalg.column_pass(d_out)[0], linalg.column_pass(d_in)[1])
+
+
 def test_cohomology_keeps_kernel_outside_image():
     # C^n has basis e0, e1, e2; d_(n-1) hits e0, d_n sends e2 to a nonzero class
     d_out = [{}, {}, {0: F(1)}]
     d_in = [{0: F(2)}]
-    assert linalg.cohomology(d_out, d_in) == [{1: F(1)}]
-    assert linalg.cohomology(d_out, []) == [{0: F(1)}, {1: F(1)}]
+    assert _cohomology(d_out, d_in) == [{1: F(1)}]
+    assert _cohomology(d_out, []) == [{0: F(1)}, {1: F(1)}]
 
 
 def test_cohomology_checks_rank_bookkeeping():
     # d_n . d_(n-1) != 0: the image is not inside the kernel
     with pytest.raises(AssertionError):
-        linalg.cohomology([{0: F(1)}], [{0: F(1)}])
+        _cohomology([{0: F(1)}], [{0: F(1)}])
 
 
 def _reference_rref(mat, ncols):
@@ -130,6 +135,26 @@ def test_property_kernel_matches_dense_gauss_jordan(a, b):
         null = ech.nullspace(ncols)
         assert all(type(x) is int for row in ech.rows.values() for x in row.values())
         assert all(type(x) is int for v in null for x in v.values())
+    # the column pass over the columns of mat: the same canonical kernel, vector
+    # for vector, and the image echelon has the rank of mat
+    cols = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)]
+    kernel, image = linalg.column_pass(cols)
+    assert [linalg.dense(v, ncols) for v in kernel] == _reference_nullspace(mat, ncols)
+    assert image.rank == len(pivots)
+    assert all(c < len(mat) for row in image.rows.values() for c in row)  # no tag left
+    # its pivots are those of inserting the columns alone; if all are +-1, int
+    # columns keep ints in the image rows and in the kernel vectors, which are
+    # the combinations of the dependent columns
+    ech = linalg.Echelon()
+    unit_pivots = True
+    for col in cols:
+        rest = ech.reduce(col)
+        unit_pivots = unit_pivots and (not rest or rest[min(rest)] in (1, -1))
+        ech.insert(col)
+    assert image.rows == ech.rows
+    if unit_pivots and all(type(x) is int for row in mat for x in row):
+        assert all(type(x) is int for row in image.rows.values() for x in row.values())
+        assert all(type(x) is int for v in kernel for x in v.values())
     if mat:
         rhs = [F(i % 3) for i in range(len(mat))]
         aug = [row + [y] for row, y in zip(mat, rhs)]

@@ -110,19 +110,32 @@ def test_determinism():
 
 
 def test_model_solves_each_degree_once_per_stage(monkeypatch):
-    # one solve of H^n per stage, plus the independent quasi-iso check per
-    # degree: 23 solves for I_3 to degree 16 (33 if a stage solves H^n twice)
-    real = linalg.cohomology
+    # for I_3 to degree 16, one column pass over d_n in each of the 11 stages
+    # whose degree has words, and one over the psi-images in each of the 15
+    # stages; the quasi-iso check takes only ranks, so it adds no pass
+    real = linalg.column_pass
     calls = []
-    monkeypatch.setattr(linalg, "cohomology", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(linalg, "column_pass", lambda cols: calls.append(cols) or real(cols))
     build_model(3, 16)
-    assert len(calls) <= 23
+    assert len(calls) == 11 + 15
 
 
 def test_budget_error():
     with pytest.raises(ModelBudgetError) as exc:
         build_model(3, 12, word_budget=2)
     assert exc.value.attempted_dimension > 2
+
+
+def test_budget_covers_every_enumerated_basis():
+    # the top stage enumerates degree cap + 1, the target of d_cap: 255 words
+    # for (2, 22) then, 270 once the last generators are in (never enumerated)
+    with pytest.raises(ModelBudgetError) as exc:
+        build_model(2, 22, word_budget=192)
+    assert exc.value.attempted_dimension == 255
+    with pytest.raises(ModelBudgetError):
+        build_model(2, 22, word_budget=254)
+    assert build_model(2, 22, word_budget=255).to_json_obj() == build_model(2, 22).to_json_obj()
+    assert all(build_model(2, 22, word_budget=270).quasi_iso_check.values())
 
 
 def test_rank_table():

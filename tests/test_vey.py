@@ -195,7 +195,7 @@ def test_degree_range_filter():
 @pytest.mark.parametrize(
     "kind, q",
     [(kind, q) for kind in ("W", "WO") for q in (1, 2, 3)]
-    + [("W", 8)] + [("WO", q) for q in range(7, 11)],
+    + [("W", 8), ("W", 9)] + [("WO", q) for q in range(7, 11)] + [("WO", 14)],
 )
 def test_validate(q, kind):
     # q_cap = q lets the oracle run past the default cap of 6
