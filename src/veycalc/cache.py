@@ -2,17 +2,19 @@
 
 An entry's key is the canonical JSON text of (command, parameters, library
 version), so stale results from older library versions are never served.  It
-is stored as `<command>-<CRC-32 of the key>.json` and holds the key in full,
-which a read compares: two keys with one address overwrite each other and miss,
-but never serve each other's payload.  Writes are atomic (write to a temp file,
-then rename).
+is stored as `<command>-<CRC-32 of the key>.json`.  The file's first line is
+its head, `<CRC-32 of the payload text, 8 hex> <key text>`; the rest is the
+payload text, byte for byte what the job printed, without its newline.  A read
+checks the head before it parses anything: an entry whose key text differs
+(two keys with one address overwrite each other but never serve each other's
+payload) or whose payload text fails its CRC is a miss.  Writes are atomic
+(write to a temp file, then rename).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 from . import __version__
@@ -94,12 +96,11 @@ def load_config(path: str | None) -> Config:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    # ValueError: bad UTF-8 or JSON, or an integer past the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config file must contain a JSON object")
+        raise ConfigError(f"config file {path} must contain a JSON object")
     unknown = set(data) - set(Config.__slots__)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -115,13 +116,22 @@ def _key_text(command: str, params: dict) -> str:
     return canonical_json({"command": command, "params": params, "version": __version__})
 
 
-def cache_key(command: str, params: dict) -> str:
-    """File name stem of the entry for (command, params); not unique, see `ResultCache.get`."""
+def _crc(data: bytes) -> str:
     # a zlib checksum, not a hashlib digest: importing hashlib loads OpenSSL's
     # libcrypto; imported here, not at the top, as `vey` and `kappa` jobs never hash
     import zlib
 
-    return f"{command}-{zlib.crc32(_key_text(command, params).encode()):08x}"
+    return f"{zlib.crc32(data):08x}"
+
+
+def _head(command: str, params: dict, data: bytes) -> bytes:
+    """The first line of the entry for (command, params) whose payload text is data."""
+    return f"{_crc(data)} {_key_text(command, params)}\n".encode()
+
+
+def cache_key(command: str, params: dict) -> str:
+    """File name stem of the entry for (command, params); not unique, see `ResultCache.get`."""
+    return f"{command}-{_crc(_key_text(command, params).encode())}"
 
 
 class ResultCache:
@@ -132,46 +142,38 @@ class ResultCache:
         return self.dir / f"{key}.json"
 
     def get(self, command: str, params: dict):
-        """Cached payload for (command, params, version), or None.  An entry that
-        is not an object, holds another key text (such as one that shares the
-        address), or has a non-object payload or one without the command's
-        REQUIRED_KEYS, each of its type, is a miss, like an unreadable file."""
+        """(payload, payload text) cached for (command, params, version), or None.
+        A miss: an unreadable file, a head of other key or payload text, text that
+        fails to parse (bad UTF-8 or JSON, digit or recursion limits), or a payload
+        not an object with the command's REQUIRED_KEYS, each of its type."""
         try:
-            with open(self._path(cache_key(command, params)), encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            with open(self._path(cache_key(command, params)), "rb") as fh:
+                head, data = fh.readline(), fh.read()
+            if head != _head(command, params, data):
+                return None
+            text = data.decode()
+            payload = json.loads(text)
+        except (OSError, ValueError, RecursionError):
             return None
-        if not isinstance(entry, dict) or entry.get("key") != _key_text(command, params):
-            return None
-        if entry.get("version") != __version__:
-            return None
-        payload = entry.get("payload")
         if not isinstance(payload, dict):
             return None
         # type(), not isinstance(): a JSON true is a bool, which is an int
         if any(type(payload.get(k)) is not t for k, t in REQUIRED_KEYS.get(command, {}).items()):
             return None
-        return payload
+        return payload, text
 
     def put(self, command: str, params: dict, payload) -> str:
-        """Store payload; return `canonical_json(payload)`, which the entry embeds.
-
-        The file is `canonical_json` of {created_at, key, payload, version},
-        written around the one payload text rather than encoding it again."""
+        """Store payload; return `canonical_json(payload)`, the entry's text after its head."""
         import tempfile  # only a write needs it; a cache hit skips the import
 
         text = canonical_json(payload)
-        head = canonical_json({
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "key": _key_text(command, params),
-        })
-        tail = canonical_json({"version": __version__})
+        data = text.encode()
         self.dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # keys in sorted order: created_at, key | payload | version
-                fh.writelines((head[:-1], ',"payload":', text, ",", tail[1:]))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_head(command, params, data))
+                fh.write(data)
             os.replace(tmp, self._path(cache_key(command, params)))
         except BaseException:
             try:

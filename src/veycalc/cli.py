@@ -399,8 +399,8 @@ def run(argv=None) -> int:
         cache = None
         if params is not None and not getattr(args, "no_cache", False):
             cache = ResultCache(config.cache_dir)
-        doc = cache.get(args.command, params) if cache else None
-        text = None  # canonical_json(doc), once the cache has encoded it
+        hit = cache.get(args.command, params) if cache else None
+        doc, text = hit or (None, None)  # text: canonical_json(doc), once the cache holds it
         if doc is None:
             doc = compute()
             if cache:

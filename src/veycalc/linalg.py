@@ -14,8 +14,8 @@ nullspace bases are reproducible, and a greedy pass over candidates keeps
 exactly those outside the span of the ones before.  :func:`column_pass`
 eliminates a map once, for both its kernel and its image echelon, and
 :func:`cohomology` is the one "cohomology in degree n" routine.  The dense
-list-of-rows functions and ``Echelon.rref``/``nullspace`` serve tests and
-tracing only; the dense ones return Fractions.
+list-of-rows functions and ``Echelon.rref`` serve tests and tracing only; the
+dense ones return Fractions, and :func:`nullspace` is a column pass.
 """
 
 from __future__ import annotations
@@ -103,16 +103,6 @@ class Echelon:
             rows[p] = {p: row[p], **self.reduce({c: x for c, x in row.items() if c != p})}
         return sorted(rows.items())
 
-    def nullspace(self, ncols: int) -> list[SparseRow]:
-        """Basis of {x : row . x = 0 for every row}, one vector per free column in
-        ascending order, with 1 at its free column and 0 at the others."""
-        basis = {c: {c: 1} for c in range(ncols) if c not in self.rows}
-        for p, row in self.rref():
-            for c, x in row.items():
-                if c != p:
-                    basis[c][p] = -x
-        return list(basis.values())
-
 
 def sparse(row: Row) -> SparseRow:
     return {c: x for c, x in enumerate(row) if x}
@@ -132,7 +122,7 @@ def column_pass(cols: list[SparseRow]) -> tuple[list[SparseRow], Echelon]:
     columns, in one pass: column j carries its combination {j: 1} past every
     row index, and is a kernel vector if nothing but tags is left.  The
     pivots are the greedy basis of the column space, over which a column's
-    coordinates are unique, so the kernel is ``Echelon.nullspace`` exactly."""
+    coordinates are unique, so the kernel is the RREF's canonical nullspace."""
     shift = 1 + max((max(col) for col in cols if col), default=-1)
     tagged = Echelon()
     kernel = []
@@ -182,7 +172,8 @@ def rank(mat: Matrix) -> int:
 
 def nullspace(mat: Matrix, ncols: int) -> list[Row]:
     """Basis of {x : mat @ x = 0}, canonical (one vector per free column)."""
-    return [dense(v, ncols) for v in Echelon(map(sparse, mat)).nullspace(ncols)]
+    cols = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)]
+    return [dense(v, ncols) for v in column_pass(cols)[0]]
 
 
 def solve(mat: Matrix, b: Row) -> Row | None:

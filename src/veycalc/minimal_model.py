@@ -70,9 +70,6 @@ class FreeAlgebra:
 
     # -- elements ----------------------------------------------------------
 
-    def gen_element(self, idx: int) -> FreeElement:
-        return {((idx, 1),): 1}
-
     def add(self, a: FreeElement, b: FreeElement) -> FreeElement:
         out = dict(a)
         for w, c in b.items():

@@ -217,13 +217,10 @@ class ExtendedClass(NamedTuple):
         }
 
 
-def extended_basis(
-    q: int, degree_range: tuple[int, int] | None = None
-) -> tuple[list[ExtendedClass], dict[int, int]]:
+def extended_basis(q: int) -> tuple[list[ExtendedClass], dict[int, int]]:
     """Braced extension of the variable set: y_{i_1} y_{I'} c_J with I' strictly
     increasing even indices, i_1 < i_1' and 2 i_r' <= q+1.  Returns the classes
-    (optionally filtered to a closed degree interval) and the per-degree counts
-    over the full extension."""
+    and the per-degree counts."""
     from .gca import Monomial
 
     groups = []
@@ -243,11 +240,7 @@ def extended_basis(
     # as in vey_basis, sorting the groups by (degree, I) and keeping each in
     # partition order gives the canonical (degree, I, J) order
     groups.sort(key=lambda g: g[:2])
-    out = [e for _, _, classes in groups for e in classes]
-    if degree_range is not None:
-        lo, hi = degree_range
-        out = [e for e in out if lo <= e.degree <= hi]
-    return out, dict(sorted(counts.items()))
+    return [e for _, _, classes in groups for e in classes], dict(sorted(counts.items()))
 
 
 def extended_count(q: int, degree: int) -> int:

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -34,6 +35,19 @@ def run(capsys, argv):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _entry(key: str, text: str) -> bytes:
+    """A cache entry: its head, `<CRC-32 of text, 8 hex> <key text>`, then the text."""
+    return f"{zlib.crc32(text.encode()):08x} {key}\n{text}".encode()
+
+
+def _read_entry(path) -> tuple[str, str]:
+    """(key text, payload text) of the entry at path, which must be well formed."""
+    data = path.read_bytes()
+    head, text = data.decode().split("\n", 1)
+    assert data == _entry(head[9:], text)
+    return head[9:], text
 
 
 def test_cohomology_json(capsys, cache_dir):
@@ -246,13 +260,13 @@ def test_cache_cold_vs_warm_byte_identical(capsys, cache_dir):
 def test_cache_keys_are_versioned(tmp_path):
     cache = ResultCache(str(tmp_path))
     cache.put("cmd", {"a": 1}, {"x": 2})
-    assert cache.get("cmd", {"a": 1}) == {"x": 2}
+    assert cache.get("cmd", {"a": 1}) == ({"x": 2}, '{"x":2}')
     assert cache.get("cmd", {"a": 2}) is None
-    # a stale-version entry is never served
+    # a stale-version entry is never served: its head holds another version
     path = next(tmp_path.glob("*.json"))
-    entry = json.loads(path.read_text())
-    entry["version"] = "0.0.0"
-    path.write_text(json.dumps(entry))
+    key, text = _read_entry(path)
+    assert f'"version":"{__version__}"' in key
+    path.write_bytes(_entry(key.replace(__version__, "0.0.0"), text))
     assert cache.get("cmd", {"a": 1}) is None
 
 
@@ -264,27 +278,33 @@ def test_colliding_addresses_never_serve_each_other(tmp_path, monkeypatch):
     assert cache.get("cmd", {"a": 2}) is None
     cache.put("cmd", {"a": 2}, {"x": 2})
     assert cache.get("cmd", {"a": 1}) is None  # overwritten: a miss, not {"x": 2}
-    assert cache.get("cmd", {"a": 2}) == {"x": 2}
+    assert cache.get("cmd", {"a": 2}) == ({"x": 2}, '{"x":2}')
     assert [p.name for p in tmp_path.iterdir()] == ["same.json"]
 
 
-def test_entry_under_the_old_address_is_never_read(capsys, cache_dir):
-    # the sha256-named entries of earlier versions: a wrong payload planted
-    # under that name, in that format, is not served
+@pytest.mark.parametrize("address", ["sha256", "current"])
+def test_entry_of_an_earlier_format_is_never_read(capsys, cache_dir, address):
+    # the JSON envelope entries of earlier versions, {created_at, key, payload,
+    # version}: a wrong payload planted in that format, under the sha256 name
+    # of older versions or at today's address with today's key text, is not
+    # served, and the entry at today's address is rewritten with a head
     argv = ["cohomology", "--complex", "W", "--q", "1", "--format", "json"]
     params = {"q": 1, "kind": "W", "q_cap": Config().q_cap}
-    key = hashlib.sha256(canonical_json(
-        {"command": "cohomology", "params": params, "version": __version__}
-    ).encode()).hexdigest()
+    key_text = canonical_json({"command": "cohomology", "params": params, "version": __version__})
+    if address == "sha256":
+        name = key = hashlib.sha256(key_text.encode()).hexdigest()
+    else:
+        name, key = cache_module.cache_key("cohomology", params), key_text
     planted = {"kind": "W", "q": 1, "dims": {}, "representatives": {}, "total_dim_check": 0}
     os.makedirs(cache_dir)
-    pathlib.Path(cache_dir, f"{key}.json").write_text(canonical_json(
+    pathlib.Path(cache_dir, f"{name}.json").write_text(canonical_json(
         {"key": key, "version": __version__, "created_at": "", "payload": planted}
     ))
     code, out, _ = run(capsys, argv + ["--cache-dir", cache_dir])
     assert code == 0
     assert json.loads(out)["dims"] == {"0": 1, "3": 1}
-    assert len(list(pathlib.Path(cache_dir).glob("cohomology-*.json"))) == 1
+    (path,) = pathlib.Path(cache_dir).glob("cohomology-*.json")
+    assert _read_entry(path) == (key_text, out[:-1])
 
 
 def test_json_round_trip_all_commands(capsys, cache_dir):
@@ -304,14 +324,15 @@ def test_json_round_trip_all_commands(capsys, cache_dir):
         doc = json.loads(out)
         assert canonical_json(doc) + "\n" == out  # emit-parse-emit identity
         docs.append(doc)
-    # each entry is the canonical text of what it parses to, its payload a printed document
+    # each entry is a head and a payload text, both the canonical text of what
+    # they parse to, the payload a printed document
     entries = list(pathlib.Path(cache_dir).glob("*.json"))
     assert len(entries) == 4
     for path in entries:
-        text = path.read_text()
-        entry = json.loads(text)
-        assert canonical_json(entry) == text
-        assert entry["payload"] in docs
+        key, text = _read_entry(path)
+        assert canonical_json(json.loads(key)) == key
+        assert canonical_json(json.loads(text)) == text
+        assert json.loads(text) in docs
 
 
 def test_table_output_is_aligned(capsys, cache_dir):
@@ -368,6 +389,20 @@ def test_config_rejects_removed_wo_condition_key(tmp_path, capsys, cache_dir):
     assert "unknown config keys: vey_wo_condition" in err
 
 
+@pytest.mark.parametrize("body", [b"[" * 200_000, b'{"q_cap": "\xff"}', b"[]"],
+                         ids=["200000-brackets", "not-utf8", "not-an-object"])
+def test_unreadable_config_file_exit_2(tmp_path, capsys, cache_dir, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(body)
+    code, out, err = run(
+        capsys, ["--config", str(cfg), "kappa", "--q", "1", "--cache-dir", cache_dir]
+    )
+    assert code == 2
+    assert out == ""
+    assert f"config file {cfg}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "data",
     [{"q_cap": "7"}, {"model_degree_cap": None}, {"cache_dir": 5}, {"q_cap": 2.5},
@@ -419,14 +454,15 @@ def test_config_defaults():
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda entry: {**entry, "key": "0" * 64},  # stored under another key
-        lambda entry: [entry],  # entry is not an object
-        lambda entry: {**entry, "payload": [entry["payload"]]},  # payload not an object
-        lambda entry: {**entry, "payload": None},
+        lambda key, p: _entry("0" * 64, canonical_json(p)),  # stored under another key
+        lambda key, p: canonical_json([key, p]).encode(),  # no head: a bare JSON array
+        lambda key, p: b"00000000" + _entry(key, canonical_json(p))[8:],  # fails its CRC
+        lambda key, p: _entry(key, canonical_json([p])),  # payload not an object
+        lambda key, p: _entry(key, "null"),
         # payloads without the command's required keys
-        lambda entry: {**entry, "payload": {"kind": "W"}},
-        lambda entry: {**entry, "payload": {}},
-        lambda entry: {**entry, "payload": dict(list(entry["payload"].items())[1:])},
+        lambda key, p: _entry(key, '{"kind":"W"}'),
+        lambda key, p: _entry(key, "{}"),
+        lambda key, p: _entry(key, canonical_json(dict(list(p.items())[1:]))),
     ],
 )
 def test_cache_serves_no_malformed_entry(tmp_path, corrupt):
@@ -434,9 +470,10 @@ def test_cache_serves_no_malformed_entry(tmp_path, corrupt):
     for command, keys in REQUIRED_KEYS.items():
         payload = {k: t() for k, t in keys.items()}  # well typed: {}, [], 0, False, ""
         cache.put(command, {"a": 1}, payload)
-        assert cache.get(command, {"a": 1}) == payload
+        assert cache.get(command, {"a": 1}) == (payload, canonical_json(payload))
     for path in tmp_path.glob("*.json"):
-        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        key, text = _read_entry(path)
+        path.write_bytes(corrupt(key, json.loads(text)))
     for command in REQUIRED_KEYS:
         assert cache.get(command, {"a": 1}) is None
 
@@ -457,7 +494,7 @@ def test_cache_serves_no_wrong_typed_entry(tmp_path, command, key, value):
     cache.put(command, {"a": 1}, {**payload, key: value})
     assert cache.get(command, {"a": 1}) is None
     cache.put(command, {"a": 1}, payload)
-    assert cache.get(command, {"a": 1}) == payload
+    assert cache.get(command, {"a": 1}) == (payload, canonical_json(payload))
 
 
 def test_required_keys_follow_the_schemas():
@@ -516,13 +553,83 @@ def test_entry_missing_keys_is_recomputed(capsys, cache_dir, argv, corrupt, fmt)
     argv = [*argv, "--format", fmt, "--cache-dir", cache_dir]
     code, cold, _ = run(capsys, argv)
     (path,) = pathlib.Path(cache_dir).glob("*.json")
-    entry = json.loads(path.read_text())
-    bad = corrupt(entry["payload"])
-    path.write_text(json.dumps({**entry, "payload": bad}))
+    key, text = _read_entry(path)
+    path.write_bytes(_entry(key, json.dumps(corrupt(json.loads(text)))))  # under a good head
     code_again, again, _ = run(capsys, argv)
     assert code == code_again == 0
     assert again == cold
-    assert json.loads(path.read_text())["payload"] == entry["payload"]  # rewritten
+    assert _read_entry(path) == (key, text)  # rewritten
+
+
+def _headed(body: bytes):
+    """The entry's file replaced by body under a well-formed head: the entry's
+    key text and the CRC of body, so that only parsing body can reject it."""
+    return lambda data: b"%08x %s\n%s" % (zlib.crc32(body), data.split(b"\n")[0][9:], body)
+
+
+NOT_UTF8 = b'{"kind":"\xff"}'
+DIGITS = b'{"q":' + b"1" * 5000 + b"}"  # past int's 4300-digit limit
+NESTED = b"[" * 200_000  # past the parser's recursion limit
+DAMAGED = {
+    "edited-byte": lambda data: data.replace(b'"total_dim_check":2', b'"total_dim_check":3'),
+    "not-utf8": lambda data: NOT_UTF8,
+    "not-utf8-headed": _headed(NOT_UTF8),
+    "5000-digits": lambda data: DIGITS,
+    "5000-digits-headed": _headed(DIGITS),
+    "200000-brackets": lambda data: NESTED,
+    "200000-brackets-headed": _headed(NESTED),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED.values(), ids=DAMAGED)
+def test_damaged_entry_is_a_miss(capsys, cache_dir, damage):
+    # a damaged entry never ends the job: it is recomputed, printed as a cold
+    # run prints it, and rewritten
+    argv = ["cohomology", "--complex", "W", "--q", "1", "--format", "json",
+            "--cache-dir", cache_dir]
+    code, cold, _ = run(capsys, argv)
+    (path,) = pathlib.Path(cache_dir).glob("*.json")
+    data = path.read_bytes()
+    damaged = damage(data)
+    assert damaged != data
+    path.write_bytes(damaged)
+    code_again, again, _ = run(capsys, argv)
+    assert code == code_again == 0
+    assert again == cold
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--complex", "W", "--q", "2"],
+        ["validate", "--complex", "W", "--q", "1"],
+        ["model", "--q", "2", "--max-degree", "6"],
+        ["manifold", "--preset", "T2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_hit_prints_the_stored_text(capsys, cache_dir, monkeypatch, argv):
+    json_argv = [*argv, "--format", "json", "--cache-dir", cache_dir]
+    table_argv = [*argv, "--format", "table", "--cache-dir", cache_dir]
+    code, cold, _ = run(capsys, json_argv)
+    _, cold_table, _ = run(capsys, [*table_argv, "--no-cache"])
+    encoded = []
+
+    def counting(obj):
+        encoded.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", counting)
+    monkeypatch.setattr(cache_module, "canonical_json", counting)
+    code_again, warm, _ = run(capsys, json_argv)
+    assert code == code_again == 0
+    # only the key text is encoded, to find the entry; the document is not
+    assert encoded and all(set(obj) == {"command", "params", "version"} for obj in encoded)
+    (path,) = pathlib.Path(cache_dir).glob("*.json")
+    assert warm == _read_entry(path)[1] + "\n" == cold
+    _, warm_table, _ = run(capsys, table_argv)
+    assert warm_table == cold_table
 
 
 @pytest.mark.parametrize(
