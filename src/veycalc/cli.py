@@ -224,6 +224,7 @@ def _model_job(args, config: Config):
     def compute() -> dict:
         from . import minimal_model
 
+        minimal_model.check_input(args.q, args.max_degree)  # before the progress line
         _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
         model = minimal_model.build_model(args.q, args.max_degree)
         doc = model.to_json_obj()

@@ -1,9 +1,10 @@
 """Finite cochain complexes W_q, WO_q, I_q and their exact cohomology.
 
 The complexes are assembled degree by degree from the monomial bases of
-:mod:`veycalc.gca`; differentials are sparse triplet lists with coefficients
-+-1.  Cohomology, by elimination over Q with each differential eliminated
-once (:func:`passes`), is the brute-force oracle for the basis enumeration.
+:mod:`veycalc.gca`; assembly reads d from ``gca.d_terms``, and differentials
+are sparse triplet lists with coefficients +-1.  Cohomology, by elimination
+over Q with each differential eliminated once (:func:`passes`), is the
+brute-force oracle for the basis enumeration.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ def dimension_estimate(q: int, kind: str) -> int:
 
 
 Triplet = tuple[int, int, int]
-
-# The coefficients of d on a monomial, by the parity of the y-factor's position;
-# ints, so the elimination of a complex builds no Fraction
-_SIGNS = (1, -1)
 
 
 class GradedComplex:
@@ -109,17 +106,7 @@ def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComple
         target = cx.index(n + 1)
         triplets: list[Triplet] = []
         for col, m in enumerate(basis):
-            # d(y_I c_J) = sum_k (-1)^k y_(I - i_k) c_(i_k) c_J (k from 0), keeping
-            # the terms of weight <= q; I is increasing, so the first i_k over
-            # the room left ends the sum
-            ys, cs = m
-            room = sig.q - m.weight()
-            column = []
-            for k, i in enumerate(ys):
-                if i > room:
-                    break
-                mm = Monomial(ys[:k] + ys[k + 1 :], cs[: i - 1] + (cs[i - 1] + 1,) + cs[i:])
-                column.append((target[mm], col, _SIGNS[k % 2]))
+            column = [(target[mm], col, sign) for sign, mm in gca.d_terms(m, sig.q)]
             column.sort()  # by row, the canonical order of the target monomials
             triplets += column
         if triplets:

@@ -6,7 +6,8 @@ c_1..c_q of degree 2i.  Products whose total c-weight (sum of j over each
 factor c_j) exceeds the weight cap q are identified with zero; this is the
 truncation that makes every complex here finite dimensional.  The
 differential is d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz
-rule.
+rule; d_terms is its one formula, on a monomial, which both differential
+and the assembly of a complex read.
 
 Dimensions are counted without enumerating: free_series is the one routine
 for the Poincare series of a free graded-commutative algebra, which counts
@@ -296,22 +297,26 @@ class Element:
 # -- module-level operations ------------------------------------------------
 
 
+def d_terms(m: Monomial, q: int) -> Iterator[tuple[int, Monomial]]:
+    """(sign, monomial) for each term of d(y_I c_J) = sum_k (-1)^k y_(I - i_k) c_(i_k) c_J
+    (k from 0) of weight <= q, the one formula for d; the signs are ints, so the
+    elimination of a complex builds no Fraction.  I is increasing, so the first
+    i_k over the room left ends the sum."""
+    ys, cs = m
+    room = q - m.weight()
+    for k, i in enumerate(ys):
+        if i > room:
+            return
+        yield (-1) ** k, Monomial(ys[:k] + ys[k + 1 :], cs[: i - 1] + (cs[i - 1] + 1,) + cs[i:])
+
+
 def differential(a: Element) -> Element:
-    """d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz rule."""
-    sig = a.signature
+    """d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz rule (d_terms)."""
     out: dict[Monomial, Coeff] = {}
     for m, coeff in a.terms.items():
-        w = m.weight()
-        for k, i in enumerate(m.y_part):
-            if w + i > sig.q:
-                continue  # the c_i factor would push the weight over the cap
-            sign = (-1) ** k  # d passes over the first k odd generators
-            ypart = m.y_part[:k] + m.y_part[k + 1 :]
-            cpart = list(m.c_part)
-            cpart[i - 1] += 1
-            mm = Monomial(ypart, tuple(cpart))
+        for sign, mm in d_terms(m, a.signature.q):
             out[mm] = out.get(mm, 0) + sign * coeff
-    return Element(sig, out)
+    return Element(a.signature, out)
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,12 @@
 The target algebra has zero differential, so the model is built in one pass
 per degree n = 2..cap, lower degree first: H^n(model) is solved once, new
 degree-(n-1) generators kill the kernel of H^n(model) -> I_q^n, and (below
-the cap) new closed degree-n generators hit its cokernel.  The quasi-iso
-check takes dim H^n = words - rank d_n - rank d_(n-1).  Generator counts per
-degree are the dual homotopy ranks; the free-algebra Poincare series of a
-rank table after delooping describes the loop-space homology families.
+the cap) new closed degree-n generators hit its cokernel.  psi into I_q is a
+monomial map: each x generator goes to one c_J and each w to 0.  The
+quasi-iso check takes dim H^n = words - rank d_n - rank d_(n-1).  Generator
+counts per degree are the dual homotopy ranks; the free-algebra Poincare
+series of a rank table after delooping describes the loop-space homology
+families.
 
 Everything is exact and deterministic.  Coefficients are ints while they
 are integral; a Fraction only comes from the elimination in
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 from . import gca, linalg
 from .errors import ModelBudgetError
-from .gca import AlgebraSignature, Coeff, Element
+from .gca import AlgebraSignature, Coeff, Element, Monomial
 
 DEFAULT_WORD_BUDGET = 50_000
 
@@ -190,9 +192,9 @@ class _ModelBuilder:
         self.alg = FreeAlgebra()
         self.generators: dict[int, list[str]] = {}
         self.psi: dict[str, Element] = {}
-        # psi and d of a word never change: generators are appended, with psi
-        # and d set once; a degree's basis changes only when one is appended
-        self._psi_cache: dict[Word, Element] = {UNIT_WORD: Element.one(self.sig)}
+        self._c_parts: list[tuple[int, ...] | None] = []  # psi(g) as c-exponents, None for 0
+        # d of a word never changes: generators are appended, with d set once;
+        # a degree's basis changes only when one is appended
         self._d_cache: dict[Word, FreeElement] = {}
         self._bases: dict[int, tuple[int, list[Word]]] = {}  # degree -> (generator count, basis)
 
@@ -209,27 +211,16 @@ class _ModelBuilder:
                 )
         return cached[1]
 
-    def _psi_word(self, w: Word) -> Element:
-        cached = self._psi_cache.get(w)
-        if cached is not None:
-            return cached
-        out = Element.one(self.sig)
-        for idx, e in w:
-            g_img = self.psi[self.alg.gids[idx]]
-            if g_img.is_zero():
-                out = Element.zero(self.sig)
-                break
-            for _ in range(e):
-                out = out * g_img
-        self._psi_cache[w] = out
-        return out
-
     def _psi_vector(self, elem: FreeElement, target_index) -> linalg.SparseRow:
+        """psi of a word is a monomial map: its generators' c-exponents summed."""
         v: linalg.SparseRow = {}
         for w, c in elem.items():
-            for m, cc in self._psi_word(w).terms.items():
-                i = target_index[m]
-                v[i] = v.get(i, 0) + c * cc
+            parts = [(e, self._c_parts[idx]) for idx, e in w]
+            if all(p for _, p in parts):  # else a w factor, which psi sends to 0
+                exps = tuple(sum(e * p[j] for e, p in parts) for j in range(self.q))
+                i = target_index.get(Monomial((), exps))  # None past the weight cap
+                if i is not None:
+                    v[i] = v.get(i, 0) + c
         return v
 
     def _d_images(self, source: list[Word], target: list[Word]) -> list[linalg.SparseRow]:
@@ -253,12 +244,13 @@ class _ModelBuilder:
         reps = linalg.cohomology(kernel, linalg.Echelon(d_in))
         return [{basis_n[j]: v[j] for j in sorted(v)} for v in reps]
 
-    def _add_generator(self, prefix: str, degree: int, diff: FreeElement, psi: Element) -> None:
+    def _add_generator(self, prefix: str, degree: int, diff: FreeElement, c_part=None) -> None:
         gids = self.generators.setdefault(degree, [])
         gid = f"{prefix}{degree}_{len(gids)}"
         self.alg.add_generator(gid, degree, diff)
         gids.append(gid)
-        self.psi[gid] = psi
+        self.psi[gid] = Element(self.sig, {Monomial((), c_part): 1} if c_part else {})
+        self._c_parts.append(c_part)
 
     def _stage(self, n: int) -> None:
         """Stage n: solve H^n(model) once; one column pass gives psi's kernel,
@@ -274,12 +266,12 @@ class _ModelBuilder:
             target: FreeElement = {}
             for j in sorted(combo):
                 target = self.alg.add(target, self.alg.scale(reps[j], combo[j]))
-            self._add_generator("w", n - 1, target, Element.zero(self.sig))
+            self._add_generator("w", n - 1, target)
         if n == self.cap:
             return
         for pick, mono in enumerate(target_basis):
             if image.insert({pick: 1}):
-                self._add_generator("x", n, {}, Element.monomial(self.sig, mono))
+                self._add_generator("x", n, {}, mono.c_part)
 
     def build(self) -> ModelStage:
         for n in range(2, self.cap + 1):
@@ -306,16 +298,21 @@ def _assert_minimal(model: ModelStage) -> None:
                 )
 
 
+def check_input(q: int, degree_cap: int) -> None:
+    """Refuse a q or a degree cap that no model has, before any work."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    if degree_cap < 2:
+        raise ValueError("degree cap must be at least 2")
+
+
 def build_model(
     q: int,
     degree_cap: int,
     word_budget: int = DEFAULT_WORD_BUDGET,
 ) -> ModelStage:
     """Stagewise bigraded model of I_q, certified through degree_cap - 1."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    if degree_cap < 2:
-        raise ValueError("degree cap must be at least 2")
+    check_input(q, degree_cap)
     return _ModelBuilder(q, degree_cap, word_budget).build()
 
 

@@ -117,17 +117,25 @@ def test_large_q_refusal_does_not_hang(tmp_path, command):
     assert _refusal_estimate(proc.stderr) > 2**1000  # the y-subsets alone
 
 
-@pytest.mark.parametrize("command", ["cohomology", "validate"])
-def test_refused_job_prints_only_the_refusal(capsys, cache_dir, command):
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [(["cohomology", "--complex", "W", "--q", "99"], 3, None),
+     (["validate", "--complex", "W", "--q", "99"], 3, None),
+     (["model", "--q", "0", "--max-degree", "4"], 2, "invalid input: q must be positive"),
+     (["model", "--q", "2", "--max-degree", "1"], 2,
+      "invalid input: degree cap must be at least 2")],
+    ids=["cohomology", "validate", "model-q0", "model-max-degree1"],
+)
+def test_refused_job_prints_only_the_refusal(capsys, cache_dir, argv, code, message):
     # no progress line for work the job never starts
     from veycalc import complexes
 
-    code, out, err = run(capsys, [command, "--complex", "W", "--q", "99", "--cache-dir", cache_dir])
-    assert (code, out) == (3, "")
-    assert err == (
-        "veycalc: resource budget exceeded: W_99 exceeds the configured cap q <= 6 "
-        f"(dimension estimate {complexes.dimension_estimate(99, 'W')})\n"
-    )
+    if message is None:  # the W_99 budget refusal
+        message = (
+            "resource budget exceeded: W_99 exceeds the configured cap q <= 6 "
+            f"(dimension estimate {complexes.dimension_estimate(99, 'W')})"
+        )
+    assert run(capsys, argv + ["--cache-dir", cache_dir]) == (code, "", f"veycalc: {message}\n")
 
 
 @pytest.mark.parametrize(

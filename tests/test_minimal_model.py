@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from veycalc import linalg, minimal_model
+from veycalc import gca, linalg, minimal_model
+from veycalc.gca import AlgebraSignature, Element
 from veycalc.minimal_model import (
     FreeAlgebra,
     ModelBudgetError,
@@ -118,6 +119,43 @@ def test_model_solves_each_degree_once_per_stage(monkeypatch):
     monkeypatch.setattr(linalg, "column_pass", lambda cols: calls.append(cols) or real(cols))
     build_model(3, 16)
     assert len(calls) == 11 + 15
+
+
+def _psi_word(model, w) -> Element:
+    """psi of a word as the Element product of its generators' images, the
+    reference for the builder's exponent addition."""
+    out = Element.one(AlgebraSignature.I(model.q))
+    for idx, e in w:
+        for _ in range(e):
+            out = out * model.images[model.algebra.gids[idx]]
+    return out
+
+
+@pytest.mark.parametrize("q, cap", [(2, 18), (3, 16), (4, 14)])
+def test_psi_is_exponent_addition(q, cap):
+    builder = minimal_model._ModelBuilder(q, cap, minimal_model.DEFAULT_WORD_BUDGET)
+    model = builder.build()
+    for gid, image in model.images.items():
+        if gid.startswith("x"):  # one c-only monomial of the generator's degree
+            ((m, c),) = image.terms.items()
+            assert (m.y_part, c, f"x{m.degree()}") == ((), 1, gid.split("_")[0])
+        else:
+            assert image.is_zero(), gid
+    for n in range(2, cap + 1):
+        index = {m: i for i, m in enumerate(gca.basis_of_degree(builder.sig, n))}
+        for w in builder._basis(n):
+            expected = {index[m]: c for m, c in _psi_word(model, w).terms.items()}
+            assert builder._psi_vector({w: 1}, index) == expected, model.algebra.word_label(w)
+
+
+def test_model_multiplies_no_element(monkeypatch):
+    expected = build_model(3, 16).to_json_obj()
+
+    def refuse(self, other):
+        raise AssertionError("Element.__mul__ on the model path")
+
+    monkeypatch.setattr(Element, "__mul__", refuse)
+    assert build_model(3, 16).to_json_obj() == expected
 
 
 def test_budget_error():
