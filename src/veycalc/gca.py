@@ -87,7 +87,7 @@ class Monomial(NamedTuple):
         )
 
     def weight(self) -> int:
-        return sum((j + 1) * e for j, e in enumerate(self.c_part))
+        return _weight(self.c_part)
 
     def partition(self) -> tuple[int, ...]:
         """c-part as the weakly increasing tuple J = (j_1 <= ... <= j_l)."""
@@ -118,6 +118,11 @@ class Monomial(NamedTuple):
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Monomial":
         return cls(tuple(obj["y"]), tuple(obj["c"]))
+
+
+@lru_cache(maxsize=None)
+def _weight(c_part: tuple[int, ...]) -> int:
+    return sum((j + 1) * e for j, e in enumerate(c_part))
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +308,7 @@ def d_terms(m: Monomial, q: int) -> Iterator[tuple[int, Monomial]]:
     elimination of a complex builds no Fraction.  I is increasing, so the first
     i_k over the room left ends the sum."""
     ys, cs = m
-    room = q - m.weight()
+    room = q - _weight(cs)
     for k, i in enumerate(ys):
         if i > room:
             return

@@ -13,7 +13,7 @@ the RREF of a row space is unique, so ranks, echelon forms and canonical
 nullspace bases are reproducible, and a greedy pass over candidates keeps
 exactly those outside the span of the ones before.  :func:`column_pass`
 eliminates a map once, for both its kernel and its image echelon, and
-:func:`cohomology` is the one "cohomology in degree n" routine.  The dense
+:func:`cohomology` is the minimal model's "cohomology in degree n".  The dense
 list-of-rows functions and ``Echelon.rref`` serve tests and tracing only; the
 dense ones return Fractions, and :func:`nullspace` is a column pass.
 """
@@ -87,12 +87,6 @@ class Echelon:
             self.rows[p] = {c: x * inv for c, x in v.items()}
         return True
 
-    def copy(self) -> Echelon:
-        """The same span, to insert into without changing this one."""
-        twin = Echelon()
-        twin.rows = dict(self.rows)  # a row is replaced, never changed in place
-        return twin
-
     def rref(self) -> list[tuple[int, SparseRow]]:
         """(pivot, row) pairs of the reduced row echelon form, which replace the
         stored rows.  Back-substitutes from the highest pivot down, so each row
@@ -141,8 +135,8 @@ def cohomology(kernel: list[SparseRow], coboundaries: Echelon) -> list[SparseRow
     """Representatives of ker d_n / im d_(n-1), from the canonical kernel of
     d_n and the echelon of im d_(n-1): the kernel vectors kept greedily, in
     order, outside the image and the ones before.  Each one chosen is inserted
-    into `coboundaries`, which ends up spanning ker d_n; pass a ``copy()`` to
-    keep it.  Checks the count against dim ker - rank d_(n-1)."""
+    into `coboundaries`, which ends up spanning ker d_n.  Checks the count
+    against dim ker - rank d_(n-1)."""
     dim_h = len(kernel) - coboundaries.rank
     chosen = [v for v in kernel if coboundaries.insert(v)]
     if len(chosen) != dim_h:

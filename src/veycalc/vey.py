@@ -5,7 +5,7 @@ y_I c_J cut out by index inequalities (the Vey basis).  This module
 enumerates it, classifies each class (generalized Godbillon-Vey, residual,
 rigid, variable candidate), builds the variable set and its braced
 extension, and cross-validates everything against the exact cohomology
-oracle in :mod:`veycalc.complexes`.
+of :mod:`veycalc.complexes`.
 """
 
 from __future__ import annotations
@@ -280,18 +280,15 @@ class ValidationReport(NamedTuple):
         }
 
 
-def validate_vey(
-    q: int, kind: str, q_cap: int = DEFAULT_Q_CAP
-) -> ValidationReport:
-    """Cross-check the enumerated basis against the cohomology oracle.
+def validate_vey(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> ValidationReport:
+    """Cross-check the enumerated basis against the cohomology of the complex.
 
-    Per degree: every enumerated class must be a cocycle and the classes must
-    be independent modulo coboundaries.  In degrees above 2q the enumerated
-    count must match the oracle dimension; in low degrees the oracle may see
-    extra non-Vey survivors (the unit, surviving Pontrjagin monomials), which
-    are listed as notes rather than failures.
-    """
-    from . import complexes, linalg
+    Per degree: the classes must be cocycles, independent modulo coboundaries,
+    that is over the critical cells (`complexes.critical_class`), whose count
+    is the dimension.  Above degree 2q the counts must match; in low degrees
+    the complex may have extra non-Vey survivors (the unit, surviving
+    Pontrjagin monomials), which are listed as notes rather than failures."""
+    from . import complexes, gca, linalg
 
     cx = complexes.build_complex(q, kind, q_cap=q_cap)
     by_degree: dict[int, list[VeyClass]] = {}
@@ -300,38 +297,28 @@ def validate_vey(
 
     checks: list[DegreeCheck] = []
     ok = True
-    for n, kernel, coboundaries in complexes.passes(cx):
+    for n, cells in complexes.critical_cells(cx):
         vs = by_degree.get(n, [])
-        notes: list[str] = []
-        cols = [cx.index(n)[v.monomial] for v in vs]
         # d of a basis monomial has no repeated term, so it is zero exactly
-        # when no triplet of d_n lies in its column
-        nonzero = {col for _, col, _ in cx.diff.get(n, [])}
-        independent = True
-        for v, col in zip(vs, cols):
-            if col in nonzero:
-                independent = False
-                notes.append(f"{v.name()} is not a cocycle")
+        # when d_terms yields none
+        notes = [f"{v.name()} is not a cocycle" for v in vs if any(gca.d_terms(v.monomial, q))]
+        independent = not notes
         if independent and vs:
-            image = coboundaries.copy()  # representatives are chosen against the original
-            independent = all(image.insert({col: 1}) for col in cols)
+            position, classes = {m: i for i, m in enumerate(cells)}, linalg.Echelon()
+            independent = all(classes.insert({
+                position[m]: x for m, x in complexes.critical_class(cx, n, {v.monomial: 1}).items()
+            }) for v in vs)
             if not independent:
                 notes.append("enumerated classes are dependent modulo coboundaries")
-        reps = linalg.cohomology(kernel, coboundaries)
-        dim = len(reps)
+        dim = len(cells)
         if not vs and not dim:
             continue
         if n > 2 * q and len(vs) != dim:
             ok = False
-            notes.append(
-                f"count mismatch above 2q: enumerated {len(vs)} vs oracle {dim}"
-            )
+            notes.append(f"count mismatch above 2q: enumerated {len(vs)} vs oracle {dim}")
         if n <= 2 * q and dim > len(vs):
-            # a basis is in Monomial.sort_key order, so terms sort by index
-            labels = ", ".join("+".join(cx.basis(n)[j].label() for j in sorted(v)) for v in reps)
-            notes.append(
-                f"oracle sees {dim - len(vs)} non-Vey survivor(s) in low degree: {labels}"
-            )
+            labels = ", ".join(m.label() for m in cells)
+            notes.append(f"oracle sees {dim - len(vs)} non-Vey survivor(s) in low degree: {labels}")
         if kind == "W" and q == 2 and n == 8:
             notes.append(
                 "degree-8 dimension is 2 (y1y2c1^2 and y1y2c2 both survive); "

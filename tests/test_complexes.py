@@ -1,7 +1,8 @@
-"""Tests for the cochain complexes and the cohomology oracle."""
+"""Tests for the cochain complexes, their cohomology and the elimination oracle."""
 
 import hashlib
 
+import elimination
 import pytest
 
 from veycalc import complexes, gca, linalg, minimal_model
@@ -168,31 +169,32 @@ def test_assembly_matches_the_differential(q, kind):
 
 @pytest.mark.parametrize("kind", ("W", "WO"))
 def test_unit_pivots_keep_elimination_in_ints(kind):
-    # every pivot met in W_q and WO_q is +-1, so no elimination step divides:
-    # the echelon rows and the representatives hold ints, not Fractions
+    # every pivot the elimination oracle meets in W_q and WO_q is +-1, so no
+    # step divides: the echelon rows and the representatives hold ints
     cx = complexes.build_complex(5, kind)
-    for n, kernel, coboundaries in complexes.passes(cx):
+    for n, kernel, coboundaries in elimination.passes(cx):
         rows = coboundaries.rows.values()
         assert all(type(x) is int for row in rows for x in row.values())
         assert all(type(x) is int for v in kernel for x in v.values())
-    reps = complexes.cohomology(cx).representatives.values()
+    reps = elimination.representatives(cx).values()
     assert all(type(c) is int for els in reps for e in els for c in e.terms.values())
 
 
 @pytest.mark.parametrize("q, kind, inserts", [(5, "W", 608), (6, "WO", 240)])
 def test_cohomology_eliminates_each_differential_once(monkeypatch, q, kind, inserts):
-    # one insert per column of d_n outside the span of those before (rank d_n),
-    # in the column pass, and one per kernel vector offered to a coboundary
-    # echelon (dim ker d_n): one per basis element, 223 + 385 for W_5 and
-    # 83 + 157 for WO_6.  A second elimination of any d_n adds more.
+    # the elimination oracle makes one insert per column of d_n outside the
+    # span of those before (rank d_n), in the column pass, and one per kernel
+    # vector offered to a coboundary echelon (dim ker d_n): one per basis
+    # element, 223 + 385 for W_5 and 83 + 157 for WO_6.  A second
+    # elimination of any d_n adds more.
     cx = complexes.build_complex(q, kind)
-    offered = sum(len(kernel) for _, kernel, _ in complexes.passes(cx))
-    ranks = sum(linalg.column_pass(complexes._columns(cx, n))[1].rank for n in cx.bases)
+    offered = sum(len(kernel) for _, kernel, _ in elimination.passes(cx))
+    ranks = sum(linalg.column_pass(elimination.columns(cx, n))[1].rank for n in cx.bases)
     assert sum(len(b) for b in cx.bases.values()) == ranks + offered == inserts
     real = linalg.Echelon.insert
     calls = []
     monkeypatch.setattr(linalg.Echelon, "insert", lambda self, v: calls.append(1) or real(self, v))
-    complexes.cohomology(cx)
+    elimination.representatives(cx)
     assert len(calls) == inserts
 
 
