@@ -50,16 +50,15 @@ def default_cache_dir() -> str:
 
 
 class Config:
-    """The four config keys, validated; `load_config` takes their names from `__slots__`."""
+    """The three config keys, validated; `load_config` takes their names from `__slots__`."""
 
-    __slots__ = ("q_cap", "model_degree_cap", "cache_dir", "output_format")
+    __slots__ = ("q_cap", "model_degree_cap", "cache_dir")
 
     def __init__(
         self,
         q_cap: int = DEFAULT_Q_CAP,
         model_degree_cap: int = 12,
         cache_dir: str = _UNSET,
-        output_format: str = "table",
     ) -> None:
         for name, value in (("q_cap", q_cap), ("model_degree_cap", model_degree_cap)):
             # type(), not isinstance(): a JSON true is a bool, which is an int
@@ -69,19 +68,15 @@ class Config:
             cache_dir = default_cache_dir()
         if not isinstance(cache_dir, str) or not cache_dir:
             raise ConfigError(f"cache_dir must be a non-empty string, got {cache_dir!r}")
-        if output_format not in ("table", "json"):
-            raise ConfigError(f"unknown output_format {output_format!r}")
         self.q_cap = q_cap
         self.model_degree_cap = model_degree_cap
         self.cache_dir = cache_dir
-        self.output_format = output_format
 
     def to_json_obj(self) -> dict:
         return {
             "q_cap": self.q_cap,
             "model_degree_cap": self.model_degree_cap,
             "cache_dir": self.cache_dir,
-            "output_format": self.output_format,
         }
 
     def digest(self) -> str:

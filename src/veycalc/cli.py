@@ -177,8 +177,9 @@ def _render_kappa(doc: dict) -> str:
 # -- the subcommand table ---------------------------------------------------
 
 
-def _oracle_params(args, config: Config) -> dict:
-    return {"q": args.q, "kind": args.complex, "q_cap": config.q_cap}
+def _oracle_params(args) -> dict:
+    """The cache params of cohomology and validate: a cap only decides whether work starts."""
+    return {"q": args.q, "kind": args.complex}
 
 
 def _cohomology_job(args, config: Config):
@@ -190,7 +191,7 @@ def _cohomology_job(args, config: Config):
         cx = complexes.build_complex(args.q, args.complex, q_cap=config.q_cap)
         return complexes.cohomology(cx).to_json_obj()
 
-    return _oracle_params(args, config), compute
+    return _oracle_params(args), compute
 
 
 def _vey_job(args, config: Config):
@@ -210,7 +211,7 @@ def _validate_job(args, config: Config):
         _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
         return vey.validate_vey(args.q, args.complex, q_cap=config.q_cap).to_json_obj()
 
-    return _oracle_params(args, config), compute
+    return _oracle_params(args), compute
 
 
 def _model_job(args, config: Config):
@@ -419,8 +420,7 @@ def run(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_BUDGET
-    fmt = getattr(args, "format", None) or config.output_format
-    if fmt != "json":
+    if getattr(args, "format", "table") != "json":
         sys.stdout.write(subcommand.render(doc))
     elif subcommand.write_json is not None:
         subcommand.write_json(doc, sys.stdout)

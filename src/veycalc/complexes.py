@@ -10,11 +10,14 @@ cell, whose critical cells are a basis of H^n.  Nothing here eliminates.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
-from . import gca, linalg
+from . import gca
 from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError
 from .gca import AlgebraSignature, Coeff, Element, Monomial
+
+if TYPE_CHECKING:  # annotations only: a cohomology job never loads linalg
+    from . import linalg
 
 
 def signature_for(q: int, kind: str) -> AlgebraSignature:

@@ -8,7 +8,7 @@ algebra stack.  The modules these names belong to re-export them:
 (``UnsupportedInputError``).
 """
 
-DEFAULT_Q_CAP = 6
+DEFAULT_Q_CAP = 10
 
 KINDS = ("W", "WO", "I")
 

@@ -100,13 +100,9 @@ class Monomial(NamedTuple):
         return (self.degree(), self.y_part, self.partition())
 
     def is_valid(self, sig: AlgebraSignature) -> bool:
-        if len(self.c_part) != sig.q:
-            return False
-        if list(self.y_part) != sorted(set(self.y_part)):
-            return False
-        if not set(self.y_part) <= sig.odd_indices:
-            return False
-        return self.weight() <= sig.q
+        ys = self.y_part
+        return (len(self.c_part) == sig.q and list(ys) == sorted(set(ys))
+                and set(ys) <= sig.odd_indices and self.weight() <= sig.q)
 
     def label(self) -> str:
         """Human-readable name like 'y1y2c1^2c3' ('1' for the unit)."""
@@ -140,17 +136,12 @@ def unit_monomial(sig: AlgebraSignature) -> Monomial:
 
 
 def _merge_y(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Merge two strictly increasing index tuples with the Koszul sign.
-
-    Returns (sign, merged) or None when an index repeats (y_i^2 = 0).
-    """
+    """Merge two strictly increasing index tuples with the Koszul sign: (sign,
+    merged), or None when an index repeats (y_i^2 = 0)."""
     if set(a) & set(b):
         return None
-    inversions = 0
-    for x in a:
-        inversions += sum(1 for y in b if y < x)
-    merged = tuple(sorted(a + b))
-    return (-1) ** inversions, merged
+    inversions = sum(1 for x in a for y in b if y < x)
+    return (-1) ** inversions, tuple(sorted(a + b))
 
 
 def _exact(c) -> Coeff:
@@ -223,7 +214,8 @@ class Element:
         return degs.pop()
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+        terms = self.terms.items()  # one term is sorted: no sort_key, which takes the degree
+        return sorted(terms, key=lambda mc: mc[0].sort_key()) if len(terms) > 1 else list(terms)
 
     # -- arithmetic ----------------------------------------------------
 

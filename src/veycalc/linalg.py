@@ -140,10 +140,8 @@ def cohomology(kernel: list[SparseRow], coboundaries: Echelon) -> list[SparseRow
     dim_h = len(kernel) - coboundaries.rank
     chosen = [v for v in kernel if coboundaries.insert(v)]
     if len(chosen) != dim_h:
-        raise AssertionError(
-            f"rank bookkeeping mismatch: {len(chosen)} representatives "
-            f"vs dim ker - rank = {dim_h}"
-        )
+        raise AssertionError(f"rank bookkeeping mismatch: {len(chosen)} representatives "
+                             f"vs dim ker - rank = {dim_h}")
     return chosen
 
 

@@ -1,7 +1,8 @@
 """Bigraded minimal model of the truncated polynomial algebra I_q.
 
 The target algebra has zero differential, so the model is built in one pass
-per degree n = 2..cap, lower degree first: H^n(model) is solved once, new
+per degree n = 2..cap, lower degree first: H^n(model) is solved once, from
+one elimination of d_n whose image echelon serves stage n + 1 as im d_n; new
 degree-(n-1) generators kill the kernel of H^n(model) -> I_q^n, and (below
 the cap) new closed degree-n generators hit its cokernel.  psi into I_q is a
 monomial map: each x generator goes to one c_J and each w to 0.  The
@@ -52,23 +53,19 @@ class FreeAlgebra:
     # -- words -----------------------------------------------------------
 
     def word_label(self, w: Word) -> str:
-        if not w:
-            return "1"
-        return "".join(
-            self.gids[i] + (f"^{e}" if e > 1 else "") for i, e in w
-        )
+        return "".join(self.gids[i] + (f"^{e}" if e > 1 else "") for i, e in w) or "1"
 
     def mul_words(self, a: Word, b: Word) -> tuple[int, Word] | None:
-        a_odd = [i for i, e in a if self.degrees[i] % 2 == 1]
-        b_odd = [i for i, e in b if self.degrees[i] % 2 == 1]
-        if set(a_odd) & set(b_odd):
+        """(Koszul sign, product), or None if an odd generator repeats: the
+        odd generators of each word, in index order, merge as gca's y's do."""
+        degrees = self.degrees
+        merged = gca._merge_y(*(tuple(i for i, _ in w if degrees[i] % 2) for w in (a, b)))
+        if merged is None:
             return None
-        inversions = sum(1 for x in a_odd for y in b_odd if y < x)
         exps: dict[int, int] = dict(a)
         for i, e in b:
             exps[i] = exps.get(i, 0) + e
-        word = tuple(sorted(exps.items()))
-        return (-1) ** inversions, word
+        return merged[0], tuple(sorted(exps.items()))
 
     # -- elements ----------------------------------------------------------
 
@@ -83,9 +80,7 @@ class FreeAlgebra:
         return out
 
     def scale(self, a: FreeElement, k: Coeff) -> FreeElement:
-        if k == 0:
-            return {}
-        return {w: c * k for w, c in a.items()}
+        return {w: c * k for w, c in a.items()} if k else {}
 
     def mul(self, a: FreeElement, b: FreeElement) -> FreeElement:
         out: FreeElement = {}
@@ -191,8 +186,9 @@ class _ModelBuilder:
         self.sig = AlgebraSignature.I(q)
         self.alg = FreeAlgebra()
         self.generators: dict[int, list[str]] = {}
-        self.psi: dict[str, Element] = {}
         self._c_parts: list[tuple[int, ...] | None] = []  # psi(g) as c-exponents, None for 0
+        # im d_(n-1) for stage n: (the degree-n words then, stage n-1's image echelon)
+        self._coboundaries: tuple[list[Word], linalg.Echelon] = ([], linalg.Echelon())
         # d of a word never changes: generators are appended, with d set once;
         # a degree's basis changes only when one is appended
         self._d_cache: dict[Word, FreeElement] = {}
@@ -235,13 +231,23 @@ class _ModelBuilder:
         return images
 
     def _cohomology_reps(self, n: int) -> list[FreeElement]:
-        """Cocycle representatives of a basis of H^n(model)."""
+        """Cocycle representatives of a basis of H^n(model), from the one column
+        pass over d_n, whose image echelon stage n + 1 takes as im d_n.  Stage
+        n - 1's still spans im d_(n-1) once its columns move to today's
+        degree-n words: the only degree-(n-1) words added since are closed x
+        generators; no older word's d holds a newer generator; and basis() keeps
+        tuple order, so each moved row keeps its pivot lowest and its span."""
         basis_n = self._basis(n)
-        if not basis_n:
+        if not basis_n:  # d_n = 0, and the kept image, over no words then, is empty
             return []
-        kernel, _ = linalg.column_pass(self._d_images(basis_n, self._basis(n + 1)))
-        d_in = self._d_images(self._basis(n - 1), basis_n)
-        reps = linalg.cohomology(kernel, linalg.Echelon(d_in))
+        old_words, im = self._coboundaries
+        target = self._basis(n + 1)
+        kernel, image = linalg.column_pass(self._d_images(basis_n, target))
+        self._coboundaries = target, image
+        index = {w: i for i, w in enumerate(basis_n)}
+        at = [index[w] for w in old_words]  # each old column's place today
+        im.rows = {at[p]: {at[c]: x for c, x in r.items()} for p, r in im.rows.items()}
+        reps = linalg.cohomology(kernel, im)
         return [{basis_n[j]: v[j] for j in sorted(v)} for v in reps]
 
     def _add_generator(self, prefix: str, degree: int, diff: FreeElement, c_part=None) -> None:
@@ -249,7 +255,6 @@ class _ModelBuilder:
         gid = f"{prefix}{degree}_{len(gids)}"
         self.alg.add_generator(gid, degree, diff)
         gids.append(gid)
-        self.psi[gid] = Element(self.sig, {Monomial((), c_part): 1} if c_part else {})
         self._c_parts.append(c_part)
 
     def _stage(self, n: int) -> None:
@@ -282,8 +287,10 @@ class _ModelBuilder:
             rank[n] = linalg.Echelon(self._d_images(basis_n, self._basis(n + 1))).rank
             check[n] = len(basis_n) - rank[n] - rank[n - 1] == len(gca.basis_of_degree(self.sig, n))
         alg = self.alg
+        images = {gid: Element(self.sig, {Monomial((), c): 1} if c else {})  # psi
+                  for gid, c in zip(alg.gids, self._c_parts)}
         model = ModelStage(
-            self.q, self.cap, alg, self.generators, dict(zip(alg.gids, alg.diffs)), self.psi, check
+            self.q, self.cap, alg, self.generators, dict(zip(alg.gids, alg.diffs)), images, check
         )
         _assert_minimal(model)
         return model

@@ -91,7 +91,7 @@ def test_huge_estimate_is_printed_bounded(monkeypatch, capsys, cache_dir):
     from veycalc import complexes
 
     monkeypatch.setattr(complexes, "dimension_estimate", lambda q, kind: 10**5000)
-    code, out, err = run(capsys, ["cohomology", "--complex", "W", "--q", "7",
+    code, out, err = run(capsys, ["cohomology", "--complex", "W", "--q", "11",
                                   "--cache-dir", cache_dir])
     assert code == 3
     assert out == ""
@@ -132,7 +132,7 @@ def test_refused_job_prints_only_the_refusal(capsys, cache_dir, argv, code, mess
 
     if message is None:  # the W_99 budget refusal
         message = (
-            "resource budget exceeded: W_99 exceeds the configured cap q <= 6 "
+            "resource budget exceeded: W_99 exceeds the configured cap q <= 10 "
             f"(dimension estimate {complexes.dimension_estimate(99, 'W')})"
         )
     assert run(capsys, argv + ["--cache-dir", cache_dir]) == (code, "", f"veycalc: {message}\n")
@@ -297,7 +297,7 @@ def test_entry_of_an_earlier_format_is_never_read(capsys, cache_dir, address):
     # of older versions or at today's address with today's key text, is not
     # served, and the entry at today's address is rewritten with a head
     argv = ["cohomology", "--complex", "W", "--q", "1", "--format", "json"]
-    params = {"q": 1, "kind": "W", "q_cap": Config().q_cap}
+    params = {"q": 1, "kind": "W"}
     key_text = canonical_json({"command": "cohomology", "params": params, "version": __version__})
     if address == "sha256":
         name = key = hashlib.sha256(key_text.encode()).hexdigest()
@@ -367,7 +367,7 @@ def test_manifold_descriptor_flags(capsys, cache_dir):
 
 def test_config_file_and_unknown_keys(tmp_path, capsys, cache_dir):
     good = tmp_path / "cfg.json"
-    good.write_text(json.dumps({"q_cap": 2, "output_format": "json"}))
+    good.write_text(json.dumps({"q_cap": 2}))
     code, out, err = run(
         capsys,
         ["--config", str(good), "cohomology", "--complex", "W", "--q", "3",
@@ -386,15 +386,52 @@ def test_config_file_and_unknown_keys(tmp_path, capsys, cache_dir):
     assert "colour" in err
 
 
+def test_default_q_cap_runs_w10_and_refuses_w11(capsys, cache_dir):
+    from veycalc import complexes
 
-def test_config_rejects_removed_wo_condition_key(tmp_path, capsys, cache_dir):
+    code, out, _ = run(capsys, ["cohomology", "--complex", "W", "--q", "10", "--format", "json",
+                                "--cache-dir", cache_dir])
+    assert code == 0
+    assert json.loads(out)["q"] == 10
+    code, out, err = run(capsys, ["cohomology", "--complex", "W", "--q", "11",
+                                  "--cache-dir", cache_dir])
+    assert (code, out) == (3, "")
+    assert _refusal_estimate(err) == complexes.dimension_estimate(11, "W")
+    assert "cap q <= 10" in err
+
+
+def _config(tmp_path, q_cap: int) -> str:
+    path = tmp_path / f"cap{q_cap}.json"
+    path.write_text(json.dumps({"q_cap": q_cap}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["cohomology", "validate"])
+def test_oracle_cache_entry_is_independent_of_q_cap(tmp_path, capsys, cache_dir, command):
+    # a cap decides whether work starts, never the result: the entry cached
+    # under one cap serves another, also a cap the request is over
+    argv = [command, "--complex", "W", "--q", "3", "--format", "json", "--cache-dir", cache_dir]
+    code, cold, err = run(capsys, ["--config", _config(tmp_path, 3), *argv])
+    assert code == 0 and err  # computed, with its progress line
+    for q_cap in (4, 2):
+        assert run(capsys, ["--config", _config(tmp_path, q_cap), *argv]) == (0, cold, "")
+    assert len(list(pathlib.Path(cache_dir).glob("*.json"))) == 1
+    code, out, _ = run(capsys, ["--config", _config(tmp_path, 2), *argv[:-2], "--no-cache"])
+    assert (code, out) == (3, "")  # uncached, the cap refuses
+
+
+@pytest.mark.parametrize("key, value",
+                         [("vey_wo_condition", "forall_odd"), ("output_format", "json")],
+                         ids=["vey_wo_condition", "output_format"])
+def test_config_rejects_removed_wo_condition_key(tmp_path, capsys, cache_dir, key, value):
+    # removed keys: the WO condition is fixed, and --format alone decides the format
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"vey_wo_condition": "forall_odd"}))
-    code, _, err = run(
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(
         capsys, ["--config", str(cfg), "kappa", "--q", "1", "--cache-dir", cache_dir]
     )
-    assert code == 2
-    assert "unknown config keys: vey_wo_condition" in err
+    assert (code, out) == (2, "")
+    assert f"unknown config keys: {key}" in err
 
 
 @pytest.mark.parametrize("body", [b"[" * 200_000, b'{"q_cap": "\xff"}', b"[]"],
@@ -447,16 +484,13 @@ def test_removed_vey_flags_exit_2(capsys, cache_dir, flag):
 
 def test_config_defaults():
     c = Config()
-    assert c.q_cap == 6
+    assert c.q_cap == 10
     assert c.model_degree_cap == 12
-    assert list(Config.__slots__) == [
-        "q_cap", "model_degree_cap", "cache_dir", "output_format"
-    ]
-    assert c.output_format == "table"
+    assert list(Config.__slots__) == ["q_cap", "model_degree_cap", "cache_dir"]
     with pytest.raises(ConfigError):
         Config(q_cap=0)
-    with pytest.raises(ConfigError):
-        Config(output_format="yaml")
+    with pytest.raises(TypeError):
+        Config(output_format="json")
 
 
 @pytest.mark.parametrize(

@@ -63,7 +63,7 @@ def test_importing_the_cli_loads_no_algebra_module():
 # digest and so loads hashlib), computed on an empty cache; cached jobs do not
 JOBS = [
     ("kappa --q 3", {"vey"}, False),
-    ("cohomology --complex W --q 2", {"gca", "linalg", "complexes"}, False),
+    ("cohomology --complex W --q 2", {"gca", "complexes"}, False),
     ("model --q 2 --max-degree 6", {"gca", "linalg", "minimal_model"}, False),
     ("vey --complex WO --q 3", {"vey", "gca"}, False),
     ("vey --complex WO --q 3 --degree 7", {"vey", "gca"}, False),

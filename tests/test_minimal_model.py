@@ -121,6 +121,31 @@ def test_model_solves_each_degree_once_per_stage(monkeypatch):
     assert len(calls) == 11 + 15
 
 
+def test_model_takes_im_d_from_the_stage_before(monkeypatch):
+    # one _d_images per stage whose degree has words (11 for I_3 to degree
+    # 16), for the column pass over d_n, and one per rank of the quasi-iso
+    # check (degrees 2..15); no stage rebuilds im d_(n-1) from d_(n-1)
+    builder = minimal_model._ModelBuilder(3, 16, minimal_model.DEFAULT_WORD_BUDGET)
+    real, calls = builder._d_images, []
+    monkeypatch.setattr(builder, "_d_images", lambda s, t: calls.append(1) or real(s, t))
+    model = builder.build()
+    assert len(calls) == 11 + 14
+    assert not hasattr(builder, "psi")  # psi is the c-exponents, read once by build()
+    assert model.to_json_obj() == build_model(3, 16).to_json_obj()
+
+
+def test_mul_words_takes_its_sign_from_merge_y(monkeypatch):
+    alg = FreeAlgebra()
+    a, x, b = (alg.add_generator(g, d, {}) for g, d in (("a", 3), ("x", 2), ("b", 5)))
+    assert alg.mul_words(((b, 1),), ((a, 1), (x, 2))) == (-1, ((a, 1), (x, 2), (b, 1)))
+    assert alg.mul_words(((a, 1),), ((a, 1),)) is None
+    seen = []
+    real = gca._merge_y
+    monkeypatch.setattr(gca, "_merge_y", lambda p, r: seen.append((p, r)) or real(p, r))
+    alg.mul_words(((b, 1),), ((a, 1), (x, 2)))
+    assert seen == [((b,), (a,))]  # the odd generators alone, in index order
+
+
 def _psi_word(model, w) -> Element:
     """psi of a word as the Element product of its generators' images, the
     reference for the builder's exponent addition."""
@@ -156,6 +181,16 @@ def test_model_multiplies_no_element(monkeypatch):
 
     monkeypatch.setattr(Element, "__mul__", refuse)
     assert build_model(3, 16).to_json_obj() == expected
+
+
+def test_minimality_certificate_refuses_a_linear_term():
+    # it raises explicitly, so it also holds under `python -O`, which strips
+    # assert statements (tests/test_morse.py scans src/ for them)
+    alg = FreeAlgebra()
+    x = alg.add_generator("x2_0", 2, {})
+    model = minimal_model.ModelStage(1, 4, alg, {}, {"w3_0": {((x, 1),): 1}}, {}, {})
+    with pytest.raises(AssertionError, match="w3_0 has the linear term x2_0"):
+        minimal_model._assert_minimal(model)
 
 
 def test_budget_error():

@@ -56,7 +56,7 @@ def test_the_matching_is_an_involution(q, kind):
                 assert complexes._cell(partner, n - 1, odd, q) == ("lower", cell)
 
 
-@pytest.mark.parametrize("q, kind", [(10, "W"), (16, "WO")])
+@pytest.mark.parametrize("q, kind", [(10, "W"), (11, "W"), (16, "WO")])
 def test_validate_past_the_oracle(monkeypatch, q, kind):
     # past the q the elimination oracle affords: every Vey class is an
     # independent class, and above 2q the critical cells are the Vey basis,
