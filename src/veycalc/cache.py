@@ -22,9 +22,8 @@ from .errors import DEFAULT_Q_CAP
 
 # The keys of each command's document, which a cached payload must carry, each
 # with the type json.load gives for its schema type: the `required` lists of
-# docs/schemas/{cohomology_result,validation_report,model,manifold_report}.json,
-# plus `ranks`, which `veycalc model` always writes.  They are held here so that
-# a cache hit reads no schema file.
+# docs/schemas/{cohomology_result,validation_report,model,manifold_report}.json.
+# They are held here so that a cache hit reads no schema file.
 REQUIRED_KEYS = {
     "cohomology": {"kind": str, "q": int, "dims": dict, "representatives": dict,
                    "total_dim_check": int},

@@ -7,12 +7,13 @@ Exit codes: 0 success, 2 invalid input, 3 resource-budget refusal.
 
 Each subcommand is one row of `_SUBCOMMANDS`: help, flags as (flag, argparse
 kwargs) pairs, job, table renderer and, for `vey` alone, a JSON writer;
-`build_parser` adds a subparser per row.  A job checks its input and budget
-and returns (cache params or None, compute).  `run` serves the cached document
-for those params or stores what compute returns, and reports every budget
-refusal at one site.  `vey` is never cached: its compute returns (q, kind,
-classes), which `veycalc.vey` writes row by row.  `main`, the console entry
-point, runs `run`, then freezes the heap so that exit skips collecting it.
+`build_parser` adds a subparser per row.  A job checks its input and returns
+(cache params or None, compute); a capped compute checks its cap first, so a
+cached result is served under any cap.  `run` serves the cached document for
+those params or stores what compute returns, and reports every budget refusal
+at one site.  `vey` is never cached: its compute returns (q, kind, classes),
+which `veycalc.vey` writes row by row.  `main`, the console entry point, runs
+`run`, then freezes the heap so that exit skips collecting it.
 
 compute imports the algebra modules it runs when it runs, and the other
 renderers read only the result document, so argument parsing, a cache hit and
@@ -177,21 +178,27 @@ def _render_kappa(doc: dict) -> str:
 # -- the subcommand table ---------------------------------------------------
 
 
-def _oracle_params(args) -> dict:
-    """The cache params of cohomology and validate: a cap only decides whether work starts."""
-    return {"q": args.q, "kind": args.complex}
+def _check_q_cap(q: int, kind: str, q_cap: int) -> None:
+    """Refuse a q that is not positive or is over the cap, before the progress line."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    if q > q_cap:
+        from . import complexes
+
+        raise ResourceBudgetError(f"{kind}_{q} exceeds the configured cap q <= {q_cap}",
+                                  estimate=complexes.dimension_estimate(q, kind))
 
 
 def _cohomology_job(args, config: Config):
     def compute() -> dict:
+        _check_q_cap(args.q, args.complex, config.q_cap)
         from . import complexes
 
-        complexes.check_q_cap(args.q, args.complex, config.q_cap)  # before the progress line
         _progress(f"computing H*({args.complex}_{args.q}) ...")
-        cx = complexes.build_complex(args.q, args.complex, q_cap=config.q_cap)
+        cx = complexes.build_complex(args.q, args.complex)
         return complexes.cohomology(cx).to_json_obj()
 
-    return _oracle_params(args), compute
+    return {"q": args.q, "kind": args.complex}, compute
 
 
 def _vey_job(args, config: Config):
@@ -205,24 +212,21 @@ def _vey_job(args, config: Config):
 
 def _validate_job(args, config: Config):
     def compute() -> dict:
-        from . import complexes, vey
+        _check_q_cap(args.q, args.complex, config.q_cap)
+        from . import vey
 
-        complexes.check_q_cap(args.q, args.complex, config.q_cap)  # before the progress line
         _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
-        return vey.validate_vey(args.q, args.complex, q_cap=config.q_cap).to_json_obj()
+        return vey.validate_vey(args.q, args.complex).to_json_obj()
 
-    return _oracle_params(args), compute
+    return {"q": args.q, "kind": args.complex}, compute
 
 
 def _model_job(args, config: Config):
-    if args.max_degree > config.model_degree_cap:
-        raise ModelBudgetError(
-            f"--max-degree {args.max_degree} exceeds the configured cap "
-            f"{config.model_degree_cap}",
-            attempted_dimension=args.max_degree,
-        )
-
     def compute() -> dict:
+        if args.max_degree > config.model_degree_cap:
+            raise ModelBudgetError(
+                f"--max-degree {args.max_degree} exceeds the configured cap "
+                f"{config.model_degree_cap}", attempted_dimension=args.max_degree)
         from . import minimal_model
 
         minimal_model.check_input(args.q, args.max_degree)  # before the progress line
@@ -272,8 +276,8 @@ def _manifold_job(args, config: Config):
         descriptor = manifold.ManifoldDescriptor(
             q=args.dim,
             compact=args.compact,
-            closed=args.closed or args.compact,
-            orientable=not args.non_orientable,
+            closed=args.compact,
+            orientable=True,
             parallelizable=args.parallelizable,
             cospherical_degrees=_parse_cospherical(args.cospherical or ""),
             trivialized_over_cycles=args.trivialized_over_cycles,
@@ -331,8 +335,8 @@ _SUBCOMMANDS = {
     "manifold": _Subcommand(
         "characteristic-class inventory for a manifold",
         (("--preset", {"help": "S1|S2|T2|Sigma_g:g|S3|T3|Rq:q"}), ("--dim", {"type": int}),
-         ("--compact", _SWITCH), ("--closed", _SWITCH), ("--parallelizable", _SWITCH),
-         ("--non-orientable", _SWITCH), ("--trivialized-over-cycles", _SWITCH),
+         ("--compact", _SWITCH), ("--parallelizable", _SWITCH),
+         ("--trivialized-over-cycles", _SWITCH),
          ("--cospherical", {"help": "comma list of k:count"})),
         _manifold_job, _render_manifold,
     ),

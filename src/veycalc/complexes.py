@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from . import gca
-from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError
+from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError  # re-exported
 from .gca import AlgebraSignature, Coeff, Element, Monomial
 
 if TYPE_CHECKING:  # annotations only: a cohomology job never loads linalg
@@ -100,20 +100,8 @@ class GradedComplex:
         return {index[m]: coeff for m, coeff in a.terms.items()}
 
 
-def check_q_cap(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> None:
-    """Refuse a q that is not positive or is over the cap, before any work."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    if q > q_cap:
-        raise ResourceBudgetError(
-            f"{kind}_{q} exceeds the configured cap q <= {q_cap}",
-            estimate=dimension_estimate(q, kind),
-        )
-
-
-def build_complex(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> GradedComplex:
-    """The complex with its per-degree bases; its differential is assembled on first read."""
-    check_q_cap(q, kind, q_cap)
+def build_complex(q: int, kind: str) -> GradedComplex:
+    """The complex with its per-degree bases, for any q; d is assembled on first read."""
     sig = signature_for(q, kind)
     return GradedComplex(sig, kind, {n: basis for n, basis in gca.iter_basis(sig) if basis})
 

@@ -5,7 +5,9 @@ config, serve a cache hit and map errors to exit codes without loading the
 algebra stack.  The modules these names belong to re-export them:
 ``complexes`` (``DEFAULT_Q_CAP``, ``KINDS``, ``ResourceBudgetError``),
 ``minimal_model`` (``ModelBudgetError``) and ``manifold``
-(``UnsupportedInputError``).
+(``UnsupportedInputError``).  Only the CLI checks the caps, after its cache
+lookup; the library refuses no job for its size, except a model whose word
+basis outgrows its budget (``ModelBudgetError``).
 """
 
 DEFAULT_Q_CAP = 10

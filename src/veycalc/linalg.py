@@ -72,8 +72,12 @@ class Echelon:
     def insert(self, vec: SparseRow) -> bool:
         """Add vec to the span; True iff it was not already in it."""
         v = self.reduce(vec)
-        if not v:
-            return False
+        if v:
+            self._store(v)
+        return bool(v)
+
+    def _store(self, v: SparseRow) -> None:
+        """Store v, a nonzero remainder of `reduce`, scaled to 1 at its pivot."""
         p = min(v)
         pivot = v[p]
         if pivot == 1:
@@ -85,7 +89,6 @@ class Echelon:
 
             inv = 1 / Fraction(pivot)
             self.rows[p] = {c: x * inv for c, x in v.items()}
-        return True
 
     def rref(self) -> list[tuple[int, SparseRow]]:
         """(pivot, row) pairs of the reduced row echelon form, which replace the
@@ -125,7 +128,7 @@ def column_pass(cols: list[SparseRow]) -> tuple[list[SparseRow], Echelon]:
         if min(v) >= shift:
             kernel.append({c - shift: x for c, x in v.items()})
         else:
-            tagged.insert(v)  # reduces nothing more: v has no stored pivot left
+            tagged._store(v)
     image = Echelon()
     image.rows = {p: {c: x for c, x in row.items() if c < shift} for p, row in tagged.rows.items()}
     return kernel, image

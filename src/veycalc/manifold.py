@@ -52,13 +52,15 @@ class ManifoldDescriptor:
             raise UnsupportedInputError("dimension q must be positive")
         if not orientable:
             raise UnsupportedInputError("non-orientable manifolds are unsupported")
-        for k, count in cospherical_degrees:
+        for i, (k, count) in enumerate(cospherical_degrees):
             if not 0 < k < q:
                 raise UnsupportedInputError(
                     f"co-spherical degree {k} must lie strictly between 0 and {q}"
                 )
             if count < 1:
                 raise UnsupportedInputError("co-spherical counts must be positive")
+            if any(k == j for j, _ in cospherical_degrees[:i]):
+                raise UnsupportedInputError(f"co-spherical degree {k} is listed twice")
         self.q = q
         self.compact = compact
         self.closed = closed

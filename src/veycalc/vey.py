@@ -14,8 +14,6 @@ import functools
 import itertools
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .errors import DEFAULT_Q_CAP
-
 # The algebra stack is imported where it is used, so `kappa` loads this
 # module alone.
 if TYPE_CHECKING:
@@ -280,7 +278,7 @@ class ValidationReport(NamedTuple):
         }
 
 
-def validate_vey(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> ValidationReport:
+def validate_vey(q: int, kind: str) -> ValidationReport:
     """Cross-check the enumerated basis against the cohomology of the complex.
 
     Per degree: the classes must be cocycles, independent modulo coboundaries,
@@ -290,7 +288,7 @@ def validate_vey(q: int, kind: str, q_cap: int = DEFAULT_Q_CAP) -> ValidationRep
     Pontrjagin monomials), which are listed as notes rather than failures."""
     from . import complexes, gca, linalg
 
-    cx = complexes.build_complex(q, kind, q_cap=q_cap)
+    cx = complexes.build_complex(q, kind)
     by_degree: dict[int, list[VeyClass]] = {}
     for v in vey_basis(q, kind):
         by_degree.setdefault(v.degree, []).append(v)

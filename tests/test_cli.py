@@ -231,9 +231,8 @@ def test_invalid_input_exit_code(capsys, cache_dir, flags):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--dim", "3"], ["--dim", "0"], ["--compact"], ["--closed"], ["--parallelizable"],
-     ["--non-orientable"], ["--trivialized-over-cycles"], ["--cospherical", "1:1"],
-     ["--compact", "--parallelizable"]],
+    [["--dim", "3"], ["--dim", "0"], ["--compact"], ["--parallelizable"],
+     ["--trivialized-over-cycles"], ["--cospherical", "1:1"], ["--compact", "--parallelizable"]],
 )
 def test_preset_with_descriptor_flags_exit_2(capsys, cache_dir, flags):
     code, out, err = run(
@@ -242,6 +241,35 @@ def test_preset_with_descriptor_flags_exit_2(capsys, cache_dir, flags):
     assert code == 2
     assert out == ""
     assert "conflicts with " + ", ".join(f for f in flags if f.startswith("--")) in err
+    assert not pathlib.Path(cache_dir).exists()
+
+
+@pytest.mark.parametrize("flag", ["--closed", "--non-orientable"])
+def test_removed_manifold_flags_exit_2(capsys, cache_dir, flag):
+    # closed is compact and orientable is true, so neither flag chose anything
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["manifold", "--dim", "3", "--compact", flag, "--cache-dir", cache_dir])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+    assert not pathlib.Path(cache_dir).exists()
+
+
+def test_manifold_descriptor_closed_is_compact(capsys):
+    for flags, compact in (["--compact"], True), ([], False):
+        code, out, _ = run(capsys, ["manifold", "--dim", "3", *flags, "--format", "json",
+                                    "--no-cache"])
+        descriptor = json.loads(out)["descriptor"]
+        assert code == 0
+        assert (descriptor["compact"], descriptor["closed"], descriptor["orientable"]) == (
+            compact, compact, True)
+
+
+def test_repeated_cospherical_degree_exit_2(capsys, cache_dir):
+    code, out, err = run(capsys, ["manifold", "--dim", "3", "--compact", "--parallelizable",
+                                  "--cospherical", "1:2,1:3", "--cache-dir", cache_dir])
+    assert (code, out) == (2, "")
+    assert "invalid input: co-spherical degree 1 is listed twice" in err
     assert not pathlib.Path(cache_dir).exists()
 
 
@@ -406,6 +434,39 @@ def _config(tmp_path, q_cap: int) -> str:
     return str(path)
 
 
+def test_each_oracle_job_checks_its_q_cap_once(monkeypatch, capsys, cache_dir):
+    # the library takes no cap: the CLI's check is the only one
+    import inspect
+
+    from veycalc import complexes, vey
+
+    for f in (complexes.build_complex, vey.validate_vey):
+        assert list(inspect.signature(f).parameters) == ["q", "kind"]
+    checks = []
+    real = cli._check_q_cap
+    monkeypatch.setattr(cli, "_check_q_cap", lambda *a: checks.append(a) or real(*a))
+    for command in ("cohomology", "validate"):
+        argv = [command, "--complex", "WO", "--q", "3", "--cache-dir", cache_dir]
+        assert run(capsys, argv)[0] == 0
+        assert checks == [(3, "WO", 10)]
+        assert run(capsys, argv)[0] == 0  # a hit checks nothing
+        assert checks == [(3, "WO", 10)]
+        checks.clear()
+
+
+def test_cached_model_is_served_under_a_lower_cap(tmp_path, capsys, cache_dir):
+    # as for cohomology and validate, the cap decides whether work starts
+    cfg = tmp_path / "cap18.json"
+    cfg.write_text(json.dumps({"model_degree_cap": 18}))
+    argv = ["model", "--q", "1", "--max-degree", "14", "--format", "json", "--cache-dir", cache_dir]
+    code, cold, err = run(capsys, ["--config", str(cfg), *argv])
+    assert code == 0 and err  # computed, with its progress line
+    assert run(capsys, argv) == (0, cold, "")
+    code, out, err = run(capsys, [*argv, "--no-cache"])
+    assert (code, out) == (3, "")
+    assert "--max-degree 14 exceeds the configured cap 12" in err
+
+
 @pytest.mark.parametrize("command", ["cohomology", "validate"])
 def test_oracle_cache_entry_is_independent_of_q_cap(tmp_path, capsys, cache_dir, command):
     # a cap decides whether work starts, never the result: the entry cached
@@ -550,8 +611,7 @@ def test_required_keys_follow_the_schemas():
     assert set(REQUIRED_KEYS) == set(schemas)
     for command, name in schemas.items():
         schema = json.loads((SCHEMAS / f"{name}.json").read_text())
-        assert set(schema["required"]) <= set(REQUIRED_KEYS[command])
-        assert set(REQUIRED_KEYS[command]) <= set(schema["properties"])
+        assert set(schema["required"]) == set(REQUIRED_KEYS[command])
         for key, t in REQUIRED_KEYS[command].items():
             prop = schema["properties"][key]
             if "enum" in prop:
@@ -581,7 +641,7 @@ def _drop_ranks(payload: dict) -> dict:
         (["cohomology", "--complex", "W", "--q", "1"], lambda p: {"kind": "W"}),
         (["validate", "--complex", "W", "--q", "1"], lambda p: {"kind": "W"}),
         (["model", "--q", "1", "--max-degree", "4"], lambda p: {"kind": "W"}),
-        # `ranks` is optional in the schema but always in the command's output
+        # every key but `ranks` present
         (["model", "--q", "1", "--max-degree", "4"], _drop_ranks),
         (["manifold", "--preset", "S1"], lambda p: {"kind": "W"}),
         # every key present, two of the wrong type

@@ -47,6 +47,17 @@ def test_independent_complement():
     assert chosen == [1, 2]
 
 
+def test_column_pass_reduces_each_column_once(monkeypatch):
+    # a kept column is stored as reduced, not reduced again by insert
+    calls = []
+    real = linalg.Echelon.reduce
+    monkeypatch.setattr(linalg.Echelon, "reduce", lambda self, v: calls.append(v) or real(self, v))
+    cols = [{0: F(2), 1: F(1)}, {0: F(4), 1: F(2)}, {1: F(3)}, {}, {0: F(1), 2: F(-1)}]
+    kernel, image = linalg.column_pass(cols)
+    assert len(calls) == len(cols)
+    assert (len(kernel), image.rank) == (2, 3)
+
+
 # -- property test against a textbook dense Gauss-Jordan ----------------------
 
 

@@ -60,6 +60,12 @@ def test_bad_cospherical_degree_rejected():
         ManifoldDescriptor(2, True, True, True, True, ((2, 1),))
 
 
+def test_repeated_cospherical_degree_rejected():
+    # 1:2,1:3 would split the five degree-1 cycles into two gamma ranks
+    with pytest.raises(UnsupportedInputError, match="co-spherical degree 1 is listed twice"):
+        ManifoldDescriptor(3, True, True, True, True, ((1, 2), (2, 1), (1, 3)))
+
+
 @pytest.mark.parametrize(
     "name,fname",
     [
@@ -174,7 +180,7 @@ def test_unknown_preset():
 
 
 COSPHERICAL_LISTS = [(), ((1, 1),), ((1, 2),), ((1, 4),), ((2, 1),), ((1, 3), (2, 3)),
-                     ((1, 1), (1, 2)), ((3, 1), (1, 1)), ((2, 3), (3, 1)), ((2, 2), (4, 1))]
+                     ((1, 3),), ((3, 1), (1, 1)), ((2, 3), (3, 1)), ((2, 2), (4, 1))]
 
 
 def _descriptors():

@@ -24,7 +24,7 @@ def _rank(entries, shape) -> int:
 
 @pytest.mark.parametrize("q, kind", [(8, "W"), (12, "WO")])
 def test_cohomology_dims_match_sympy_ranks(q, kind):
-    cx = complexes.build_complex(q, kind, q_cap=q)
+    cx = complexes.build_complex(q, kind)
     ranks = {
         n: _rank(cx.diff.get(n, []), (len(cx.basis(n + 1)), len(basis)))
         for n, basis in cx.bases.items()

@@ -201,8 +201,7 @@ def test_degree_range_filter():
     + [("W", 8), ("W", 9)] + [("WO", q) for q in range(7, 11)] + [("WO", 14)],
 )
 def test_validate(q, kind):
-    # q_cap = q lets WO_14 run past the default cap of 10
-    report = vey.validate_vey(q, kind, q_cap=q)
+    report = vey.validate_vey(q, kind)
     assert report.ok
     for check in report.per_degree:
         assert check.independent
