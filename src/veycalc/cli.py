@@ -3,7 +3,7 @@
 Subcommands: cohomology, vey, model, manifold, validate, kappa.  Results are
 emitted as byte-deterministic JSON or aligned fixed-width tables; heavyweight
 results are cached content-addressed under the configured cache directory.
-Exit codes: 0 success, 2 invalid input, 3 resource-budget refusal.
+Exit codes: 0 success, 2 invalid input (a usage error too), 3 budget refusal.
 
 Each subcommand is one row of `_SUBCOMMANDS`: help, flags as (flag, argparse
 kwargs) pairs, job, table renderer and, for `vey` alone, a JSON writer;
@@ -346,10 +346,18 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, which `run` reports as invalid input, in place of
+    exiting; its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise UnsupportedInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Common flags are accepted both before and after the subcommand; the
     # SUPPRESS defaults keep a subparser from clobbering a value given earlier.
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--config", default=argparse.SUPPRESS, help="path to a JSON config file"
     )
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="bypass the result cache",
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="veycalc",
         description="Exact secondary characteristic classes of foliations.",
         parents=[common],
@@ -386,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         # SUPPRESS defaults leave the attribute unset when the flag is absent
         config = load_config(getattr(args, "config", None))
         cache_dir = getattr(args, "cache_dir", None)
@@ -397,9 +405,7 @@ def run(argv=None) -> int:
             print(f"veycalc {__version__} (config {config.digest()})")
             return EXIT_OK
         if not args.command:
-            parser.print_usage(sys.stderr)
-            print("veycalc: a subcommand is required", file=sys.stderr)
-            return EXIT_INVALID
+            parser.error("a subcommand is required")
         subcommand = _SUBCOMMANDS[args.command]
         params, compute = subcommand.job(args, config)
         cache = None

@@ -1,11 +1,15 @@
 """Finite cochain complexes W_q, WO_q, I_q and their exact cohomology.
 
-A complex is its monomial bases from :mod:`veycalc.gca`; its differential, as
-triplet lists with coefficients +-1, is assembled from ``gca.d_terms`` on
-first read.  Cohomology is one walk (:func:`critical_cells`) of the
-least-index algebraic Morse matching (Forman, Adv. Math. 134, 1998;
-Skoldberg, Trans. AMS 358, 2006), checked against ``gca.d_terms`` cell by
-cell, whose critical cells are a basis of H^n.  Nothing here eliminates.
+A complex is its signature; its monomial bases (``gca.iter_basis``) and its
+differential, as triplet lists with coefficients +-1 from ``gca.d_terms``,
+are built on first read.  The least-index algebraic Morse matching (Forman,
+Adv. Math. 134, 1998; Skoldberg, Trans. AMS 358, 2006) leaves critical
+exactly the cells that ``gca.critical_groups`` lists, a basis of H^n:
+:func:`cohomology` reads them there and checks that each is a cocycle and
+that they have the Euler characteristic of the complex.
+:func:`critical_cells` walks the matching over every cell, checked against
+``gca.d_terms`` cell by cell; it is the certificate that ``validate_vey``
+compares with the enumerator.  Nothing here eliminates.
 """
 
 from __future__ import annotations
@@ -39,15 +43,22 @@ Triplet = tuple[int, int, int]
 
 
 class GradedComplex:
-    __slots__ = ("signature", "kind", "bases", "_diff", "_indices")
+    __slots__ = ("signature", "kind", "_bases", "_diff", "_indices")
 
-    def __init__(self, signature: AlgebraSignature, kind: str, bases: dict[int, list[Monomial]],
-                 diff: dict[int, list[Triplet]] | None = None) -> None:
+    def __init__(self, signature: AlgebraSignature, kind: str) -> None:
         self.signature = signature
         self.kind = kind
-        self.bases = bases
-        self._diff = diff
+        self._bases: dict[int, list[Monomial]] | None = None
+        self._diff: dict[int, list[Triplet]] | None = None
         self._indices: dict[int, dict[Monomial, int]] = {}
+
+    @property
+    def bases(self) -> dict[int, list[Monomial]]:
+        """Degree n -> the monomial basis of C^n, for each n with C^n != 0,
+        enumerated (gca.iter_basis) on first read."""
+        if self._bases is None:
+            self._bases = {n: basis for n, basis in gca.iter_basis(self.signature) if basis}
+        return self._bases
 
     @property
     def diff(self) -> dict[int, list[Triplet]]:
@@ -101,9 +112,8 @@ class GradedComplex:
 
 
 def build_complex(q: int, kind: str) -> GradedComplex:
-    """The complex with its per-degree bases, for any q; d is assembled on first read."""
-    sig = signature_for(q, kind)
-    return GradedComplex(sig, kind, {n: basis for n, basis in gca.iter_basis(sig) if basis})
+    """The complex of the given kind, for any q; its bases and d are built on first read."""
+    return GradedComplex(signature_for(q, kind), kind)
 
 
 class CohomologyResult(NamedTuple):
@@ -150,9 +160,9 @@ def critical_cells(cx: GradedComplex) -> Iterator[tuple[int, list[Monomial]]]:
     degree down.  Gradient paths have length 1, so these cells are a basis of H^n."""
     q, odd = cx.q, tuple(sorted(cx.signature.odd_indices))
     partners: set[Monomial] = set()  # of the lower cells one degree down
-    for n in range(cx.top_degree + 1):
+    for n, basis in gca.iter_basis(cx.signature):
         critical, claimed, lowers, uppers = [], set(), 0, set()
-        for cell in cx.basis(n):
+        for cell in basis:
             kind, partner = _cell(cell, n, odd, q)
             if kind == "upper":
                 uppers.add(cell)
@@ -201,10 +211,23 @@ def critical_class(cx: GradedComplex, n: int, terms: Mapping[Monomial, Coeff]) -
 
 
 def cohomology(cx: GradedComplex) -> CohomologyResult:
-    """H^n with the critical cells of degree n, in basis order, as its representatives."""
-    reps = {n: [Element(cx.signature, {m: 1}) for m in ms] for n, ms in critical_cells(cx) if ms}
+    """H^n with the critical cells of degree n (gca.critical_groups), in basis order,
+    as its representatives.  Each must be a cocycle, and the dimensions must have
+    the Euler characteristic of the complex, or AssertionError is raised; the
+    cell-by-cell certificate is the walk of critical_cells, which validate_vey runs."""
+    sig, q = cx.signature, cx.q
+    reps: dict[int, list[Element]] = {}
+    for n, ys, _, cs in gca.critical_groups(sig):
+        for c in cs:
+            m = Monomial(ys, c)
+            if next(gca.d_terms(m, q), None) is not None:
+                raise AssertionError(f"the representative {m.label()} has d != 0")
+            reps.setdefault(n, []).append(Element(sig, {m: 1}))
     dims = {n: len(r) for n, r in reps.items()}
-    return CohomologyResult(cx.kind, cx.q, dims, reps, sum(dims.values()))
+    chi = sum((-1) ** n * d for n, d in enumerate(gca.basis_dimension_series(sig)))
+    if sum((-1) ** n * d for n, d in dims.items()) != chi:
+        raise AssertionError(f"H*({cx.kind}_{q}) misses the Euler characteristic {chi}")
+    return CohomologyResult(cx.kind, q, dims, reps, sum(dims.values()))
 
 
 def is_cocycle(cx: GradedComplex, a: Element) -> bool:

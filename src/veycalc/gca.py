@@ -9,6 +9,11 @@ differential is d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz
 rule; d_terms is its one formula, on a monomial, which both differential
 and the assembly of a complex read.
 
+The Vey condition, is_critical, is stated here once: critical_groups lists
+the cells y_I c_J that meet it, the critical cells of the least-index Morse
+matching of :mod:`veycalc.complexes`, without building the others; they are
+both the cohomology's representatives and, with I nonempty, the Vey basis.
+
 Dimensions are counted without enumerating: free_series is the one routine
 for the Poincare series of a free graded-commutative algebra, which counts
 the bases here, the size estimates of a refusal and the loop-space series of
@@ -364,6 +369,35 @@ def iter_basis(sig: AlgebraSignature) -> Iterator[tuple[int, list[Monomial]]]:
     """Per-degree bases from 0 up to the top degree of the algebra."""
     for n in range(top_degree(sig) + 1):
         yield n, basis_of_degree(sig, n)
+
+
+def is_critical(q: int, odd: tuple[int, ...], i1: int, c_part: tuple[int, ...]) -> bool:
+    """The Vey condition on y_I c_J, with i_1 the least index of I (q+1 when I is
+    empty) and odd the y-indices: no part of J below i_1 is a y-index, and
+    q+1-i_1 <= weight <= q."""
+    return q + 1 - i1 <= _weight(c_part) <= q and not any(c_part[j - 1] for j in odd if j < i1)
+
+
+def critical_groups(sig: AlgebraSignature, degree: int | None = None) -> list[tuple]:
+    """(degree, I, weight, c-parts) for each y_I with cells y_I c_J that meet
+    is_critical, in every degree or in the given one, sorted by (degree, I),
+    each c-part tuple in partition order: the cells of a degree in basis order."""
+    q, odd = sig.q, tuple(sorted(sig.odd_indices))
+    kept: dict[tuple[int, int], tuple] = {}  # (i_1, weight) -> its critical c-parts
+    groups = []
+    for ydeg, ys in _y_subsets(odd, top_degree(sig) if degree is None else degree):
+        i1 = ys[0] if ys else q + 1
+        for w in range(q + 1):
+            n = ydeg + 2 * w
+            if degree is not None and n != degree:
+                continue
+            cs = kept.get((i1, w))
+            if cs is None:
+                cs = kept[i1, w] = tuple(c for c in c_parts(q, w) if is_critical(q, odd, i1, c))
+            if cs:
+                groups.append((n, ys, w, cs))
+    groups.sort(key=lambda g: g[:2])
+    return groups
 
 
 def top_degree(sig: AlgebraSignature) -> int:

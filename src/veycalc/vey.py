@@ -1,11 +1,12 @@
 """Combinatorial basis of H*(W_q) and H*(WO_q), classification, and counts.
 
 The cohomology of the truncated complexes has an explicit monomial basis
-y_I c_J cut out by index inequalities (the Vey basis).  This module
-enumerates it, classifies each class (generalized Godbillon-Vey, residual,
-rigid, variable candidate), builds the variable set and its braced
-extension, and cross-validates everything against the exact cohomology
-of :mod:`veycalc.complexes`.
+y_I c_J cut out by index inequalities (the Vey basis): the cells with a
+y-part among those that ``gca.critical_groups`` enumerates.  This module
+classifies each class (generalized Godbillon-Vey, residual, rigid, variable
+candidate), builds the variable set and its braced extension, and
+cross-validates everything against the checked Morse walk of
+:mod:`veycalc.complexes`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 if TYPE_CHECKING:
     from .gca import Monomial
 
-# Reading of the WO condition "i_1 <= any odd j_k": i_1 <= every odd entry
-# of J, vacuously true when J has no odd entries.  It reproduces the oracle
-# dimensions; the reading "some odd entry" fails validate_vey from q = 2 on.
+# Reading of the WO condition "i_1 <= any odd j_k" (`gca.is_critical`): i_1 <=
+# every odd entry of J, vacuously true when J has no odd entries.  It is what
+# the Morse walk leaves critical; the reading "some odd entry" fails
+# validate_vey from q = 2 on.
 WO_CONDITION = "forall_odd"
 
 
@@ -52,15 +54,6 @@ class VeyClass(NamedTuple):
         }
 
 
-def _vey_condition(i_min: int, cpart: tuple[int, ...], kind: str) -> bool:
-    """The index condition on (i_1, J); the caller enforces q+1-i_1 <= weight <= q."""
-    entries = [j + 1 for j, e in enumerate(cpart) if e > 0]
-    if kind == "W":
-        # i_1 <= j_1 (smallest part of J); weight >= q+1-i_1 >= 1, so J is nonempty
-        return i_min <= entries[0]
-    return all(i_min <= j for j in entries if j % 2 == 1)
-
-
 def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[bool, ...]:
     """(generalized GV, residual, rigid, variable candidate) of y_I c_J in W_q or WO_q."""
     rigid = y_part[0] + weight >= q + 2
@@ -69,49 +62,25 @@ def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[b
     return y_part == (1,), weight == q, rigid, degree == 2 * q + 1 and not rigid
 
 
-def _admissible(q: int, i_min: int, weight: int, kind: str) -> list[tuple[int, ...]]:
-    """The c-parts of the given weight that meet the Vey condition, in partition order."""
-    from . import gca
-
-    return [c for c in gca.c_parts(q, weight) if _vey_condition(i_min, c, kind)]
-
-
 def vey_basis(q: int, kind: str, degree: int | None = None) -> list[VeyClass]:
-    """All Vey-form monomials y_I c_J (s >= 1) for the given complex, classified,
-    in canonical order; given `degree`, only the classes of that degree, built
-    without the others.  Pure c_J survivors (Pontrjagin monomials in WO_q) are
-    not Vey-form and are reported by the oracle instead."""
+    """All Vey classes y_I c_J (I nonempty) of W_q or WO_q, the critical cells of
+    `gca.critical_groups` with a y-part, classified, in canonical order; given
+    `degree`, only the classes of that degree, built without the others.  The
+    unit and the pure c_J survivors (Pontrjagin monomials in WO_q) are not of
+    Vey form; `complexes.cohomology` lists them with the rest."""
     if q < 1:
         raise ValueError("q must be positive")
     if kind not in ("W", "WO"):
         raise ValueError("kind must be 'W' or 'WO'")
-    from .gca import AlgebraSignature, Monomial
+    from .gca import AlgebraSignature, Monomial, critical_groups
 
     sig = AlgebraSignature.W(q) if kind == "W" else AlgebraSignature.WO(q)
-    odd = sorted(sig.odd_indices)
-    groups = []
-    for k, i1 in enumerate(odd):
-        rest_odd = odd[k + 1 :]
-        for w in range(q + 1 - i1, q + 1):
-            base = 2 * i1 - 1 + 2 * w  # the degree of y_{i_1} c_J
-            cparts = None  # shared by every I starting at i_1; built once a class keeps it
-            for r in range(len(rest_odd) + 1):
-                if degree is not None and base + sum(2 * i - 1 for i in rest_odd[:r]) > degree:
-                    break  # the lightest r-subset (the first r) is too heavy, so is every larger r
-                for rest in itertools.combinations(rest_odd, r):
-                    d = base + sum(2 * i - 1 for i in rest)
-                    if degree is not None and d != degree:
-                        continue
-                    if cparts is None:
-                        cparts = _admissible(q, i1, w, kind)
-                    ys = (i1,) + rest
-                    flags = _flags(q, ys, w, d)
-                    classes = [VeyClass(Monomial(ys, c), kind, q, d, *flags) for c in cparts]
-                    groups.append((d, ys, classes))
-    # (degree, I) fixes the weight, so sorting the groups and keeping each in
-    # partition order gives the canonical (degree, I, J) order
-    groups.sort(key=lambda g: g[:2])
-    return [v for _, _, classes in groups for v in classes]
+    classes = []
+    for n, ys, w, cparts in critical_groups(sig, degree):
+        if ys:
+            flags = _flags(q, ys, w, n)
+            classes += [VeyClass(Monomial(ys, c), kind, q, n, *flags) for c in cparts]
+    return classes
 
 
 _BATCH = 256  # JSON rows per write; on an unbuffered stdout each write is a system call
@@ -235,8 +204,8 @@ def extended_basis(q: int) -> tuple[list[ExtendedClass], dict[int, int]]:
                 groups.append((deg, ypart, [
                     ExtendedClass(v, iprime, Monomial(ypart, v.monomial.c_part), deg) for v in base
                 ]))
-    # as in vey_basis, sorting the groups by (degree, I) and keeping each in
-    # partition order gives the canonical (degree, I, J) order
+    # as in gca.critical_groups, sorting the groups by (degree, I) and keeping
+    # each in partition order gives the canonical (degree, I, J) order
     groups.sort(key=lambda g: g[:2])
     return [e for _, _, classes in groups for e in classes], dict(sorted(counts.items()))
 
@@ -281,48 +250,37 @@ class ValidationReport(NamedTuple):
 def validate_vey(q: int, kind: str) -> ValidationReport:
     """Cross-check the enumerated basis against the cohomology of the complex.
 
-    Per degree: the classes must be cocycles, independent modulo coboundaries,
-    that is over the critical cells (`complexes.critical_class`), whose count
-    is the dimension.  Above degree 2q the counts must match; in low degrees
-    the complex may have extra non-Vey survivors (the unit, surviving
-    Pontrjagin monomials), which are listed as notes rather than failures."""
-    from . import complexes, gca, linalg
+    Per degree, the critical cells of the checked walk (`complexes.critical_cells`)
+    must be those that `gca.critical_groups` lists, in the same order.  The Vey
+    classes are the listed cells with a y-part, so where the two agree each
+    class is a critical cell: a cocycle, independent of the others modulo
+    coboundaries, and above degree 2q, where no pure c_J is critical, the
+    whole of H^n.  In low degrees the complex has non-Vey survivors (the
+    unit, surviving Pontrjagin monomials), listed as notes, not failures."""
+    from . import complexes, gca
 
     cx = complexes.build_complex(q, kind)
-    by_degree: dict[int, list[VeyClass]] = {}
-    for v in vey_basis(q, kind):
-        by_degree.setdefault(v.degree, []).append(v)
+    if kind not in ("W", "WO"):
+        raise ValueError("kind must be 'W' or 'WO'")
+    listed: dict[int, list[Monomial]] = {}
+    for n, ys, _, cparts in gca.critical_groups(cx.signature):
+        listed.setdefault(n, []).extend(gca.Monomial(ys, c) for c in cparts)
 
     checks: list[DegreeCheck] = []
-    ok = True
     for n, cells in complexes.critical_cells(cx):
-        vs = by_degree.get(n, [])
-        # d of a basis monomial has no repeated term, so it is zero exactly
-        # when d_terms yields none
-        notes = [f"{v.name()} is not a cocycle" for v in vs if any(gca.d_terms(v.monomial, q))]
-        independent = not notes
-        if independent and vs:
-            position, classes = {m: i for i, m in enumerate(cells)}, linalg.Echelon()
-            independent = all(classes.insert({
-                position[m]: x for m, x in complexes.critical_class(cx, n, {v.monomial: 1}).items()
-            }) for v in vs)
-            if not independent:
-                notes.append("enumerated classes are dependent modulo coboundaries")
-        dim = len(cells)
-        if not vs and not dim:
+        expected = listed.get(n, [])
+        if not cells and not expected:
             continue
-        if n > 2 * q and len(vs) != dim:
-            ok = False
-            notes.append(f"count mismatch above 2q: enumerated {len(vs)} vs oracle {dim}")
-        if n <= 2 * q and dim > len(vs):
+        agree, dim, vey = cells == expected, len(cells), sum(1 for m in expected if m.y_part)
+        notes = [] if agree else [
+            f"the walk's critical cells ({dim}) differ from the enumerator's ({len(expected)})"]
+        if n <= 2 * q and dim > vey:
             labels = ", ".join(m.label() for m in cells)
-            notes.append(f"oracle sees {dim - len(vs)} non-Vey survivor(s) in low degree: {labels}")
+            notes.append(f"oracle sees {dim - vey} non-Vey survivor(s) in low degree: {labels}")
         if kind == "W" and q == 2 and n == 8:
             notes.append(
                 "degree-8 dimension is 2 (y1y2c1^2 and y1y2c2 both survive); "
                 "classical generator tables for this algebra list only y1y2c2"
             )
-        if not independent:
-            ok = False
-        checks.append(DegreeCheck(n, len(vs), dim, independent, notes))
-    return ValidationReport(q, kind, checks, ok)
+        checks.append(DegreeCheck(n, vey, dim, agree, notes))
+    return ValidationReport(q, kind, checks, all(c.independent for c in checks))

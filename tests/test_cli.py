@@ -122,9 +122,10 @@ def test_large_q_refusal_does_not_hang(tmp_path, command):
     [(["cohomology", "--complex", "W", "--q", "99"], 3, None),
      (["validate", "--complex", "W", "--q", "99"], 3, None),
      (["model", "--q", "0", "--max-degree", "4"], 2, "invalid input: q must be positive"),
+     (["vey", "--complex", "W", "--q", "0"], 2, "invalid input: q must be positive"),
      (["model", "--q", "2", "--max-degree", "1"], 2,
       "invalid input: degree cap must be at least 2")],
-    ids=["cohomology", "validate", "model-q0", "model-max-degree1"],
+    ids=["cohomology", "validate", "model-q0", "vey-q0", "model-max-degree1"],
 )
 def test_refused_job_prints_only_the_refusal(capsys, cache_dir, argv, code, message):
     # no progress line for work the job never starts
@@ -247,11 +248,10 @@ def test_preset_with_descriptor_flags_exit_2(capsys, cache_dir, flags):
 @pytest.mark.parametrize("flag", ["--closed", "--non-orientable"])
 def test_removed_manifold_flags_exit_2(capsys, cache_dir, flag):
     # closed is compact and orientable is true, so neither flag chose anything
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["manifold", "--dim", "3", "--compact", flag, "--cache-dir", cache_dir])
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
-    assert f"unrecognized arguments: {flag}" in err
+    code, out, err = run(capsys, ["manifold", "--dim", "3", "--compact", flag,
+                                  "--cache-dir", cache_dir])
+    assert (code, out) == (2, "")
+    assert err == f"veycalc: invalid input: unrecognized arguments: {flag}\n"
     assert not pathlib.Path(cache_dir).exists()
 
 
@@ -539,9 +539,25 @@ def test_empty_cache_dir_flag_exit_2(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag", ["--classify", "--validate"])
 def test_removed_vey_flags_exit_2(capsys, cache_dir, flag):
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["vey", "--complex", "W", "--q", "1", flag, "--cache-dir", cache_dir])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, ["vey", "--complex", "W", "--q", "1", flag,
+                                  "--cache-dir", cache_dir])
+    assert (code, out) == (2, "")
+    assert err == f"veycalc: invalid input: unrecognized arguments: {flag}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "--complex", "X", "--q", "2"], "argument --complex: invalid choice: 'X'"),
+    (["cohomology", "--complex", "W"], "the following arguments are required: --q"),
+    (["cohomology", "--complex", "W", "--q", "abc"], "argument --q: invalid int value: 'abc'"),
+], ids=["bad-complex", "missing-q", "q-abc"])
+def test_usage_error_is_invalid_input(capsys, cache_dir, argv, message):
+    # argparse's usage errors are returned as exit 2, like every invalid input
+    code, out, err = run(capsys, argv + ["--cache-dir", cache_dir])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"veycalc: invalid input: {message}")
+    assert err.count("\n") == 1
+    assert not pathlib.Path(cache_dir).exists()
+
 
 def test_config_defaults():
     c = Config()

@@ -67,7 +67,7 @@ JOBS = [
     ("model --q 2 --max-degree 6", {"gca", "linalg", "minimal_model"}, False),
     ("vey --complex WO --q 3", {"vey", "gca"}, False),
     ("vey --complex WO --q 3 --degree 7", {"vey", "gca"}, False),
-    ("validate --complex W --q 2", {"vey", "gca", "linalg", "complexes"}, False),
+    ("validate --complex W --q 2", {"vey", "gca", "complexes"}, False),
     ("manifold --dim 6 --compact", {"manifold", "vey", "gca"}, False),
     ("--version", set(), True),
 ]

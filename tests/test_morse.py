@@ -1,14 +1,16 @@
-"""The checked Morse walk of veycalc.complexes against the elimination oracle.
+"""The checked Morse walk of veycalc.complexes against the elimination oracle
+and the enumerator of critical cells.
 
 `complexes.critical_cells` walks the least-index matching (Forman, Adv.
 Math. 134, 1998; Skoldberg, Trans. AMS 358, 2006) and checks every cell
-against gca.d_terms; its critical cells are the representatives that
-`complexes.cohomology` returns.  Here they are compared with the
-elimination oracle (tests/elimination.py) where it is affordable, and with
-the Vey basis and the Euler characteristic past it; a matching or a d that
-is off by one must make the walk raise, also under `python -O`; and neither
-`cohomology`, `validate_vey` nor `is_coboundary` eliminates or reads the
-assembled triplets.
+against gca.d_terms; `gca.critical_groups` lists its critical cells without
+walking, and `complexes.cohomology` returns those as its representatives.
+Here the walk is compared with the elimination oracle (tests/elimination.py)
+where it is affordable, and with the enumerator, the Vey basis and the Euler
+characteristic past it; a matching or a d that is off by one must make the
+walk raise, and a Vey condition that is off by one must make `cohomology`
+raise, also under `python -O`; and neither `cohomology`, `validate_vey` nor
+`is_coboundary` eliminates, reads the bases or reads the assembled triplets.
 """
 
 import ast
@@ -42,6 +44,26 @@ def test_critical_cells_are_the_oracle_representatives(q, kind):
     assert complexes.cohomology(cx).representatives == elimination.representatives(cx)
 
 
+def _listed(sig):
+    """Degree -> the cells of gca.critical_groups, in its order."""
+    listed = {}
+    for n, ys, _, cparts in gca.critical_groups(sig):
+        listed.setdefault(n, []).extend(Monomial(ys, c) for c in cparts)
+    return listed
+
+
+ENUMERATED = ORACLE_CASES + [(9, "W"), (13, "WO")]
+
+
+@pytest.mark.parametrize("q, kind", ENUMERATED, ids=[f"{k}{q}" for q, k in ENUMERATED])
+def test_the_enumerator_lists_the_walks_critical_cells(q, kind):
+    # every degree, the unit and the pure c_J included, in the same order
+    cx = complexes.build_complex(q, kind)
+    walked, listed = dict(complexes.critical_cells(cx)), _listed(cx.signature)
+    assert set(listed) <= set(walked)
+    assert walked == {n: listed.get(n, []) for n in walked}
+
+
 @pytest.mark.parametrize("q, kind", [(5, "W"), (6, "WO"), (6, "I")])
 def test_the_matching_is_an_involution(q, kind):
     # a lower cell's partner is an upper cell whose partner it is, and back
@@ -59,9 +81,10 @@ def test_the_matching_is_an_involution(q, kind):
 @pytest.mark.parametrize("q, kind", [(10, "W"), (11, "W"), (16, "WO")])
 def test_validate_past_the_oracle(monkeypatch, q, kind):
     # past the q the elimination oracle affords: every Vey class is an
-    # independent class, and above 2q the critical cells are the Vey basis,
-    # in the same canonical order; the critical cells have the Euler
-    # characteristic of the complex
+    # independent class, in every degree the critical cells are the
+    # enumerator's, and above 2q they are the Vey basis, in the same
+    # canonical order; the critical cells have the Euler characteristic of
+    # the complex
     real, cells = complexes.critical_cells, {}
 
     def recorded(cx):
@@ -76,6 +99,9 @@ def test_validate_past_the_oracle(monkeypatch, q, kind):
         assert check.independent
         if check.degree > 2 * q:
             assert check.enumerated == check.oracle_dim == len(cells[check.degree])
+    listed = _listed(complexes.signature_for(q, kind))
+    assert set(listed) <= set(cells)
+    assert cells == {n: listed.get(n, []) for n in cells}
     above = [m for n, ms in sorted(cells.items()) if n > 2 * q for m in ms]
     assert above == [v.monomial for v in vey.vey_basis(q, kind)]
     series = gca.basis_dimension_series(complexes.signature_for(q, kind))
@@ -127,6 +153,23 @@ def test_the_certificate_survives_python_O():
     assert "AssertionError" in run.stderr
 
 
+@pytest.mark.parametrize("off", [-1, 1])
+def test_the_cohomology_check_survives_python_O(off):
+    # the weight window of the Vey condition shifted by off: -1 lists a cell
+    # whose d is not 0, +1 drops cells and so the Euler characteristic
+    code = (
+        "from veycalc import complexes, gca\n"
+        "real = gca.is_critical\n"
+        f"gca.is_critical = lambda q, odd, i1, c: real(q + {off}, odd, i1, c)\n"
+        "complexes.cohomology(complexes.build_complex(3, 'W'))\n"
+    )
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(SRC)}, timeout=60)
+    assert run.returncode != 0
+    assert "AssertionError" in run.stderr
+    assert ("has d != 0" if off < 0 else "Euler characteristic") in run.stderr
+
+
 def test_src_has_no_bare_assert():
     # `python -O` strips assert statements; every check raises explicitly
     for path in sorted((SRC / "veycalc").glob("*.py")):
@@ -145,13 +188,16 @@ PROGRAM_PATH_DIGESTS = {
 
 
 def _refuse(*args):
-    raise AssertionError("an elimination path was taken")
+    raise AssertionError("a path off the program path was taken")
 
 
 @pytest.mark.parametrize("q, kind", sorted(PROGRAM_PATH_DIGESTS))
 def test_program_path_neither_eliminates_nor_reads_the_triplets(monkeypatch, q, kind):
+    # nor the bases: cohomology reads the enumerator, and validate_vey walks
+    # gca.iter_basis
     monkeypatch.setattr(linalg, "column_pass", _refuse)
     monkeypatch.setattr(complexes.GradedComplex, "diff", property(_refuse))
+    monkeypatch.setattr(complexes.GradedComplex, "bases", property(_refuse))
     docs = (
         complexes.cohomology(complexes.build_complex(q, kind)).to_json_obj(),
         vey.validate_vey(q, kind).to_json_obj(),
@@ -160,33 +206,36 @@ def test_program_path_neither_eliminates_nor_reads_the_triplets(monkeypatch, q, 
     assert digests == PROGRAM_PATH_DIGESTS[q, kind]
 
 
-def _with_classes(monkeypatch, edit):
-    real = vey.vey_basis
-    monkeypatch.setattr(vey, "vey_basis", lambda q, kind: edit(real(q, kind)))
-
-
-def test_validate_takes_an_upper_cell_at_its_class(monkeypatch):
-    # y2c1^2 is an upper cell: y2c1^2 = d(y1y2c1) + y1c1c2, so in place of
-    # the Vey class y1c1c2 it is the same class
+def test_critical_class_takes_an_upper_cell_to_its_class():
+    # y2c1^2 is an upper cell: y2c1^2 = d(y1y2c1) + y1c1c2
     y1c1c2, y2c1sq = Monomial((1,), (1, 1, 0)), Monomial((2,), (2, 0, 0))
-    _with_classes(monkeypatch, lambda classes: [
-        v._replace(monomial=y2c1sq) if v.monomial == y1c1c2 else v for v in classes
-    ])
-    report = vey.validate_vey(3, "W")
-    assert report.ok
-    assert all(c.independent for c in report.per_degree)
-    assert any(c.enumerated for c in report.per_degree if c.degree == 7)
+    cx = complexes.build_complex(3, "W")
+    assert complexes.critical_class(cx, 7, {y2c1sq: 1}) == {y1c1c2: 1}
+    assert complexes.critical_class(cx, 7, {y2c1sq: 1, y1c1c2: -1}) == {}
 
 
-def test_validate_finds_a_coboundary_dependent(monkeypatch):
-    # c1 = d(y1) is a cocycle whose class is zero
-    c1 = vey.VeyClass(Monomial((), (1, 0)), "W", 2, 2)
-    _with_classes(monkeypatch, lambda classes: [c1, *classes])
+def test_validate_finds_a_coboundary_listed(monkeypatch):
+    # c1 = d(y1) is an upper cell, listed by the enumerator in degree 2
+    real = gca.critical_groups
+    monkeypatch.setattr(gca, "critical_groups",
+                        lambda sig, degree=None: [(2, (), 1, ((1, 0),)), *real(sig, degree)])
     report = vey.validate_vey(2, "W")
     assert not report.ok
     deg2 = next(c for c in report.per_degree if c.degree == 2)
     assert not deg2.independent
-    assert deg2.notes == ["enumerated classes are dependent modulo coboundaries"]
+    assert deg2.notes[0] == "the walk's critical cells (0) differ from the enumerator's (1)"
+
+
+def test_validate_finds_the_enumerator_off_the_walk(monkeypatch):
+    # the unit, a critical cell of no Vey class, dropped from the enumerator
+    real = gca.critical_groups
+    monkeypatch.setattr(gca, "critical_groups",
+                        lambda sig, degree=None: [g for g in real(sig, degree) if g[0]])
+    report = vey.validate_vey(2, "W")
+    assert not report.ok
+    assert report.per_degree[0].degree == 0
+    assert report.per_degree[0].notes[0] == "the walk's critical cells (1) differ from the enumerator's (0)"
+    assert sum("differ" in note for c in report.per_degree for note in c.notes) == 1
 
 
 def test_critical_class_refuses_a_non_cocycle():

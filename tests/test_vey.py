@@ -209,29 +209,25 @@ def test_validate(q, kind):
             assert check.enumerated == check.oracle_dim
 
 
-def test_validate_reports_a_non_cocycle_and_a_dependent_class(monkeypatch):
-    # y1 (degree 1) has d y1 = c1, and a repeated class of degree > 2q is
-    # dependent on its first copy and breaks the count
-    from veycalc.gca import Monomial
+def test_validate_reports_cells_off_the_walk(monkeypatch):
+    # an enumerator that lists y1 (d y1 = c1, a lower cell) and repeats the
+    # two cells y1c1^2, y1c2 of degree 5 > 2q fails in those two degrees and nowhere else
+    from veycalc import gca
 
-    real = vey.vey_basis
+    real = gca.critical_groups
 
-    def faulty(q, kind):
-        classes = real(q, kind)
-        y1 = vey.VeyClass(Monomial((1,), (0,) * q), kind, q, 1)
-        return [y1, *classes, next(v for v in classes if v.degree > 2 * q)]
+    def faulty(sig, degree=None):
+        groups = real(sig, degree)
+        return [(1, (1,), 0, ((0,) * sig.q,)), *groups, next(g for g in groups if g[0] > 2 * sig.q)]
 
-    monkeypatch.setattr(vey, "vey_basis", faulty)
+    monkeypatch.setattr(gca, "critical_groups", faulty)
     report = vey.validate_vey(2, "W")
     assert not report.ok
     checks = {c.degree: c for c in report.per_degree}
-    assert not checks[1].independent
-    assert checks[1].notes == ["y1 is not a cocycle"]
-    assert (checks[5].enumerated, checks[5].oracle_dim, checks[5].independent) == (3, 2, False)
-    assert checks[5].notes == [
-        "enumerated classes are dependent modulo coboundaries",
-        "count mismatch above 2q: enumerated 3 vs oracle 2",
-    ]
+    assert (checks[1].enumerated, checks[1].oracle_dim, checks[1].independent) == (1, 0, False)
+    assert checks[1].notes == ["the walk's critical cells (0) differ from the enumerator's (1)"]
+    assert (checks[5].enumerated, checks[5].oracle_dim, checks[5].independent) == (4, 2, False)
+    assert checks[5].notes == ["the walk's critical cells (2) differ from the enumerator's (4)"]
     assert all(c.independent for c in report.per_degree if c.degree not in (1, 5))
 
 
