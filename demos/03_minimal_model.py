@@ -26,7 +26,7 @@ def main() -> None:
     print("\nloop-space series (delooping the q=2 rank table by q):")
     model = minimal_model.build_model(2, 8)
     ranks = minimal_model.rank_table(model)
-    series = minimal_model.loop_poincare(ranks, 2, 10)
+    series = minimal_model.loop_poincare(ranks.ranks, 2, 10)
     print(f"  ranks {ranks.ranks} -> coefficients {series.coefficients}")
 
     print("\nclosed forms: even generator -> geometric, odd -> two terms:")

@@ -67,15 +67,16 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sum_label(terms) -> str:
+    """The sum "coeff*label + ..." of (coeff, label) text pairs, a coefficient 1 unwritten."""
+    bits = [label if coeff == "1" else f"{coeff}*{label}" for coeff, label in terms]
+    return " + ".join(bits) or "0"
+
+
 def _element_label(terms: list[dict]) -> str:
     from .gca import Monomial
 
-    bits = []
-    for t in terms:
-        label = Monomial.from_json_obj(t["m"]).label()
-        coeff = t["coeff"]
-        bits.append(label if coeff == "1" else f"{coeff}*{label}")
-    return " + ".join(bits) if bits else "0"
+    return _sum_label((t["coeff"], Monomial.from_json_obj(t["m"]).label()) for t in terms)
 
 
 # -- table renderers ---------------------------------------------------------
@@ -137,11 +138,7 @@ def _render_model(doc: dict) -> str:
     out += _table(["degree", "rank", "generators"], rows)
     diff_lines = []
     for gid in sorted(doc["differentials"]):
-        terms = doc["differentials"][gid]
-        expr = " + ".join(
-            t["word"] if t["coeff"] == "1" else f"{t['coeff']}*{t['word']}"
-            for t in terms
-        )
+        expr = _sum_label((t["coeff"], t["word"]) for t in doc["differentials"][gid])
         diff_lines.append(f"d({gid}) = {expr}")
     if diff_lines:
         out += "\n" + "\n".join(diff_lines) + "\n"
@@ -226,7 +223,7 @@ def _model_job(args, config: Config):
         if args.max_degree > config.model_degree_cap:
             raise ModelBudgetError(
                 f"--max-degree {args.max_degree} exceeds the configured cap "
-                f"{config.model_degree_cap}", attempted_dimension=args.max_degree)
+                f"{config.model_degree_cap}", estimate=args.max_degree)
         from . import minimal_model
 
         minimal_model.check_input(args.q, args.max_degree)  # before the progress line
@@ -276,8 +273,6 @@ def _manifold_job(args, config: Config):
         descriptor = manifold.ManifoldDescriptor(
             q=args.dim,
             compact=args.compact,
-            closed=args.compact,
-            orientable=True,
             parallelizable=args.parallelizable,
             cospherical_degrees=_parse_cospherical(args.cospherical or ""),
             trivialized_over_cycles=args.trivialized_over_cycles,

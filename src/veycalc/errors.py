@@ -7,7 +7,7 @@ algebra stack.  The modules these names belong to re-export them:
 ``minimal_model`` (``ModelBudgetError``) and ``manifold``
 (``UnsupportedInputError``).  Only the CLI checks the caps, after its cache
 lookup; the library refuses no job for its size, except a model whose word
-basis outgrows its budget (``ModelBudgetError``).
+basis outgrows ``minimal_model.WORD_BUDGET`` (``ModelBudgetError``).
 """
 
 DEFAULT_Q_CAP = 10
@@ -25,10 +25,6 @@ class ResourceBudgetError(RuntimeError):
 
 class ModelBudgetError(ResourceBudgetError):
     """A model budget refusal; its estimate is the attempted dimension."""
-
-    def __init__(self, message: str, attempted_dimension: int):
-        super().__init__(message, estimate=attempted_dimension)
-        self.attempted_dimension = attempted_dimension
 
 
 class UnsupportedInputError(ValueError):

@@ -2,9 +2,11 @@
 
 :func:`report` lists the classes that a codimension-q manifold descriptor
 gives on the classifying spaces of its diffeomorphism groups, from one rule
-table.  Here v runs over ``vey.variable_set(q)``, C_i over the lower
-co-spherical cycles and e over the braced classes of degree > 2q+1; a
-global section exists when the manifold is compact and parallelizable.
+table.  A descriptor is orientable and has no boundary: ``closed`` reads
+``compact`` and ``orientable`` reads True.  Here v runs over
+``vey.variable_set(q)``, C_i over the lower co-spherical cycles and e over
+the braced classes of degree > 2q+1; a global section exists when the
+manifold is compact and parallelizable.
 
     family              target       method             applies when
     gv[v]               MDiff_delta  gv_total           always
@@ -40,18 +42,16 @@ SURVIVAL = ("yes", "unknown", "killed")
 
 
 class ManifoldDescriptor:
-    __slots__ = ("q", "compact", "closed", "orientable", "parallelizable",
-                 "cospherical_degrees", "trivialized_over_cycles", "label")
+    __slots__ = ("q", "compact", "parallelizable", "cospherical_degrees",
+                 "trivialized_over_cycles", "label")
 
-    def __init__(self, q: int, compact: bool, closed: bool, orientable: bool,
-                 parallelizable: bool, cospherical_degrees: tuple[tuple[int, int], ...] = (),
+    def __init__(self, q: int, compact: bool, parallelizable: bool,
+                 cospherical_degrees: tuple[tuple[int, int], ...] = (),
                  trivialized_over_cycles: bool = False, label: str = "") -> None:
         # cospherical_degrees: (degree k, count) with 0 < k < q; the fundamental
         # class (k = q) is implicit
         if q < 1:
             raise UnsupportedInputError("dimension q must be positive")
-        if not orientable:
-            raise UnsupportedInputError("non-orientable manifolds are unsupported")
         for i, (k, count) in enumerate(cospherical_degrees):
             if not 0 < k < q:
                 raise UnsupportedInputError(
@@ -63,12 +63,13 @@ class ManifoldDescriptor:
                 raise UnsupportedInputError(f"co-spherical degree {k} is listed twice")
         self.q = q
         self.compact = compact
-        self.closed = closed
-        self.orientable = orientable
         self.parallelizable = parallelizable
         self.cospherical_degrees = cospherical_degrees
         self.trivialized_over_cycles = trivialized_over_cycles
         self.label = label
+
+    closed = property(lambda self: self.compact)  # no descriptor has a boundary
+    orientable = property(lambda self: True)  # nor lacks an orientation
 
     def to_json_obj(self) -> dict:
         return {
@@ -214,7 +215,7 @@ def _loop_family_records(q: int) -> list[ClassRecord]:
 
     cap = 2 * q + 2
     model = minimal_model.build_model(q, cap)
-    series = minimal_model.loop_poincare(minimal_model.rank_table(model), q, cap)
+    series = minimal_model.loop_poincare(minimal_model.rank_table(model).ranks, q, cap)
     out = []
     for deg, coeff in enumerate(series.coefficients):
         if deg >= 1 and coeff > 0:
@@ -243,8 +244,8 @@ def _preset_int(base: str, arg: str, noun: str) -> int:
         ) from exc
 
 
-# The compact, closed, orientable presets without a parameter: name -> (q,
-# parallelizable, co-spherical degrees).
+# The compact presets without a parameter: name -> (q, parallelizable,
+# co-spherical degrees).
 _FIXED_PRESETS = {
     "S1": (1, True, ()),
     "S2": (2, False, ()),
@@ -261,15 +262,13 @@ def preset(name: str) -> ManifoldDescriptor:
         if colon:
             raise UnsupportedInputError(f"bad preset {name}; {base} takes no argument")
         q, parallelizable, cospherical = _FIXED_PRESETS[base]
-        return ManifoldDescriptor(q, True, True, True, parallelizable, cospherical, label=base)
+        return ManifoldDescriptor(q, True, parallelizable, cospherical, label=base)
     if base == "Sigma_g":
         g = _preset_int(base, arg, "genus")
         if g < 2:
             raise UnsupportedInputError("Sigma_g needs genus g >= 2")
         return ManifoldDescriptor(
             2,
-            True,
-            True,
             True,
             False,
             ((1, 2 * g),),
@@ -278,5 +277,5 @@ def preset(name: str) -> ManifoldDescriptor:
         )
     if base == "Rq":
         q = _preset_int(base, arg, "dimension")
-        return ManifoldDescriptor(q, False, False, True, True, (), label=f"R{q}")
+        return ManifoldDescriptor(q, False, True, (), label=f"R{q}")
     raise UnsupportedInputError(f"unknown preset {name!r}")

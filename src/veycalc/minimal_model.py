@@ -11,6 +11,7 @@ counts per degree are the dual homotopy ranks; the free-algebra Poincare
 series of a rank table after delooping describes the loop-space homology
 families.
 
+A word basis over the constant ``WORD_BUDGET`` raises ``ModelBudgetError``.
 Everything is exact and deterministic.  Coefficients are ints while they
 are integral; a Fraction only comes from the elimination in
 :mod:`veycalc.linalg`, past a pivot other than +-1.
@@ -24,7 +25,7 @@ from . import gca, linalg
 from .errors import ModelBudgetError
 from .gca import AlgebraSignature, Coeff, Element, Monomial
 
-DEFAULT_WORD_BUDGET = 50_000
+WORD_BUDGET = 50_000
 
 
 # A word in the free algebra is a sparse, index-sorted exponent tuple:
@@ -33,6 +34,16 @@ Word = tuple[tuple[int, int], ...]
 FreeElement = dict[Word, Coeff]
 
 UNIT_WORD: Word = ()
+
+
+def add_into(out: FreeElement, terms: FreeElement, k: Coeff = 1) -> None:
+    """out += k * terms, in place, dropping the words that cancel."""
+    for w, c in terms.items():
+        nc = out.get(w, 0) + k * c
+        if nc:
+            out[w] = nc
+        else:
+            out.pop(w, None)
 
 
 class FreeAlgebra:
@@ -69,19 +80,6 @@ class FreeAlgebra:
 
     # -- elements ----------------------------------------------------------
 
-    def add(self, a: FreeElement, b: FreeElement) -> FreeElement:
-        out = dict(a)
-        for w, c in b.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return out
-
-    def scale(self, a: FreeElement, k: Coeff) -> FreeElement:
-        return {w: c * k for w, c in a.items()} if k else {}
-
     def mul(self, a: FreeElement, b: FreeElement) -> FreeElement:
         out: FreeElement = {}
         for wa, ca in a.items():
@@ -114,7 +112,7 @@ class FreeAlgebra:
                     quotient = word[:t] + block + word[t + 1 :]
                     sign = (-1) ** (prefix_deg + (gdeg + 1) * suffix_deg)
                     factor = coeff * sign * (e if gdeg % 2 == 0 else 1)
-                    out = self.add(out, self.mul({quotient: factor}, dg))
+                    add_into(out, self.mul({quotient: factor}, dg))
                 prefix_deg += gdeg * e
         return out
 
@@ -179,10 +177,9 @@ class ModelStage(NamedTuple):
 
 
 class _ModelBuilder:
-    def __init__(self, q: int, cap: int, word_budget: int):
+    def __init__(self, q: int, cap: int):
         self.q = q
         self.cap = cap
-        self.word_budget = word_budget
         self.sig = AlgebraSignature.I(q)
         self.alg = FreeAlgebra()
         self.generators: dict[int, list[str]] = {}
@@ -199,11 +196,11 @@ class _ModelBuilder:
         cached = self._bases.get(n)
         if cached is None or cached[0] != count:
             cached = self._bases[n] = (count, self.alg.basis(n))
-            if len(cached[1]) > self.word_budget:  # every enumerated basis, d's target too
+            if len(cached[1]) > WORD_BUDGET:  # every enumerated basis, d's target too
                 raise ModelBudgetError(
                     f"free-algebra basis at degree {n} has {len(cached[1])} words, "
-                    f"over the budget of {self.word_budget}",
-                    attempted_dimension=len(cached[1]),
+                    f"over the budget of {WORD_BUDGET}",
+                    estimate=len(cached[1]),
                 )
         return cached[1]
 
@@ -270,7 +267,7 @@ class _ModelBuilder:
         for combo in kernel:
             target: FreeElement = {}
             for j in sorted(combo):
-                target = self.alg.add(target, self.alg.scale(reps[j], combo[j]))
+                add_into(target, reps[j], combo[j])
             self._add_generator("w", n - 1, target)
         if n == self.cap:
             return
@@ -313,14 +310,10 @@ def check_input(q: int, degree_cap: int) -> None:
         raise ValueError("degree cap must be at least 2")
 
 
-def build_model(
-    q: int,
-    degree_cap: int,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-) -> ModelStage:
+def build_model(q: int, degree_cap: int) -> ModelStage:
     """Stagewise bigraded model of I_q, certified through degree_cap - 1."""
     check_input(q, degree_cap)
-    return _ModelBuilder(q, degree_cap, word_budget).build()
+    return _ModelBuilder(q, degree_cap).build()
 
 
 class RankTable(NamedTuple):
@@ -343,12 +336,11 @@ class PoincareSeries(NamedTuple):
         return {"coefficients": list(self.coefficients)}
 
 
-def loop_poincare(ranks: RankTable | dict[int, int], loops: int, cap: int) -> PoincareSeries:
-    """Poincare series of the free graded-commutative algebra on the
-    delooped generating set: each degree-m generator count shifts to m - loops,
-    dropping nonpositive degrees (see gca.free_series)."""
+def loop_poincare(ranks: dict[int, int], loops: int, cap: int) -> PoincareSeries:
+    """Poincare series of the free graded-commutative algebra on the delooped
+    generating set ranks (degree -> count, as RankTable.ranks): each degree-m
+    generator shifts to m - loops, dropping nonpositive degrees (gca.free_series)."""
     if loops < 0:
         raise ValueError("loops must be nonnegative")
-    g = ranks.ranks if isinstance(ranks, RankTable) else ranks
-    degrees = (deg - loops for deg, count in g.items() if deg > loops for _ in range(count))
+    degrees = (deg - loops for deg, count in ranks.items() if deg > loops for _ in range(count))
     return PoincareSeries(gca.free_series(degrees, cap))

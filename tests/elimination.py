@@ -41,9 +41,18 @@ def representatives(cx):
     return reps
 
 
+def element_vector(cx, a, n):
+    """a as a sparse vector over the degree-n basis of cx."""
+    index = cx.index(n)
+    for m in a.terms:
+        if m not in index:
+            raise ValueError(f"monomial {m.label()} not in the degree-{n} basis")
+    return {index[m]: coeff for m, coeff in a.terms.items()}
+
+
 def is_coboundary(cx, a):
     """Whether the homogeneous a lies in the image of all of d_(n-1)."""
     if a.is_zero():
         return True
     n = a.degree()
-    return not linalg.Echelon(columns(cx, n - 1)).reduce(cx.element_vector(a, n))
+    return not linalg.Echelon(columns(cx, n - 1)).reduce(element_vector(cx, a, n))

@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import elimination
 from veycalc import cli, complexes, gca, minimal_model, vey
 from veycalc.cache import canonical_json
 from veycalc.gca import AlgebraSignature, Element
@@ -77,7 +78,9 @@ def test_criterion_03_oracle_q3():
     ]
     image = [row for row in image if any(x != 0 for x in row)]
     vecs = [
-        linalg.dense(cx.element_vector(Element.monomial(cx.signature, m), 10), len(basis10))
+        linalg.dense(
+            elimination.element_vector(cx, Element.monomial(cx.signature, m), 10), len(basis10)
+        )
         for m in braced
     ]
     assert linalg.rank(image + vecs) == linalg.rank(image) + 3

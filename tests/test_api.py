@@ -1,6 +1,9 @@
 """The public API: every name in ``veycalc.__all__`` resolves, however it is
-reached, the errors that moved to ``veycalc.errors`` keep their identity, and
-the value classes keep their repr, equality and validation."""
+reached, the errors that moved to ``veycalc.errors`` keep their identity, the
+value classes keep their repr, equality and validation, and the signatures
+that lost an input are pinned."""
+
+import inspect
 
 import pytest
 
@@ -110,15 +113,48 @@ def test_invalid_monomial_message_is_unchanged():
 
 
 def test_model_budget_error_is_a_resource_budget_error():
-    exc = errors.ModelBudgetError("over budget", attempted_dimension=7)
+    exc = errors.ModelBudgetError("over budget", estimate=7)
     assert isinstance(exc, errors.ResourceBudgetError)
-    assert exc.attempted_dimension == exc.estimate == 7
+    assert exc.estimate == 7
+    with pytest.raises(TypeError):
+        errors.ModelBudgetError("over budget", attempted_dimension=7)
+
+
+# Inputs that every program caller set to one value are constants or derived
+# values: closed is compact, orientable is True, the word budget is
+# minimal_model.WORD_BUDGET, and loop_poincare takes RankTable.ranks.
+SIGNATURES = [
+    (ManifoldDescriptor, ["q", "compact", "parallelizable", "cospherical_degrees",
+                          "trivialized_over_cycles", "label"]),
+    (minimal_model.build_model, ["q", "degree_cap"]),
+    (minimal_model.loop_poincare, ["ranks", "loops", "cap"]),
+    (errors.ModelBudgetError, ["message", "estimate"]),
+]
+
+
+@pytest.mark.parametrize("obj, params", SIGNATURES,
+                         ids=["ManifoldDescriptor", "build_model", "loop_poincare",
+                              "ModelBudgetError"])
+def test_signature_is_pinned(obj, params):
+    assert list(inspect.signature(obj).parameters) == params
+
+
+def test_removed_inputs_are_refused():
+    with pytest.raises(TypeError):
+        ManifoldDescriptor(2, True, True, orientable=True)
+    with pytest.raises(TypeError):
+        minimal_model.build_model(2, 6, word_budget=10)
+    table = minimal_model.rank_table(minimal_model.build_model(2, 6))
+    with pytest.raises(AttributeError):  # a RankTable is no rank dict
+        minimal_model.loop_poincare(table, 0, 4)
+    assert minimal_model.loop_poincare(table.ranks, 0, 4).coefficients == [1, 0, 1, 0, 2]
+    assert minimal_model.WORD_BUDGET == 50_000
 
 
 def test_value_classes_still_validate():
     with pytest.raises(ConfigError):
         Config(q_cap=0)
-    with pytest.raises(errors.UnsupportedInputError, match="non-orientable"):
-        ManifoldDescriptor(2, True, True, False, True)
+    with pytest.raises(errors.UnsupportedInputError, match="dimension q must be positive"):
+        ManifoldDescriptor(0, True, True)
     with pytest.raises(ValueError, match="unknown target 'nowhere'"):
         ClassRecord("gv[y1c1]", 3, "nowhere", "gv_total", 1, "yes")

@@ -50,20 +50,23 @@ def test_hurewicz():
         assert hurewicz_ok(q + 1, 2 * q + 1) == "iso"
 
 
-def test_non_orientable_rejected():
-    with pytest.raises(UnsupportedInputError):
-        ManifoldDescriptor(2, True, True, False, True)
+def test_closed_and_orientable_are_derived():
+    # no descriptor has a boundary or lacks an orientation, so neither is an input
+    for compact in (False, True):
+        d = ManifoldDescriptor(2, compact, True)
+        assert (d.closed, d.orientable) == (compact, True)
+        assert (d.to_json_obj()["closed"], d.to_json_obj()["orientable"]) == (compact, True)
 
 
 def test_bad_cospherical_degree_rejected():
     with pytest.raises(UnsupportedInputError):
-        ManifoldDescriptor(2, True, True, True, True, ((2, 1),))
+        ManifoldDescriptor(2, True, True, ((2, 1),))
 
 
 def test_repeated_cospherical_degree_rejected():
     # 1:2,1:3 would split the five degree-1 cycles into two gamma ranks
     with pytest.raises(UnsupportedInputError, match="co-spherical degree 1 is listed twice"):
-        ManifoldDescriptor(3, True, True, True, True, ((1, 2), (2, 1), (1, 3)))
+        ManifoldDescriptor(3, True, True, ((1, 2), (2, 1), (1, 3)))
 
 
 @pytest.mark.parametrize(
@@ -158,8 +161,8 @@ def test_degree_consistency():
 
 
 def test_monotonicity_in_cosphericals():
-    base = ManifoldDescriptor(2, True, True, True, True, ((1, 1),))
-    more = ManifoldDescriptor(2, True, True, True, True, ((1, 2),))
+    base = ManifoldDescriptor(2, True, True, ((1, 1),))
+    more = ManifoldDescriptor(2, True, True, ((1, 2),))
     r1 = report(base)
     r2 = report(more)
     assert len(r2) > len(r1)
@@ -188,8 +191,7 @@ def _descriptors():
         for compact, parallelizable, trivialized in itertools.product((False, True), repeat=3):
             for cospherical in COSPHERICAL_LISTS:
                 if all(k < q for k, _ in cospherical):
-                    yield ManifoldDescriptor(q, compact, compact, True, parallelizable,
-                                             cospherical, trivialized)
+                    yield ManifoldDescriptor(q, compact, parallelizable, cospherical, trivialized)
 
 
 def test_inventory_follows_the_rules():

@@ -9,6 +9,7 @@ from veycalc.gca import AlgebraSignature, Element
 from veycalc.minimal_model import (
     FreeAlgebra,
     ModelBudgetError,
+    add_into,
     build_model,
     loop_poincare,
     rank_table,
@@ -23,7 +24,8 @@ def test_free_algebra_words():
     # odd generators anticommute and square to zero
     ab = alg.mul({((a, 1),): 1}, {((b, 1),): 1})
     ba = alg.mul({((b, 1),): 1}, {((a, 1),): 1})
-    assert alg.add(ab, ba) == {}
+    add_into(ab, ba)
+    assert ab == {}
     assert alg.mul({((a, 1),): 1}, {((a, 1),): 1}) == {}
     # basis enumeration
     assert [alg.word_label(w) for w in alg.basis(6)] == ["x^3", "ab"]
@@ -34,7 +36,7 @@ def test_free_algebra_basis_is_sorted_and_counted_by_its_series(q, cap):
     # the word counts of the free algebra on the model's generators are the
     # coefficients of its Poincare series, computed without enumerating words
     m = build_model(q, cap)
-    series = loop_poincare(rank_table(m), 0, cap + 4).coefficients
+    series = loop_poincare(rank_table(m).ranks, 0, cap + 4).coefficients
     for n, count in enumerate(series):
         words = m.algebra.basis(n)
         assert len(words) == count, n
@@ -125,7 +127,7 @@ def test_model_takes_im_d_from_the_stage_before(monkeypatch):
     # one _d_images per stage whose degree has words (11 for I_3 to degree
     # 16), for the column pass over d_n, and one per rank of the quasi-iso
     # check (degrees 2..15); no stage rebuilds im d_(n-1) from d_(n-1)
-    builder = minimal_model._ModelBuilder(3, 16, minimal_model.DEFAULT_WORD_BUDGET)
+    builder = minimal_model._ModelBuilder(3, 16)
     real, calls = builder._d_images, []
     monkeypatch.setattr(builder, "_d_images", lambda s, t: calls.append(1) or real(s, t))
     model = builder.build()
@@ -158,7 +160,7 @@ def _psi_word(model, w) -> Element:
 
 @pytest.mark.parametrize("q, cap", [(2, 18), (3, 16), (4, 14)])
 def test_psi_is_exponent_addition(q, cap):
-    builder = minimal_model._ModelBuilder(q, cap, minimal_model.DEFAULT_WORD_BUDGET)
+    builder = minimal_model._ModelBuilder(q, cap)
     model = builder.build()
     for gid, image in model.images.items():
         if gid.startswith("x"):  # one c-only monomial of the generator's degree
@@ -193,22 +195,29 @@ def test_minimality_certificate_refuses_a_linear_term():
         minimal_model._assert_minimal(model)
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
+    monkeypatch.setattr(minimal_model, "WORD_BUDGET", 2)
     with pytest.raises(ModelBudgetError) as exc:
-        build_model(3, 12, word_budget=2)
-    assert exc.value.attempted_dimension > 2
+        build_model(3, 12)
+    assert exc.value.estimate > 2
 
 
-def test_budget_covers_every_enumerated_basis():
+def test_budget_covers_every_enumerated_basis(monkeypatch):
     # the top stage enumerates degree cap + 1, the target of d_cap: 255 words
-    # for (2, 22) then, 270 once the last generators are in (never enumerated)
+    # for (2, 22) then, 270 once the last generators are in (never enumerated);
+    # the builder reads WORD_BUDGET when it enumerates a basis
+    expected = build_model(2, 22).to_json_obj()
+    monkeypatch.setattr(minimal_model, "WORD_BUDGET", 192)
     with pytest.raises(ModelBudgetError) as exc:
-        build_model(2, 22, word_budget=192)
-    assert exc.value.attempted_dimension == 255
+        build_model(2, 22)
+    assert exc.value.estimate == 255
+    monkeypatch.setattr(minimal_model, "WORD_BUDGET", 254)
     with pytest.raises(ModelBudgetError):
-        build_model(2, 22, word_budget=254)
-    assert build_model(2, 22, word_budget=255).to_json_obj() == build_model(2, 22).to_json_obj()
-    assert all(build_model(2, 22, word_budget=270).quasi_iso_check.values())
+        build_model(2, 22)
+    monkeypatch.setattr(minimal_model, "WORD_BUDGET", 255)
+    assert build_model(2, 22).to_json_obj() == expected
+    monkeypatch.setattr(minimal_model, "WORD_BUDGET", 270)
+    assert all(build_model(2, 22).quasi_iso_check.values())
 
 
 def test_rank_table():

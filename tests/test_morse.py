@@ -153,15 +153,17 @@ def test_the_certificate_survives_python_O():
     assert "AssertionError" in run.stderr
 
 
-@pytest.mark.parametrize("off", [-1, 1])
-def test_the_cohomology_check_survives_python_O(off):
+@pytest.mark.parametrize("off, q, kind", [(-1, 3, "W"), (1, 3, "W"), (1, 1, "WO")])
+def test_the_cohomology_check_survives_python_O(off, q, kind):
     # the weight window of the Vey condition shifted by off: -1 lists a cell
-    # whose d is not 0, +1 drops cells and so the Euler characteristic
+    # whose d is not 0, +1 drops cells and so the Euler characteristic of an
+    # index weight; on WO_1 it drops the unit and y1c1, which leaves the total
+    # Euler characteristic as it was
     code = (
         "from veycalc import complexes, gca\n"
         "real = gca.is_critical\n"
         f"gca.is_critical = lambda q, odd, i1, c: real(q + {off}, odd, i1, c)\n"
-        "complexes.cohomology(complexes.build_complex(3, 'W'))\n"
+        f"complexes.cohomology(complexes.build_complex({q}, {kind!r}))\n"
     )
     run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": str(SRC)}, timeout=60)
