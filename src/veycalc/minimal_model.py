@@ -2,23 +2,25 @@
 
 The target algebra has zero differential, so the model is built in one pass
 per degree n = 2..cap, lower degree first: H^n(model) is solved once, from
-one elimination of d_n whose image echelon serves stage n + 1 as im d_n; new
-degree-(n-1) generators kill the kernel of H^n(model) -> I_q^n, and (below
-the cap) new closed degree-n generators hit its cokernel.  psi into I_q is a
-monomial map: each x generator goes to one c_J and each w to 0.  The
-quasi-iso check takes dim H^n = words - rank d_n - rank d_(n-1).  Generator
-counts per degree are the dual homotopy ranks; the free-algebra Poincare
-series of a rank table after delooping describes the loop-space homology
-families.
+one elimination of d_n over word columns that never move, whose image
+echelon is stage n + 1's im d_n as it stands; new degree-(n-1) generators
+kill the kernel of H^n(model) -> I_q^n, and (below the cap) new closed
+degree-n generators hit its cokernel.  psi into I_q is a monomial map: each
+x generator goes to one c_J and each w to 0.  The quasi-iso check takes
+dim H^n = words - rank d_n - rank d_(n-1).  Generator counts per degree are
+the dual homotopy ranks; the free-algebra Poincare series of a rank table
+after delooping describes the loop-space homology families.
 
-A word basis over the constant ``WORD_BUDGET`` raises ``ModelBudgetError``.
-Everything is exact and deterministic.  Coefficients are ints while they
-are integral; a Fraction only comes from the elimination in
-:mod:`veycalc.linalg`, past a pivot other than +-1.
+A degree of more than ``WORD_BUDGET`` words, counted before any is listed,
+raises ``ModelBudgetError``.  Everything is exact and deterministic.
+Coefficients are ints while they are integral; a Fraction only comes from
+the elimination in :mod:`veycalc.linalg`, past a pivot other than +-1.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from typing import NamedTuple
 
 from . import gca, linalg
@@ -184,25 +186,26 @@ class _ModelBuilder:
         self.alg = FreeAlgebra()
         self.generators: dict[int, list[str]] = {}
         self._c_parts: list[tuple[int, ...] | None] = []  # psi(g) as c-exponents, None for 0
-        # im d_(n-1) for stage n: (the degree-n words then, stage n-1's image echelon)
-        self._coboundaries: tuple[list[Word], linalg.Echelon] = ([], linalg.Echelon())
-        # d of a word never changes: generators are appended, with d set once;
-        # a degree's basis changes only when one is appended
-        self._d_cache: dict[Word, FreeElement] = {}
-        self._bases: dict[int, tuple[int, list[Word]]] = {}  # degree -> (generator count, basis)
+        # each word keeps the column it is first given, for the whole build
+        self._columns: dict[Word, int] = defaultdict(itertools.count().__next__)
+        self._image = linalg.Echelon()  # im d_(n-1) for stage n, over word columns
+        # d of a word never changes: generators are appended, with d set once
+        self._d_cache: dict[Word, linalg.SparseRow] = {}
+        self._counts = [1] + [0] * (cap + 1)  # words per degree through cap + 1
+
+    def _check_budget(self, n: int) -> None:
+        """Refuse a degree with more than WORD_BUDGET words, from its count."""
+        count = self._counts[n]
+        if count > WORD_BUDGET:
+            raise ModelBudgetError(
+                f"free-algebra basis at degree {n} has {count} words, "
+                f"over the budget of {WORD_BUDGET}",
+                estimate=count,
+            )
 
     def _basis(self, n: int) -> list[Word]:
-        count = len(self.alg.gids)
-        cached = self._bases.get(n)
-        if cached is None or cached[0] != count:
-            cached = self._bases[n] = (count, self.alg.basis(n))
-            if len(cached[1]) > WORD_BUDGET:  # every enumerated basis, d's target too
-                raise ModelBudgetError(
-                    f"free-algebra basis at degree {n} has {len(cached[1])} words, "
-                    f"over the budget of {WORD_BUDGET}",
-                    estimate=len(cached[1]),
-                )
-        return cached[1]
+        self._check_budget(n)  # before a word is listed
+        return self.alg.basis(n)
 
     def _psi_vector(self, elem: FreeElement, target_index) -> linalg.SparseRow:
         """psi of a word is a monomial map: its generators' c-exponents summed."""
@@ -216,41 +219,34 @@ class _ModelBuilder:
                     v[i] = v.get(i, 0) + c
         return v
 
-    def _d_images(self, source: list[Word], target: list[Word]) -> list[linalg.SparseRow]:
-        """d of each source word, as a sparse vector over the target words."""
-        index = {w: i for i, w in enumerate(target)}
-        images = []
-        for w in source:
-            dw = self._d_cache.get(w)
-            if dw is None:
-                dw = self._d_cache[w] = self.alg.differential({w: 1})
-            images.append({index[ww]: c for ww, c in dw.items()})
-        return images
+    def _d_column(self, w: Word) -> linalg.SparseRow:
+        """d of a word, as a sparse vector over word columns."""
+        dw = self._d_cache.get(w)
+        if dw is None:
+            dw = self.alg.differential({w: 1})
+            dw = self._d_cache[w] = {self._columns[t]: c for t, c in dw.items()}
+        return dw
 
     def _cohomology_reps(self, n: int) -> list[FreeElement]:
         """Cocycle representatives of a basis of H^n(model), from the one column
-        pass over d_n, whose image echelon stage n + 1 takes as im d_n.  Stage
-        n - 1's still spans im d_(n-1) once its columns move to today's
-        degree-n words: the only degree-(n-1) words added since are closed x
-        generators; no older word's d holds a newer generator; and basis() keeps
-        tuple order, so each moved row keeps its pivot lowest and its span."""
+        pass over d_n, whose image echelon is stage n + 1's im d_n as it stands:
+        each word keeps its column, and the only degree-n words added in
+        between are closed x generators, so the span does not change."""
         basis_n = self._basis(n)
         if not basis_n:  # d_n = 0, and the kept image, over no words then, is empty
             return []
-        old_words, im = self._coboundaries
-        target = self._basis(n + 1)
-        kernel, image = linalg.column_pass(self._d_images(basis_n, target))
-        self._coboundaries = target, image
-        index = {w: i for i, w in enumerate(basis_n)}
-        at = [index[w] for w in old_words]  # each old column's place today
-        im.rows = {at[p]: {at[c]: x for c, x in r.items()} for p, r in im.rows.items()}
-        reps = linalg.cohomology(kernel, im)
-        return [{basis_n[j]: v[j] for j in sorted(v)} for v in reps]
+        self._check_budget(n + 1)  # d_n's target is counted, never listed
+        kernel, image = linalg.column_pass([self._d_column(w) for w in basis_n])
+        cols = [self._columns[w] for w in basis_n]
+        reps = linalg.cohomology([{cols[j]: x for j, x in v.items()} for v in kernel], self._image)
+        self._image = image
+        return [{w: v[c] for w, c in zip(basis_n, cols) if c in v} for v in reps]
 
     def _add_generator(self, prefix: str, degree: int, diff: FreeElement, c_part=None) -> None:
         gids = self.generators.setdefault(degree, [])
         gid = f"{prefix}{degree}_{len(gids)}"
         self.alg.add_generator(gid, degree, diff)
+        gca.free_series((degree,), self.cap + 1, self._counts)
         gids.append(gid)
         self._c_parts.append(c_part)
 
@@ -281,7 +277,7 @@ class _ModelBuilder:
         check, rank = {}, {1: 0}  # rank d_n; no word has degree 1
         for n in range(2, self.cap):
             basis_n = self._basis(n)
-            rank[n] = linalg.Echelon(self._d_images(basis_n, self._basis(n + 1))).rank
+            rank[n] = linalg.Echelon(map(self._d_column, basis_n)).rank
             check[n] = len(basis_n) - rank[n] - rank[n - 1] == len(gca.basis_of_degree(self.sig, n))
         alg = self.alg
         images = {gid: Element(self.sig, {Monomial((), c): 1} if c else {})  # psi

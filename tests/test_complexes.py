@@ -206,13 +206,15 @@ def test_w5_cohomology_digest_is_pinned():
 
 
 # sha256 of the canonical JSON of build_model(q, cap) for the heaviest models
-# of the benchmark, recorded at commit c57946b, and for (2, 22), whose
-# elimination builds Fractions, recorded at commit 46daeae
+# of the benchmark, recorded at commit c57946b, for (2, 22), whose
+# elimination builds Fractions, recorded at commit 46daeae, and for (2, 26),
+# the largest with the most pivots other than +-1, recorded at commit 1c4a421
 MODEL_DIGESTS = {
     (2, 18): "360f21ada024a985c227b46b3b71d99ec6c174b3c552b1d3abb208cf2b8d0fc3",
     (3, 16): "3aa1dd46e9e01b8f1abccb0a2cec48d4b55fc948ba78f9ec84223dd4bc7995d0",
     (4, 14): "291d5ac2d6ed9dd815ca4cd077e26e717b6e571572eddac98dc7b8d92a62c19c",
     (2, 22): "2b992ca9ecaff568f6d1455e2ec79c2f073b66e090c58b79674e0cebd640df54",
+    (2, 26): "d486570861727bc46f2d44b9c2561af1216dc32255095d3ae3f488122ca49753",
 }
 
 

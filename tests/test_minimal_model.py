@@ -123,17 +123,105 @@ def test_model_solves_each_degree_once_per_stage(monkeypatch):
     assert len(calls) == 11 + 15
 
 
-def test_model_takes_im_d_from_the_stage_before(monkeypatch):
-    # one _d_images per stage whose degree has words (11 for I_3 to degree
-    # 16), for the column pass over d_n, and one per rank of the quasi-iso
-    # check (degrees 2..15); no stage rebuilds im d_(n-1) from d_(n-1)
-    builder = minimal_model._ModelBuilder(3, 16)
-    real, calls = builder._d_images, []
-    monkeypatch.setattr(builder, "_d_images", lambda s, t: calls.append(1) or real(s, t))
+def _snapshot(ech: linalg.Echelon) -> dict:
+    return {p: dict(row) for p, row in ech.rows.items()}
+
+
+@pytest.mark.parametrize("q, cap", [(3, 16), (2, 22)])
+def test_model_takes_im_d_from_the_stage_before_as_it_stands(monkeypatch, q, cap):
+    # each stage's column pass over d_n comes just before its cohomology call,
+    # and the next stage with words receives that pass's image echelon: the
+    # same object, with the rows the pass returned, since every word keeps its
+    # column for the whole build
+    real_pass, real_cohomology = linalg.column_pass, linalg.cohomology
+    passes, received = [], []
+
+    def column_pass(cols):
+        kernel, image = real_pass(cols)
+        passes.append((image, _snapshot(image)))
+        return kernel, image
+
+    def cohomology(kernel, coboundaries):
+        received.append((coboundaries, _snapshot(coboundaries), passes[-1]))
+        return real_cohomology(kernel, coboundaries)
+
+    monkeypatch.setattr(linalg, "column_pass", column_pass)
+    monkeypatch.setattr(linalg, "cohomology", cohomology)
+    builder = minimal_model._ModelBuilder(q, cap)
     model = builder.build()
-    assert len(calls) == 11 + 14
+    assert received[0][1] == {}  # stage 2 has no im d_1
+    for (echelon, rows, _), (_, _, (image, image_rows)) in zip(received[1:], received):
+        assert echelon is image and rows == image_rows
+    assert sum(len(rows) for _, rows, _ in received) > 0
     assert not hasattr(builder, "psi")  # psi is the c-exponents, read once by build()
-    assert model.to_json_obj() == build_model(3, 16).to_json_obj()
+    monkeypatch.undo()
+    assert model.to_json_obj() == build_model(q, cap).to_json_obj()
+
+
+def _count_listings(monkeypatch) -> list[tuple[int, int]]:
+    """(degree, word count) of every FreeAlgebra.basis call from now on."""
+    real, listed = FreeAlgebra.basis, []
+
+    def basis(self, degree):
+        words = real(self, degree)
+        listed.append((degree, len(words)))
+        return words
+
+    monkeypatch.setattr(FreeAlgebra, "basis", basis)
+    return listed
+
+
+def test_model_lists_no_target_of_d(monkeypatch):
+    # for I_3 to degree 16, each of the 15 stages lists its own degree once,
+    # and the quasi-iso check lists degrees 2..15 once more, with their last
+    # generators; d_n's target degree is counted and never listed
+    listed = _count_listings(monkeypatch)
+    build_model(3, 16)
+    assert [n for n, _ in listed] == list(range(2, 17)) + list(range(2, 16))
+    assert len(listed) == 29
+
+
+@pytest.mark.parametrize("budget", [2, 192, 254, 255, 270])
+def test_budget_refuses_before_a_basis_is_listed(monkeypatch, budget):
+    # (2, 22) first goes over 192, and over 254, at degree 23, the target of
+    # d_22, with 255 words: the refusal reads the count, so no basis longer
+    # than the budget is ever listed
+    monkeypatch.setattr(minimal_model, "WORD_BUDGET", budget)
+    listed = _count_listings(monkeypatch)
+    if budget < 255:
+        with pytest.raises(ModelBudgetError) as exc:
+            build_model(2, 22)
+        assert exc.value.estimate > budget
+    else:
+        assert all(build_model(2, 22).quasi_iso_check.values())
+    assert listed and max(count for _, count in listed) <= budget
+
+
+def test_quasi_iso_check_catches_a_coboundary_lost_at_the_top_stage(monkeypatch):
+    # drop one row of im d_11 as stage 12 of I_4 to degree 12 receives it: the
+    # coboundary it spanned passes for a class in psi's kernel, so a needless
+    # w_11 kills it, and H^11 grows by one.  The Euler-Poincare identity through
+    # t^11 misses this (w_11 has internal degree >= 12), and so does rank d_11
+    # taken as the stage's image rank plus the degree-11 w's; the ranks that
+    # the quasi-iso check recomputes over the final bases do not
+    real, calls = linalg.cohomology, []
+    monkeypatch.setattr(linalg, "cohomology", lambda k, im: calls.append(1) or real(k, im))
+    clean = build_model(4, 12)
+    assert all(clean.quasi_iso_check.values())
+    last, calls[:] = len(calls), []  # the top stage makes the last call
+
+    def dropping(kernel, coboundaries):
+        calls.append(1)
+        if len(calls) == last:
+            assert coboundaries.rows
+            coboundaries.rows.pop(max(coboundaries.rows))
+        return real(kernel, coboundaries)
+
+    monkeypatch.setattr(linalg, "cohomology", dropping)
+    model = build_model(4, 12)
+    assert model.generator_ranks()[11] == clean.generator_ranks()[11] + 1
+    assert model.quasi_iso_check[11] is False
+    assert [n for n, ok in model.quasi_iso_check.items() if not ok] == [11]
 
 
 def test_mul_words_takes_its_sign_from_merge_y(monkeypatch):
