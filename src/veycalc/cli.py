@@ -6,18 +6,20 @@ results are cached content-addressed under the configured cache directory.
 Exit codes: 0 success, 2 invalid input (a usage error too), 3 budget refusal.
 
 Each subcommand is one row of `_SUBCOMMANDS`: help, flags as (flag, argparse
-kwargs) pairs, job, table renderer and, for `vey` alone, a JSON writer;
-`build_parser` adds a subparser per row.  A job checks its input and returns
-(cache params or None, compute); a capped compute checks its cap first, so a
-cached result is served under any cap.  `run` serves the cached document for
-those params or stores what compute returns, and reports every budget refusal
-at one site.  `vey` is never cached: its compute returns (q, kind, classes),
-which `veycalc.vey` writes row by row.  `main`, the console entry point, runs
-`run`, then freezes the heap so that exit skips collecting it.
+kwargs) pairs, job, table renderer and, for `vey` alone, a JSON writer.
+`build_parser` builds one parser per invocation: the common flags, accepted on
+either side of the subcommand, then the invoked row's flags.  A job checks its
+input and returns (cache params or None, compute); a capped compute checks its
+input, then its cap, so a cached result is served under any cap.  `run` serves
+the cached document for those params or stores what compute returns, and
+reports every budget refusal at one site.  `vey` is never cached: its compute
+returns (q, kind, classes), which `veycalc.vey` writes row by row.  `main`, the
+console entry point, runs `run`, then freezes the heap so that exit skips
+collecting it.
 
 compute imports the algebra modules it runs when it runs, and the other
 renderers read only the result document, so argument parsing, a cache hit and
-every error path load none of them; only a cohomology table imports `gca`, to
+a usage error load none of them; only a cohomology table imports `gca`, to
 label its representatives.
 """
 
@@ -220,13 +222,13 @@ def _validate_job(args, config: Config):
 
 def _model_job(args, config: Config):
     def compute() -> dict:
+        from . import minimal_model
+
+        minimal_model.check_input(args.q, args.max_degree)  # before the cap and progress
         if args.max_degree > config.model_degree_cap:
             raise ModelBudgetError(
                 f"--max-degree {args.max_degree} exceeds the configured cap "
                 f"{config.model_degree_cap}", estimate=args.max_degree)
-        from . import minimal_model
-
-        minimal_model.check_input(args.q, args.max_degree)  # before the progress line
         _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
         model = minimal_model.build_model(args.q, args.max_degree)
         doc = model.to_json_obj()
@@ -343,68 +345,54 @@ _SUBCOMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error, which `run` reports as invalid input, in place of
-    exiting; its subparsers are of this class too."""
+    exiting."""
 
     def error(self, message: str):
         raise UnsupportedInputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Common flags are accepted both before and after the subcommand; the
-    # SUPPRESS defaults keep a subparser from clobbering a value given earlier.
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--config", default=argparse.SUPPRESS, help="path to a JSON config file"
-    )
-    common.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default=argparse.SUPPRESS,
-        help="output format",
-    )
-    common.add_argument(
-        "--cache-dir", default=argparse.SUPPRESS, help="override the cache directory"
-    )
-    common.add_argument(
-        "--no-cache",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="bypass the result cache",
-    )
-    parser = _Parser(
-        prog="veycalc",
-        description="Exact secondary characteristic classes of foliations.",
-        parents=[common],
-    )
-    parser.add_argument(
-        "--version", action="store_true", help="print version and config digest"
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name, subcommand in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=subcommand.help)
-        for flag, kwargs in subcommand.flags:
-            p.add_argument(flag, **kwargs)
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The one parser for argv: the common flags and the subcommand, which a
+    first pass finds, then -h and that subcommand's flags.  -h joins only then,
+    so that `veycalc cohomology --help` is the subcommand's help."""
+    parser = _Parser(prog="veycalc", description="Exact secondary characteristic classes of "
+                     "foliations.", formatter_class=argparse.RawDescriptionHelpFormatter,
+                     add_help=False)
+    parser.add_argument("--version", action="store_true", help="print version and config digest")
+    parser.add_argument("--config", help="path to a JSON config file")
+    parser.add_argument("--format", choices=("table", "json"), default="table", help="output format")
+    parser.add_argument("--cache-dir", help="override the cache directory")
+    parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
+    command = parser.add_argument("command", nargs="?", choices=_SUBCOMMANDS,
+                                  help="the subcommand, listed below")
+    name = parser.parse_known_args(argv)[0].command
+    parser.add_argument("-h", "--help", action="help", help="show this help message and exit")
+    if name is None:
+        parser.epilog = "subcommands:\n" + "\n".join(
+            f"  {n:<12}{s.help}" for n, s in _SUBCOMMANDS.items())
+        return parser
+    parser.prog, parser.description = f"veycalc {name}", _SUBCOMMANDS[name].help
+    command.help = argparse.SUPPRESS
+    for flag, kwargs in _SUBCOMMANDS[name].flags:
+        parser.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        # SUPPRESS defaults leave the attribute unset when the flag is absent
-        config = load_config(getattr(args, "config", None))
-        cache_dir = getattr(args, "cache_dir", None)
-        if cache_dir is not None:
-            config = Config(**{**config.to_json_obj(), "cache_dir": cache_dir})
+        args = build_parser(argv).parse_args(argv)
+        config = load_config(args.config)
+        if args.cache_dir is not None:
+            config = Config(**{**config.to_json_obj(), "cache_dir": args.cache_dir})
         if args.version:
             print(f"veycalc {__version__} (config {config.digest()})")
             return EXIT_OK
         if not args.command:
-            parser.error("a subcommand is required")
+            raise UnsupportedInputError("a subcommand is required")
         subcommand = _SUBCOMMANDS[args.command]
         params, compute = subcommand.job(args, config)
         cache = None
-        if params is not None and not getattr(args, "no_cache", False):
+        if params is not None and not args.no_cache:
             cache = ResultCache(config.cache_dir)
         hit = cache.get(args.command, params) if cache else None
         doc, text = hit or (None, None)  # text: canonical_json(doc), once the cache holds it
@@ -425,7 +413,7 @@ def run(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_BUDGET
-    if getattr(args, "format", "table") != "json":
+    if args.format != "json":
         sys.stdout.write(subcommand.render(doc))
     elif subcommand.write_json is not None:
         subcommand.write_json(doc, sys.stdout)

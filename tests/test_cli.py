@@ -124,8 +124,14 @@ def test_large_q_refusal_does_not_hang(tmp_path, command):
      (["model", "--q", "0", "--max-degree", "4"], 2, "invalid input: q must be positive"),
      (["vey", "--complex", "W", "--q", "0"], 2, "invalid input: q must be positive"),
      (["model", "--q", "2", "--max-degree", "1"], 2,
-      "invalid input: degree cap must be at least 2")],
-    ids=["cohomology", "validate", "model-q0", "vey-q0", "model-max-degree1"],
+      "invalid input: degree cap must be at least 2"),
+     # invalid input is invalid input, not a budget refusal, over the degree cap too
+     (["model", "--q", "0", "--max-degree", "99", "--no-cache"], 2,
+      "invalid input: q must be positive"),
+     (["model", "--q", "-5", "--max-degree", "13", "--no-cache"], 2,
+      "invalid input: q must be positive")],
+    ids=["cohomology", "validate", "model-q0", "vey-q0", "model-max-degree1",
+         "model-q0-over-cap", "model-q-negative-over-cap"],
 )
 def test_refused_job_prints_only_the_refusal(capsys, cache_dir, argv, code, message):
     # no progress line for work the job never starts
@@ -549,7 +555,10 @@ def test_removed_vey_flags_exit_2(capsys, cache_dir, flag):
     (["cohomology", "--complex", "X", "--q", "2"], "argument --complex: invalid choice: 'X'"),
     (["cohomology", "--complex", "W"], "the following arguments are required: --q"),
     (["cohomology", "--complex", "W", "--q", "abc"], "argument --q: invalid int value: 'abc'"),
-], ids=["bad-complex", "missing-q", "q-abc"])
+    # a common-flag abbreviation meets the subcommand's flags on either side of it
+    (["--co", "x", "manifold", "--dim", "2"],
+     "ambiguous option: --co could match --config, --compact, --cospherical"),
+], ids=["bad-complex", "missing-q", "q-abc", "abbreviation-before-the-subcommand"])
 def test_usage_error_is_invalid_input(capsys, cache_dir, argv, message):
     # argparse's usage errors are returned as exit 2, like every invalid input
     code, out, err = run(capsys, argv + ["--cache-dir", cache_dir])
@@ -781,8 +790,72 @@ def test_subcommand_help_lists_its_flags(capsys, name):
         cli.run([name, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
+    assert out.startswith(f"usage: veycalc {name} ")
     for flag, _ in cli._SUBCOMMANDS[name].flags:
         assert flag in out
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, subcommand in cli._SUBCOMMANDS.items():
+        assert re.search(rf"^ +{name} +{re.escape(subcommand.help)}$", out, re.M), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cohomology", "--complex", "W", "--q", "1"],  # a miss, then a hit
+     ["kappa", "--q", "3"], ["--version"], ["cohomology", "--complex", "X", "--q", "1"],
+     ["--help"], ["model", "--help"]],
+    ids=["cohomology", "kappa", "version", "usage-error", "help", "model-help"],
+)
+def test_each_run_builds_one_parser(monkeypatch, cache_dir, argv):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        built.clear()
+        try:
+            cli.run(argv + ["--cache-dir", cache_dir])
+        except SystemExit as exc:  # --help
+            assert exc.code == 0
+        assert len(built) == 1
+
+
+_SAMPLES = {
+    "cohomology": ["--complex", "W", "--q", "1"],
+    "vey": ["--complex", "WO", "--q", "2"],
+    "validate": ["--complex", "WO", "--q", "1"],
+    "model": ["--q", "2", "--max-degree", "4"],
+    "manifold": ["--preset", "T2"],
+    "kappa": ["--q", "3"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--format", "--no-cache", "--cache-dir", "--config"])
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_common_flags_on_either_side_of_the_subcommand(
+        tmp_path, monkeypatch, capsys, name, flag):
+    monkeypatch.setenv("VEYCALC_CACHE_DIR", str(tmp_path / "env-cache"))
+    config = tmp_path / "config.json"
+    config.write_text('{"model_degree_cap": 3}')  # refuses the model sample
+    value = {"--format": ["json"], "--no-cache": [], "--cache-dir": [str(tmp_path / "flag-cache")],
+             "--config": [str(config)]}[flag]
+    before = run(capsys, [flag, *value, name, *_SAMPLES[name]])
+    after = run(capsys, [name, *_SAMPLES[name], flag, *value])
+    assert before[:2] == after[:2]
+    assert before[0] == (3 if (name, flag) == ("model", "--config") else 0)
+    if flag == "--format":
+        assert before[1].startswith("{")
 
 
 def test_subcommands_follow_the_readme():
