@@ -22,10 +22,10 @@ def main() -> None:
         show(q, kind)
 
     print("\nPontrjagin survival: c2 is a cocycle but not a coboundary in WO_2:")
-    from veycalc.gca import Element
+    from veycalc.gca import Element, Monomial
 
     cx = complexes.build_complex(2, "WO")
-    c2 = Element.c(cx.signature, 2)
+    c2 = Element.monomial(cx.signature, Monomial((), (0, 1)))
     print(
         f"  is_cocycle = {complexes.is_cocycle(cx, c2)}, "
         f"is_coboundary = {complexes.is_coboundary(cx, c2)}"

@@ -22,10 +22,8 @@ def main() -> None:
                 f" {r.name}{note}"
             )
 
-    print("\ndegree arithmetic helpers:")
+    print("\ndegree arithmetic helper:")
     print("  fiber_integrate_degree(7, 3) =", manifold.fiber_integrate_degree(7, 3))
-    print("  brace_degree(4, 7) =", manifold.brace_degree(4, 7))
-    print("  hurewicz_ok(4, 7) =", manifold.hurewicz_ok(4, 7))
 
 
 if __name__ == "__main__":

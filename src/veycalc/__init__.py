@@ -38,9 +38,7 @@ _HOMES = {
     "manifold": (
         "ClassRecord",
         "ManifoldDescriptor",
-        "brace_degree",
         "fiber_integrate_degree",
-        "hurewicz_ok",
         "preset",
         "report",
     ),

@@ -32,7 +32,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .cache import Config, ConfigError, ResultCache, canonical_json, load_config
+from .cache import Config, ResultCache, canonical_json, load_config
 from .errors import KINDS, ModelBudgetError, ResourceBudgetError, UnsupportedInputError
 
 EXIT_OK = 0
@@ -403,7 +403,7 @@ def run(argv=None) -> int:
                     text = cache.put(args.command, params, doc)
                 except OSError as exc:
                     _progress(f"veycalc: result not cached: {exc}")
-    except (ConfigError, UnsupportedInputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"veycalc: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ResourceBudgetError as exc:

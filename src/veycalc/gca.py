@@ -136,10 +136,6 @@ def _c_label(c_part: tuple[int, ...]) -> str:
     return "".join(f"c{j + 1}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(c_part) if e)
 
 
-def unit_monomial(sig: AlgebraSignature) -> Monomial:
-    return Monomial((), (0,) * sig.q)
-
-
 def _merge_y(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Merge two strictly increasing index tuples with the Koszul sign: (sign,
     merged), or None when an index repeats (y_i^2 = 0)."""
@@ -177,28 +173,10 @@ class Element:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, sig: AlgebraSignature) -> "Element":
-        return cls(sig)
-
-    @classmethod
-    def one(cls, sig: AlgebraSignature) -> "Element":
-        return cls(sig, {unit_monomial(sig): 1})
-
-    @classmethod
     def monomial(cls, sig: AlgebraSignature, m: Monomial, coeff=1) -> "Element":
         if not m.is_valid(sig):
             raise ValueError(f"monomial {m} invalid for signature {sig}")
         return cls(sig, {m: coeff})
-
-    @classmethod
-    def y(cls, sig: AlgebraSignature, i: int) -> "Element":
-        return cls.monomial(sig, Monomial((i,), (0,) * sig.q))
-
-    @classmethod
-    def c(cls, sig: AlgebraSignature, i: int) -> "Element":
-        e = [0] * sig.q
-        e[i - 1] = 1
-        return cls.monomial(sig, Monomial((), tuple(e)))
 
     # -- basic queries -------------------------------------------------
 
@@ -287,13 +265,6 @@ class Element:
         return [
             {"m": m.to_json_obj(), "coeff": str(c)} for m, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, sig: AlgebraSignature, obj) -> "Element":
-        terms = {
-            Monomial.from_json_obj(t["m"]): _exact(t["coeff"]) for t in obj
-        }
-        return cls(sig, terms)
 
 
 # -- module-level operations ------------------------------------------------

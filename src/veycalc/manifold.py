@@ -49,10 +49,14 @@ class ManifoldDescriptor:
                  cospherical_degrees: tuple[tuple[int, int], ...] = (),
                  trivialized_over_cycles: bool = False, label: str = "") -> None:
         # cospherical_degrees: (degree k, count) with 0 < k < q; the fundamental
-        # class (k = q) is implicit
+        # class (k = q) is implicit; bool and float are refused as in cache.Config
+        if type(q) is not int:
+            raise UnsupportedInputError(f"dimension q must be an integer, got {q!r}")
         if q < 1:
             raise UnsupportedInputError("dimension q must be positive")
         for i, (k, count) in enumerate(cospherical_degrees):
+            if type(k) is not int or type(count) is not int:
+                raise UnsupportedInputError(f"co-spherical entry {(k, count)!r} must hold integers")
             if not 0 < k < q:
                 raise UnsupportedInputError(
                     f"co-spherical degree {k} must lie strictly between 0 and {q}"
@@ -130,24 +134,6 @@ def fiber_integrate_degree(n: int, q: int) -> int:
     if n < q:
         raise ValueError(f"cannot integrate a degree-{n} class over a {q}-fiber")
     return n - q
-
-
-def brace_degree(i: int, j: int) -> int:
-    """Degree of the brace product of classes in degrees i and j."""
-    if i < 1 or j < 1:
-        raise ValueError("brace degrees must be positive")
-    return i + j - 1
-
-
-def hurewicz_ok(r: int, k: int) -> str:
-    """Rational Hurewicz range for an r-connected space in degree k."""
-    if r < 1:
-        raise ValueError("connectivity must be at least 1")
-    if k <= 2 * r:
-        return "iso"
-    if k == 2 * r + 1:
-        return "surjection"
-    return "outside"
 
 
 def report(m: ManifoldDescriptor) -> list[ClassRecord]:

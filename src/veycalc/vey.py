@@ -174,15 +174,6 @@ class ExtendedClass(NamedTuple):
     def name(self) -> str:
         return self.monomial.label()
 
-    def to_json_obj(self) -> dict:
-        return {
-            "monomial": self.monomial.to_json_obj(),
-            "name": self.name(),
-            "base": self.base.name(),
-            "i_prime": list(self.i_prime),
-            "degree": self.degree,
-        }
-
 
 def extended_basis(q: int) -> tuple[list[ExtendedClass], dict[int, int]]:
     """Braced extension of the variable set: y_{i_1} y_{I'} c_J with I' strictly

@@ -8,7 +8,7 @@ import inspect
 import pytest
 
 import veycalc
-from veycalc import complexes, errors, manifold, minimal_model, vey
+from veycalc import complexes, errors, gca, manifold, minimal_model, vey
 from veycalc.cache import Config, ConfigError
 from veycalc.gca import AlgebraSignature, Element, Monomial
 from veycalc.manifold import ClassRecord, ManifoldDescriptor
@@ -20,9 +20,22 @@ PUBLIC = {
     "extended_count", "kappa", "v_count", "validate_vey", "variable_set",
     "vey_basis", "ModelBudgetError", "ModelStage", "PoincareSeries", "RankTable",
     "build_model", "loop_poincare", "rank_table", "ClassRecord",
-    "ManifoldDescriptor", "UnsupportedInputError", "brace_degree",
-    "fiber_integrate_degree", "hurewicz_ok", "preset", "report", "__version__",
+    "ManifoldDescriptor", "UnsupportedInputError", "fiber_integrate_degree",
+    "preset", "report", "__version__",
 }
+# Helpers that no program path used, deleted from the library
+DELETED = [
+    (veycalc, "brace_degree"), (veycalc, "hurewicz_ok"),
+    (manifold, "brace_degree"), (manifold, "hurewicz_ok"),
+    (Element, "zero"), (Element, "one"), (Element, "y"), (Element, "c"),
+    (Element, "from_json_obj"), (gca, "unit_monomial"), (vey.ExtendedClass, "to_json_obj"),
+]
+
+
+@pytest.mark.parametrize("owner,name", DELETED)
+def test_deleted_helper_is_gone(owner, name):
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
 
 
 def test_all_is_the_public_api():

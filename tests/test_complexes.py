@@ -116,12 +116,12 @@ def test_is_cocycle_is_coboundary():
     y2c1sq = Element.monomial(sig, Monomial((2,), (2, 0)))
     assert complexes.is_cocycle(cx, y2c1sq)
     assert complexes.is_coboundary(cx, y2c1sq)  # = d(y1 y2 c1)
-    c1 = Element.c(sig, 1)
+    c1 = Element.monomial(sig, Monomial((), (1, 0)))
     assert complexes.is_cocycle(cx, c1)
     assert complexes.is_coboundary(cx, c1)  # = d(y1)
 
     wo = complexes.build_complex(2, "WO")
-    c2 = Element.c(wo.signature, 2)
+    c2 = Element.monomial(wo.signature, Monomial((), (0, 1)))
     assert complexes.is_cocycle(wo, c2)
     assert not complexes.is_coboundary(wo, c2)  # surviving Pontrjagin class
 
@@ -129,7 +129,7 @@ def test_is_cocycle_is_coboundary():
 def test_non_homogeneous_rejected():
     cx = complexes.build_complex(2, "W")
     sig = cx.signature
-    mixed = Element.y(sig, 1) + Element.c(sig, 1)
+    mixed = Element(sig, {Monomial((1,), (0, 0)): 1, Monomial((), (1, 0)): 1})
     with pytest.raises(ValueError):
         complexes.is_cocycle(cx, mixed)
 

@@ -11,9 +11,7 @@ from veycalc.cache import canonical_json
 from veycalc.manifold import (
     ManifoldDescriptor,
     UnsupportedInputError,
-    brace_degree,
     fiber_integrate_degree,
-    hurewicz_ok,
     preset,
     report,
 )
@@ -36,20 +34,6 @@ def test_fiber_integrate_degree():
         fiber_integrate_degree(1, 2)
 
 
-def test_brace_degree():
-    assert brace_degree(4, 7) == 10
-    assert brace_degree(1, 5) == 5
-    assert brace_degree(4 * 2, 9) == 9 + 8 - 1
-
-
-def test_hurewicz():
-    assert hurewicz_ok(3, 5) == "iso"
-    assert hurewicz_ok(3, 7) == "surjection"
-    assert hurewicz_ok(3, 8) == "outside"
-    for q in range(1, 10):
-        assert hurewicz_ok(q + 1, 2 * q + 1) == "iso"
-
-
 def test_closed_and_orientable_are_derived():
     # no descriptor has a boundary or lacks an orientation, so neither is an input
     for compact in (False, True):
@@ -61,6 +45,17 @@ def test_closed_and_orientable_are_derived():
 def test_bad_cospherical_degree_rejected():
     with pytest.raises(UnsupportedInputError):
         ManifoldDescriptor(2, True, True, ((2, 1),))
+
+
+@pytest.mark.parametrize(
+    "q,cospherical",
+    [(2.5, ()), (True, ()), (3, ((1.0, 2),)), (3, ((1, 2.5),)), (3, ((True, 1),))],
+)
+def test_non_integer_descriptor_rejected(q, cospherical):
+    # a float degree would reach the records as 6.0, a float count would fail
+    # in report with a bare TypeError, and bool is no integer here either
+    with pytest.raises(UnsupportedInputError, match="integer"):
+        ManifoldDescriptor(q, True, False, cospherical)
 
 
 def test_repeated_cospherical_degree_rejected():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from veycalc import gca, linalg, minimal_model
-from veycalc.gca import AlgebraSignature, Element
+from veycalc.gca import AlgebraSignature, Element, Monomial
 from veycalc.minimal_model import (
     FreeAlgebra,
     ModelBudgetError,
@@ -239,7 +239,7 @@ def test_mul_words_takes_its_sign_from_merge_y(monkeypatch):
 def _psi_word(model, w) -> Element:
     """psi of a word as the Element product of its generators' images, the
     reference for the builder's exponent addition."""
-    out = Element.one(AlgebraSignature.I(model.q))
+    out = Element(AlgebraSignature.I(model.q), {Monomial((), (0,) * model.q): 1})
     for idx, e in w:
         for _ in range(e):
             out = out * model.images[model.algebra.gids[idx]]
