@@ -26,12 +26,12 @@ def main() -> None:
     print("\nloop-space series (delooping the q=2 rank table by q):")
     model = minimal_model.build_model(2, 8)
     ranks = minimal_model.rank_table(model)
-    series = minimal_model.loop_poincare(ranks.ranks, 2, 10)
-    print(f"  ranks {ranks.ranks} -> coefficients {series.coefficients}")
+    series = minimal_model.loop_poincare(ranks, 2, 10)
+    print(f"  ranks {ranks} -> coefficients {series}")
 
     print("\nclosed forms: even generator -> geometric, odd -> two terms:")
-    print("  {2:1}:", minimal_model.loop_poincare({2: 1}, 0, 8).coefficients)
-    print("  {3:1}:", minimal_model.loop_poincare({3: 1}, 0, 8).coefficients)
+    print("  {2:1}:", minimal_model.loop_poincare({2: 1}, 0, 8))
+    print("  {3:1}:", minimal_model.loop_poincare({3: 1}, 0, 8))
 
 
 if __name__ == "__main__":

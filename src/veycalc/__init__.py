@@ -29,8 +29,6 @@ _HOMES = {
     ),
     "minimal_model": (
         "ModelStage",
-        "PoincareSeries",
-        "RankTable",
         "build_model",
         "loop_poincare",
         "rank_table",

@@ -232,7 +232,7 @@ def _model_job(args, config: Config):
         _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
         model = minimal_model.build_model(args.q, args.max_degree)
         doc = model.to_json_obj()
-        doc["ranks"] = minimal_model.rank_table(model).to_json_obj()["ranks"]
+        doc["ranks"] = {str(d): r for d, r in minimal_model.rank_table(model).items()}
         return doc
 
     return {"q": args.q, "max_degree": args.max_degree}, compute

@@ -65,6 +65,12 @@ class ManifoldDescriptor:
                 raise UnsupportedInputError("co-spherical counts must be positive")
             if any(k == j for j, _ in cospherical_degrees[:i]):
                 raise UnsupportedInputError(f"co-spherical degree {k} is listed twice")
+        for name, flag in (("compact", compact), ("parallelizable", parallelizable),
+                           ("trivialized_over_cycles", trivialized_over_cycles)):
+            if type(flag) is not bool:
+                raise UnsupportedInputError(f"{name} must be True or False, got {flag!r}")
+        if type(label) is not str:
+            raise UnsupportedInputError(f"label must be a string, got {label!r}")
         self.q = q
         self.compact = compact
         self.parallelizable = parallelizable
@@ -201,21 +207,12 @@ def _loop_family_records(q: int) -> list[ClassRecord]:
 
     cap = 2 * q + 2
     model = minimal_model.build_model(q, cap)
-    series = minimal_model.loop_poincare(minimal_model.rank_table(model).ranks, q, cap)
-    out = []
-    for deg, coeff in enumerate(series.coefficients):
-        if deg >= 1 and coeff > 0:
-            out.append(
-                ClassRecord(
-                    name=f"loop[t^{deg}]",
-                    degree=deg,
-                    target="BbarDiff",
-                    method="loop_family",
-                    detection_rank=coeff,
-                    survives_to_BDiff_delta="unknown",
-                )
-            )
-    return out
+    series = minimal_model.loop_poincare(minimal_model.rank_table(model), q, cap)
+    return [
+        ClassRecord(f"loop[t^{deg}]", deg, "BbarDiff", "loop_family", coeff, "unknown")
+        for deg, coeff in enumerate(series)
+        if deg >= 1 and coeff > 0
+    ]
 
 
 def _preset_int(base: str, arg: str, noun: str) -> int:

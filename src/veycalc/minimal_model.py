@@ -7,9 +7,11 @@ echelon is stage n + 1's im d_n as it stands; new degree-(n-1) generators
 kill the kernel of H^n(model) -> I_q^n, and (below the cap) new closed
 degree-n generators hit its cokernel.  psi into I_q is a monomial map: each
 x generator goes to one c_J and each w to 0.  The quasi-iso check takes
-dim H^n = words - rank d_n - rank d_(n-1).  Generator counts per degree are
-the dual homotopy ranks; the free-algebra Poincare series of a rank table
-after delooping describes the loop-space homology families.
+dim H^n = words - rank d_n - rank d_(n-1) against dim I_q^n in closed form,
+and each word basis listed must have the size gca.free_series counts.
+Generator counts per degree are the dual homotopy ranks; the free-algebra
+Poincare series of a rank table after delooping describes the loop-space
+homology families.
 
 A degree of more than ``WORD_BUDGET`` words, counted before any is listed,
 raises ``ModelBudgetError``.  Everything is exact and deterministic.
@@ -155,17 +157,12 @@ class ModelStage(NamedTuple):
     images: dict[str, Element]  # quasi-iso map psi into I_q
     quasi_iso_check: dict[int, bool]
 
-    def generator_ranks(self) -> dict[int, int]:
-        return {d: len(g) for d, g in sorted(self.generators.items()) if g}
-
     def to_json_obj(self) -> dict:
         alg = self.algebra
         return {
             "q": self.q,
             "degree_cap": self.degree_cap,
-            "generators": {
-                str(d): list(g) for d, g in sorted(self.generators.items()) if g
-            },
+            "generators": {str(d): list(g) for d, g in sorted(self.generators.items())},
             "differentials": {
                 gid: sorted(
                     ({"word": alg.word_label(w), "coeff": str(c)} for w, c in d.items()),
@@ -205,7 +202,10 @@ class _ModelBuilder:
 
     def _basis(self, n: int) -> list[Word]:
         self._check_budget(n)  # before a word is listed
-        return self.alg.basis(n)
+        words = self.alg.basis(n)
+        if len(words) != self._counts[n]:  # the enumerator against its count
+            raise AssertionError(f"degree {n} lists {len(words)} words, not {self._counts[n]}")
+        return words
 
     def _psi_vector(self, elem: FreeElement, target_index) -> linalg.SparseRow:
         """psi of a word is a monomial map: its generators' c-exponents summed."""
@@ -274,11 +274,12 @@ class _ModelBuilder:
     def build(self) -> ModelStage:
         for n in range(2, self.cap + 1):
             self._stage(n)
+        target_dims = gca.c_series(self.q) + [0] * self.cap  # dim I_q^n, not enumerated
         check, rank = {}, {1: 0}  # rank d_n; no word has degree 1
         for n in range(2, self.cap):
             basis_n = self._basis(n)
             rank[n] = linalg.Echelon(map(self._d_column, basis_n)).rank
-            check[n] = len(basis_n) - rank[n] - rank[n - 1] == len(gca.basis_of_degree(self.sig, n))
+            check[n] = len(basis_n) - rank[n] - rank[n - 1] == target_dims[n]
         alg = self.alg
         images = {gid: Element(self.sig, {Monomial((), c): 1} if c else {})  # psi
                   for gid, c in zip(alg.gids, self._c_parts)}
@@ -300,6 +301,8 @@ def _assert_minimal(model: ModelStage) -> None:
 
 def check_input(q: int, degree_cap: int) -> None:
     """Refuse a q or a degree cap that no model has, before any work."""
+    if type(q) is not int or type(degree_cap) is not int:  # bool too, as in cache.Config
+        raise ValueError(f"q and degree cap must be integers, got {q!r} and {degree_cap!r}")
     if q < 1:
         raise ValueError("q must be positive")
     if degree_cap < 2:
@@ -312,31 +315,17 @@ def build_model(q: int, degree_cap: int) -> ModelStage:
     return _ModelBuilder(q, degree_cap).build()
 
 
-class RankTable(NamedTuple):
-    q: int
-    ranks: dict[int, int]
-
-    def to_json_obj(self) -> dict:
-        return {"q": self.q, "ranks": {str(d): r for d, r in sorted(self.ranks.items())}}
+def rank_table(model: ModelStage) -> dict[int, int]:
+    """Dual homotopy ranks: degree -> generator count of the model, by degree."""
+    return {d: len(g) for d, g in sorted(model.generators.items())}
 
 
-def rank_table(model: ModelStage) -> RankTable:
-    """Dual homotopy ranks: generator counts of the model per degree."""
-    return RankTable(model.q, model.generator_ranks())
-
-
-class PoincareSeries(NamedTuple):
-    coefficients: list[int]
-
-    def to_json_obj(self) -> dict:
-        return {"coefficients": list(self.coefficients)}
-
-
-def loop_poincare(ranks: dict[int, int], loops: int, cap: int) -> PoincareSeries:
-    """Poincare series of the free graded-commutative algebra on the delooped
-    generating set ranks (degree -> count, as RankTable.ranks): each degree-m
-    generator shifts to m - loops, dropping nonpositive degrees (gca.free_series)."""
+def loop_poincare(ranks: dict[int, int], loops: int, cap: int) -> list[int]:
+    """Poincare series coefficients, t^0..t^cap, of the free graded-commutative
+    algebra on the delooped generating set ranks (degree -> count, as rank_table
+    returns): each degree-m generator shifts to m - loops, dropping nonpositive
+    degrees (gca.free_series)."""
     if loops < 0:
         raise ValueError("loops must be nonnegative")
     degrees = (deg - loops for deg, count in ranks.items() if deg > loops for _ in range(count))
-    return PoincareSeries(gca.free_series(degrees, cap))
+    return gca.free_series(degrees, cap)

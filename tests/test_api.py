@@ -18,8 +18,8 @@ PUBLIC = {
     "CohomologyResult", "GradedComplex", "ResourceBudgetError", "build_complex",
     "cohomology", "ValidationReport", "VeyClass", "extended_basis",
     "extended_count", "kappa", "v_count", "validate_vey", "variable_set",
-    "vey_basis", "ModelBudgetError", "ModelStage", "PoincareSeries", "RankTable",
-    "build_model", "loop_poincare", "rank_table", "ClassRecord",
+    "vey_basis", "ModelBudgetError", "ModelStage", "build_model", "loop_poincare",
+    "rank_table", "ClassRecord",
     "ManifoldDescriptor", "UnsupportedInputError", "fiber_integrate_degree",
     "preset", "report", "__version__",
 }
@@ -56,7 +56,7 @@ def test_public_name_resolves(name):
 def test_public_name_is_the_defining_object():
     assert veycalc.build_complex is complexes.build_complex
     assert veycalc.report is manifold.report
-    assert veycalc.RankTable is minimal_model.RankTable
+    assert veycalc.rank_table is minimal_model.rank_table
 
 
 def test_unknown_name_raises_attribute_error():
@@ -135,7 +135,8 @@ def test_model_budget_error_is_a_resource_budget_error():
 
 # Inputs that every program caller set to one value are constants or derived
 # values: closed is compact, orientable is True, the word budget is
-# minimal_model.WORD_BUDGET, and loop_poincare takes RankTable.ranks.
+# minimal_model.WORD_BUDGET, and loop_poincare takes the plain rank dict that
+# rank_table returns.
 SIGNATURES = [
     (ManifoldDescriptor, ["q", "compact", "parallelizable", "cospherical_degrees",
                           "trivialized_over_cycles", "label"]),
@@ -157,10 +158,15 @@ def test_removed_inputs_are_refused():
         ManifoldDescriptor(2, True, True, orientable=True)
     with pytest.raises(TypeError):
         minimal_model.build_model(2, 6, word_budget=10)
-    table = minimal_model.rank_table(minimal_model.build_model(2, 6))
-    with pytest.raises(AttributeError):  # a RankTable is no rank dict
-        minimal_model.loop_poincare(table, 0, 4)
-    assert minimal_model.loop_poincare(table.ranks, 0, 4).coefficients == [1, 0, 1, 0, 2]
+    # the rank table and the loop series are plain values, with no wrapper
+    for name in ("RankTable", "PoincareSeries"):
+        with pytest.raises(AttributeError):
+            getattr(minimal_model, name)
+        with pytest.raises(AttributeError):
+            getattr(veycalc, name)
+    assert not hasattr(minimal_model.ModelStage, "generator_ranks")
+    m = minimal_model.build_model(2, 6)
+    assert minimal_model.loop_poincare(minimal_model.rank_table(m), 0, 4) == [1, 0, 1, 0, 2]
     assert minimal_model.WORD_BUDGET == 50_000
 
 

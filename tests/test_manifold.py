@@ -58,6 +58,21 @@ def test_non_integer_descriptor_rejected(q, cospherical):
         ManifoldDescriptor(q, True, False, cospherical)
 
 
+@pytest.mark.parametrize(
+    "flags, match",
+    [(dict(compact=1), "compact"), (dict(parallelizable="yes"), "parallelizable"),
+     (dict(trivialized_over_cycles="no"), "trivialized_over_cycles"),
+     (dict(trivialized_over_cycles=None), "trivialized_over_cycles"),
+     (dict(label=5), "label"), (dict(label=None), "label")],
+)
+def test_non_bool_flag_or_non_str_label_rejected(flags, match):
+    # the descriptor is copied into manifold_report.json, whose schema wants
+    # booleans and a string: "no" is truthy, and 5 is no label
+    args = {"q": 3, "compact": True, "parallelizable": False, **flags}
+    with pytest.raises(UnsupportedInputError, match=match):
+        ManifoldDescriptor(**args)
+
+
 def test_repeated_cospherical_degree_rejected():
     # 1:2,1:3 would split the five degree-1 cycles into two gamma ranks
     with pytest.raises(UnsupportedInputError, match="co-spherical degree 1 is listed twice"):

@@ -36,7 +36,7 @@ def test_free_algebra_basis_is_sorted_and_counted_by_its_series(q, cap):
     # the word counts of the free algebra on the model's generators are the
     # coefficients of its Poincare series, computed without enumerating words
     m = build_model(q, cap)
-    series = loop_poincare(rank_table(m).ranks, 0, cap + 4).coefficients
+    series = loop_poincare(rank_table(m), 0, cap + 4)
     for n, count in enumerate(series):
         words = m.algebra.basis(n)
         assert len(words) == count, n
@@ -57,7 +57,7 @@ def test_free_algebra_differential_leibniz():
 
 def test_model_q1():
     m = build_model(1, 8)
-    assert m.generator_ranks() == {2: 1, 3: 1}
+    assert rank_table(m) == {2: 1, 3: 1}
     assert all(m.quasi_iso_check.values())
     # the degree-3 generator kills the square of the degree-2 one
     (gid3,) = m.generators[3]
@@ -67,13 +67,13 @@ def test_model_q1():
 
 def test_model_q2_degree6():
     m = build_model(2, 6)
-    assert m.generator_ranks() == {2: 1, 4: 1, 5: 2}
+    assert rank_table(m) == {2: 1, 4: 1, 5: 2}
     assert all(m.quasi_iso_check.values())
 
 
 def test_model_q2_degree8():
     m = build_model(2, 8)
-    ranks = m.generator_ranks()
+    ranks = rank_table(m)
     assert ranks[5] == 2
     assert ranks[7] == 1
     assert all(m.quasi_iso_check.values())
@@ -82,14 +82,14 @@ def test_model_q2_degree8():
 def test_model_q3():
     m = build_model(3, 10)
     assert all(m.quasi_iso_check.values())
-    ranks = m.generator_ranks()
+    ranks = rank_table(m)
     assert ranks[2] == 1 and ranks[4] == 1 and ranks[6] == 1
     assert ranks[7] == 4
 
 
 def test_model_trivial_cap():
     m = build_model(4, 3)
-    assert m.generator_ranks() == {2: 1}
+    assert rank_table(m) == {2: 1}
 
 
 def test_minimality_no_linear_terms():
@@ -219,9 +219,44 @@ def test_quasi_iso_check_catches_a_coboundary_lost_at_the_top_stage(monkeypatch)
 
     monkeypatch.setattr(linalg, "cohomology", dropping)
     model = build_model(4, 12)
-    assert model.generator_ranks()[11] == clean.generator_ranks()[11] + 1
+    assert rank_table(model)[11] == rank_table(clean)[11] + 1
     assert model.quasi_iso_check[11] is False
     assert [n for n, ok in model.quasi_iso_check.items() if not ok] == [11]
+
+
+def test_quasi_iso_check_counts_the_target_in_closed_form(monkeypatch):
+    # an enumerator of I_3 that drops the last degree-6 monomial, c_3, loses
+    # x6_0 from the stages; a check that counted dim I_3^6 with the same
+    # enumerator would certify the wrong model, and the closed form does not
+    real = gca.basis_of_degree
+
+    def dropping(sig, n):
+        out = real(sig, n)
+        return out[:-1] if sig == AlgebraSignature.I(3) and n == 6 else out
+
+    monkeypatch.setattr(gca, "basis_of_degree", dropping)
+    model = build_model(3, 10)
+    assert "x6_0" not in model.algebra.gids
+    assert [n for n, ok in model.quasi_iso_check.items() if not ok] == [6]
+
+
+def test_word_count_certificate_refuses_a_short_basis(monkeypatch):
+    # an enumerator that drops 1 of the 4 degree-8 words of the model of I_3
+    # would give ranks {7: 3, 9: 2, 11: 2} where {7: 4, 9: 1, 11: 1} are right,
+    # with every quasi-iso check True; each listed basis is held to the count
+    # that gca.free_series keeps.  It raises explicitly, so `python -O` keeps it
+    real = FreeAlgebra.basis
+    monkeypatch.setattr(FreeAlgebra, "basis",
+                        lambda self, degree: real(self, degree)[: -1 if degree == 8 else None])
+    with pytest.raises(AssertionError, match="degree 8 lists 3 words, not 4"):
+        build_model(3, 12)
+
+
+@pytest.mark.parametrize("q, cap", [(True, 4), (2, True), (2.0, 6), (2, 6.0), ("2", 6)])
+def test_non_integer_input_is_refused(q, cap):
+    # True would reach model.json as "q": true; a float ended in a bare TypeError
+    with pytest.raises(ValueError, match="must be integers"):
+        build_model(q, cap)
 
 
 def test_mul_words_takes_its_sign_from_merge_y(monkeypatch):
@@ -309,30 +344,28 @@ def test_budget_covers_every_enumerated_basis(monkeypatch):
 
 
 def test_rank_table():
+    # a plain dict, degree -> generator count, sorted by degree
     m = build_model(2, 8)
     t = rank_table(m)
-    assert t.q == 2
-    assert t.ranks == m.generator_ranks()
-    assert all(d >= 2 for d in t.ranks)
+    assert type(t) is dict
+    assert t == {d: len(g) for d, g in m.generators.items()} == {2: 1, 4: 1, 5: 2, 7: 1}
+    assert list(t) == sorted(t)
 
 
 def test_loop_poincare_single_even():
-    s = loop_poincare({3: 1}, 1, 10)
-    assert s.coefficients == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+    assert loop_poincare({3: 1}, 1, 10) == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_loop_poincare_single_odd():
-    s = loop_poincare({5: 2}, 2, 9)
-    assert s.coefficients == [1, 0, 0, 2, 0, 0, 1, 0, 0, 0]
+    assert loop_poincare({5: 2}, 2, 9) == [1, 0, 0, 2, 0, 0, 1, 0, 0, 0]
 
 
 def test_loop_poincare_empty_and_drops():
-    assert loop_poincare({}, 0, 4).coefficients == [1, 0, 0, 0, 0]
+    assert loop_poincare({}, 0, 4) == [1, 0, 0, 0, 0]
     # a generator delooped to nonpositive degree is dropped
-    assert loop_poincare({2: 1}, 3, 4).coefficients == [1, 0, 0, 0, 0]
+    assert loop_poincare({2: 1}, 3, 4) == [1, 0, 0, 0, 0]
 
 
 def test_loop_poincare_mixed():
     # even in degree 2 and odd in degree 3: (1+t^3)/(1-t^2)
-    s = loop_poincare({4: 1, 5: 1}, 2, 6)
-    assert s.coefficients == [1, 0, 1, 1, 1, 1, 1]
+    assert loop_poincare({4: 1, 5: 1}, 2, 6) == [1, 0, 1, 1, 1, 1, 1]

@@ -9,12 +9,14 @@ over 300 KB, the largest `vey` documents, are left out to keep the suite fast.
 
 import json
 import pathlib
+import re
 
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from veycalc import cli
+from veycalc.cache import Config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 REFERENCES = json.loads((ROOT / "perfbench" / "references.json").read_text())
@@ -29,6 +31,9 @@ SCHEMA_OF = {
     "manifold": "manifold_report",
     "kappa": "kappa",
 }
+# The documents the program reads or writes: each command's output, and the
+# `--config` file that cache.load_config reads
+DOCUMENTS = {*SCHEMA_OF.values(), "config"}
 SCHEMAS = {p.stem: json.loads(p.read_text()) for p in (ROOT / "docs" / "schemas").glob("*.json")}
 REGISTRY = Registry().with_resources(
     (s["$id"], Resource.from_contents(s)) for s in SCHEMAS.values()
@@ -38,6 +43,24 @@ REGISTRY = Registry().with_resources(
 def test_every_json_output_kind_is_covered():
     assert {job.split()[0] for job in JOBS} == set(SCHEMA_OF)
     assert len(JOBS) == 97
+
+
+def test_every_schema_describes_a_document_or_a_part_of_one():
+    # no schema outlives the value it described: each is a document's, or is
+    # reached by $ref from one
+    reached, todo = set(), list(DOCUMENTS)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += re.findall(r'"\$ref": "(\w+)\.json"', json.dumps(SCHEMAS[name]))
+    assert set(SCHEMAS) == reached
+
+
+def test_config_schema_names_the_config_keys():
+    schema = SCHEMAS["config"]
+    assert list(schema["properties"]) == list(Config.__slots__)
+    Draft202012Validator(schema).validate(Config(cache_dir="cache").to_json_obj())
 
 
 @pytest.mark.parametrize("job", JOBS)
