@@ -28,18 +28,19 @@ def main() -> None:
 
     print("\nvariable-class counts:", {q: vey.v_count(q) for q in (1, 2, 3)})
     print("kappa:", {q: vey.kappa(q) for q in (1, 3, 7, 11)})
-    classes, counts = vey.extended_basis(3)
+    braced, counts = vey.extended_basis(3)
     print("braced extension for q=3, per-degree counts:", counts)
+    print("  degree 10:", ", ".join(m.label() for d, m in braced if d == 10))
 
     print("\ncross-validation of WO_3 against the oracle:")
-    report = vey.validate_vey(3, "WO")
-    for check in report.per_degree:
-        note = f"  ({'; '.join(check.notes)})" if check.notes else ""
+    report = vey.validate_vey(3, "WO")  # the validation_report.json document
+    for check in report["per_degree"]:
+        note = f"  ({'; '.join(check['notes'])})" if check["notes"] else ""
         print(
-            f"  deg {check.degree:2d}: enumerated {check.enumerated}, "
-            f"oracle {check.oracle_dim}, independent={check.independent}{note}"
+            f"  deg {check['degree']:2d}: enumerated {check['enumerated']}, "
+            f"oracle {check['oracle_dim']}, independent={check['independent']}{note}"
         )
-    print("overall:", "ok" if report.ok else "FAILED")
+    print("overall:", "ok" if report["ok"] else "FAILED")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ _HOMES = {
     "gca": ("AlgebraSignature", "Element", "Monomial", "SignatureMismatch"),
     "complexes": ("CohomologyResult", "GradedComplex", "build_complex", "cohomology"),
     "vey": (
-        "ValidationReport",
         "VeyClass",
         "extended_basis",
         "extended_count",
@@ -34,7 +33,6 @@ _HOMES = {
         "rank_table",
     ),
     "manifold": (
-        "ClassRecord",
         "ManifoldDescriptor",
         "fiber_integrate_degree",
         "preset",

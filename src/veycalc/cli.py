@@ -201,7 +201,7 @@ def _cohomology_job(args, config: Config):
 
 
 def _vey_job(args, config: Config):
-    def compute() -> dict:
+    def compute() -> tuple:
         from . import vey
 
         return args.q, args.complex, vey.vey_basis(args.q, args.complex, args.degree)
@@ -215,7 +215,7 @@ def _validate_job(args, config: Config):
         from . import vey
 
         _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
-        return vey.validate_vey(args.q, args.complex).to_json_obj()
+        return vey.validate_vey(args.q, args.complex)
 
     return {"q": args.q, "kind": args.complex}, compute
 
@@ -281,11 +281,7 @@ def _manifold_job(args, config: Config):
         )
 
     def compute() -> dict:
-        records = manifold.report(descriptor)
-        return {
-            "descriptor": descriptor.to_json_obj(),
-            "records": [r.to_json_obj() for r in records],
-        }
+        return {"descriptor": descriptor.to_json_obj(), "records": manifold.report(descriptor)}
 
     return {"descriptor": descriptor.to_json_obj()}, compute
 

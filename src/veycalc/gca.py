@@ -40,14 +40,22 @@ class SignatureMismatch(ValueError):
     """Raised when combining elements over different algebra signatures."""
 
 
+def _positive_q(q: int) -> int:
+    """q, once it is a positive int; as in cache.Config, bool and float are refused."""
+    if type(q) is not int:
+        raise ValueError(f"q must be an integer, got {q!r}")
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    return q
+
+
 class AlgebraSignature:
     """Shape of one truncated algebra: codimension q and the allowed y-indices."""
 
     __slots__ = ("q", "odd_indices")
 
     def __init__(self, q: int, odd_indices: frozenset[int]) -> None:
-        if q < 1:
-            raise ValueError(f"q must be positive, got {q}")
+        _positive_q(q)
         if not odd_indices <= frozenset(range(1, q + 1)):
             raise ValueError(f"odd_indices {sorted(odd_indices)} not within 1..{q}")
         self.q = q  # also the weight cap
@@ -67,12 +75,12 @@ class AlgebraSignature:
     @classmethod
     def W(cls, q: int) -> "AlgebraSignature":
         """Full complex: all of y_1..y_q allowed (framed normal bundle)."""
-        return cls(q, frozenset(range(1, q + 1)))
+        return cls(q, frozenset(range(1, _positive_q(q) + 1)))
 
     @classmethod
     def WO(cls, q: int) -> "AlgebraSignature":
         """Odd-index y's only: y_1, y_3, ..., y_q' with q' the largest odd integer <= q."""
-        return cls(q, frozenset(range(1, q + 1, 2)))
+        return cls(q, frozenset(range(1, _positive_q(q) + 1, 2)))
 
     @classmethod
     def I(cls, q: int) -> "AlgebraSignature":

@@ -18,7 +18,9 @@ manifold is compact and parallelizable.
     loop[t^d]           BbarDiff     loop_family        open and parallelizable
 
 The loop family replaces every other row; gamma_braced records are reader
-exercises.  Detection ranks are the variable-class counts from
+exercises, the only records with a ``note``.  Each record is the dict that
+``docs/schemas/manifold_report.json`` describes, so the CLI prints the list as
+it stands.  Detection ranks are the variable-class counts from
 :mod:`veycalc.vey` and are lower bounds; survival annotations are recorded
 only where known.
 """
@@ -54,7 +56,14 @@ class ManifoldDescriptor:
             raise UnsupportedInputError(f"dimension q must be an integer, got {q!r}")
         if q < 1:
             raise UnsupportedInputError("dimension q must be positive")
-        for i, (k, count) in enumerate(cospherical_degrees):
+        if not isinstance(cospherical_degrees, (tuple, list)):
+            raise UnsupportedInputError(
+                f"co-spherical degrees {cospherical_degrees!r} must be a tuple of pairs")
+        for i, entry in enumerate(cospherical_degrees):
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise UnsupportedInputError(
+                    f"co-spherical entry {entry!r} must be a (degree, count) pair")
+            k, count = entry
             if type(k) is not int or type(count) is not int:
                 raise UnsupportedInputError(f"co-spherical entry {(k, count)!r} must hold integers")
             if not 0 < k < q:
@@ -94,45 +103,11 @@ class ManifoldDescriptor:
         }
 
 
-class ClassRecord:
-    __slots__ = ("name", "degree", "target", "method", "detection_rank",
-                 "survives_to_BDiff_delta", "note")
-
-    def __init__(self, name: str, degree: int, target: str, method: str, detection_rank: int,
-                 survives_to_BDiff_delta: str, note: str = "") -> None:
-        if target not in TARGETS:
-            raise ValueError(f"unknown target {target!r}")
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-        if survives_to_BDiff_delta not in SURVIVAL:
-            raise ValueError(f"unknown survival value {survives_to_BDiff_delta!r}")
-        if detection_rank < 1:
-            raise ValueError("detection_rank must be at least 1")
-        self.name = name
-        self.degree = degree
-        self.target = target
-        self.method = method
-        self.detection_rank = detection_rank
-        self.survives_to_BDiff_delta = survives_to_BDiff_delta
-        self.note = note
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ClassRecord:
-            return NotImplemented
-        return self.to_json_obj() == other.to_json_obj()
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "name": self.name,
-            "degree": self.degree,
-            "target": self.target,
-            "method": self.method,
-            "detection_rank": self.detection_rank,
-            "survives_to_BDiff_delta": self.survives_to_BDiff_delta,
-        }
-        if self.note:
-            obj["note"] = self.note
-        return obj
+def _record(name: str, degree: int, target: str, method: str, rank: int,
+            survival: str) -> dict:
+    """One record of ``docs/schemas/manifold_report.json``, without a note."""
+    return {"name": name, "degree": degree, "target": target, "method": method,
+            "detection_rank": rank, "survives_to_BDiff_delta": survival}
 
 
 def fiber_integrate_degree(n: int, q: int) -> int:
@@ -142,8 +117,10 @@ def fiber_integrate_degree(n: int, q: int) -> int:
     return n - q
 
 
-def report(m: ManifoldDescriptor) -> list[ClassRecord]:
-    """Characteristic-class inventory for the descriptor; pure and deterministic."""
+def report(m: ManifoldDescriptor) -> list[dict]:
+    """Characteristic-class inventory for the descriptor, as the ``records`` of
+    its ``manifold_report.json`` document, sorted by (degree, method, name);
+    pure and deterministic."""
     q = m.q
     if not m.compact and m.parallelizable:
         # Open parallelizable case: only the loop-space family applies.
@@ -174,7 +151,7 @@ def report(m: ManifoldDescriptor) -> list[ClassRecord]:
         for i, (k, count) in cycles
     ]
     records = [
-        ClassRecord(f"{prefix}[{name}]", degree, target, method, rank, survival)
+        _record(f"{prefix}[{name}]", degree, target, method, rank, survival)
         for prefix, degree, target, method, rank, survival, applies in families
         if applies
         for name in names
@@ -182,34 +159,33 @@ def report(m: ManifoldDescriptor) -> list[ClassRecord]:
     if has_section and q >= 3:
         extended, counts = vey.extended_basis(q)
         records += [
-            ClassRecord(f"braced[{e.name()}]", e.degree, "BbarDiff", "braced",
-                        counts[e.degree], "unknown")
-            for e in extended
-            if e.degree > top
+            _record(f"braced[{e.label()}]", d, "BbarDiff", "braced", counts[d], "unknown")
+            for d, e in extended
+            if d > top
         ]
         if q == 3:
             # cycle integration of the braced classes: sketched but not carried
             # out in detail in the source material, so marked reader-exercise
             records += [
-                ClassRecord(f"gamma_braced[C_{i}][deg{d}]", d - k, "BDiff_delta",
-                            "cycle_integration", count * vq, "unknown", note="reader-exercise")
+                {**_record(f"gamma_braced[C_{i}][deg{d}]", d - k, "BDiff_delta",
+                           "cycle_integration", count * vq, "unknown"), "note": "reader-exercise"}
                 for i, (k, count) in cycles
                 for d in counts
                 if d > top
             ]
 
-    records.sort(key=lambda r: (r.degree, r.method, r.name))
+    records.sort(key=lambda r: (r["degree"], r["method"], r["name"]))
     return records
 
 
-def _loop_family_records(q: int) -> list[ClassRecord]:
+def _loop_family_records(q: int) -> list[dict]:
     from . import minimal_model
 
     cap = 2 * q + 2
     model = minimal_model.build_model(q, cap)
     series = minimal_model.loop_poincare(minimal_model.rank_table(model), q, cap)
     return [
-        ClassRecord(f"loop[t^{deg}]", deg, "BbarDiff", "loop_family", coeff, "unknown")
+        _record(f"loop[t^{deg}]", deg, "BbarDiff", "loop_family", coeff, "unknown")
         for deg, coeff in enumerate(series)
         if deg >= 1 and coeff > 0
     ]

@@ -4,9 +4,10 @@ The cohomology of the truncated complexes has an explicit monomial basis
 y_I c_J cut out by index inequalities (the Vey basis): the cells with a
 y-part among those that ``gca.critical_groups`` enumerates.  This module
 classifies each class (generalized Godbillon-Vey, residual, rigid, variable
-candidate), builds the variable set and its braced extension, and
-cross-validates everything against the checked Morse walk of
-:mod:`veycalc.complexes`.
+candidate), builds the variable set and its braced extension, as (degree,
+monomial) pairs, and cross-validates everything against the checked Morse
+walk of :mod:`veycalc.complexes`.  ``validate_vey`` returns that check as the
+``validation_report.json`` document the CLI prints, a plain dict.
 """
 
 from __future__ import annotations
@@ -160,25 +161,17 @@ def v_count(q: int) -> int:
 
 def kappa(q: int) -> int:
     """Greatest integer with 4*kappa <= q+1 (number of usable Pontrjagin classes)."""
+    if type(q) is not int:  # bool and float too, as in gca.AlgebraSignature
+        raise ValueError(f"q must be an integer, got {q!r}")
     if q < 1:
         raise ValueError("q must be positive")
     return (q + 1) // 4
 
 
-class ExtendedClass(NamedTuple):
-    base: VeyClass
-    i_prime: tuple[int, ...]
-    monomial: Monomial
-    degree: int
-
-    def name(self) -> str:
-        return self.monomial.label()
-
-
-def extended_basis(q: int) -> tuple[list[ExtendedClass], dict[int, int]]:
+def extended_basis(q: int) -> tuple[list[tuple[int, Monomial]], dict[int, int]]:
     """Braced extension of the variable set: y_{i_1} y_{I'} c_J with I' strictly
-    increasing even indices, i_1 < i_1' and 2 i_r' <= q+1.  Returns the classes
-    and the per-degree counts."""
+    increasing even indices, i_1 < i_1' and 2 i_r' <= q+1.  Returns the
+    (degree, monomial) pairs in canonical order and the per-degree counts."""
     from .gca import Monomial
 
     groups = []
@@ -192,13 +185,11 @@ def extended_basis(q: int) -> tuple[list[ExtendedClass], dict[int, int]]:
                 ypart = (i1,) + iprime  # increasing, as every i' > i_1
                 deg = base[0].degree + sum(2 * i - 1 for i in iprime)
                 counts[deg] = counts.get(deg, 0) + len(base)
-                groups.append((deg, ypart, [
-                    ExtendedClass(v, iprime, Monomial(ypart, v.monomial.c_part), deg) for v in base
-                ]))
+                groups.append((deg, ypart, [Monomial(ypart, v.monomial.c_part) for v in base]))
     # as in gca.critical_groups, sorting the groups by (degree, I) and keeping
     # each in partition order gives the canonical (degree, I, J) order
     groups.sort(key=lambda g: g[:2])
-    return [e for _, _, classes in groups for e in classes], dict(sorted(counts.items()))
+    return [(deg, m) for deg, _, ms in groups for m in ms], dict(sorted(counts.items()))
 
 
 def extended_count(q: int, degree: int) -> int:
@@ -206,40 +197,9 @@ def extended_count(q: int, degree: int) -> int:
     return extended_basis(q)[1].get(degree, 0)
 
 
-class DegreeCheck(NamedTuple):
-    degree: int
-    enumerated: int
-    oracle_dim: int
-    independent: bool
-    notes: list[str]
-
-
-class ValidationReport(NamedTuple):
-    q: int
-    kind: str
-    per_degree: list[DegreeCheck]
-    ok: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "q": self.q,
-            "kind": self.kind,
-            "ok": self.ok,
-            "per_degree": [
-                {
-                    "degree": c.degree,
-                    "enumerated": c.enumerated,
-                    "oracle_dim": c.oracle_dim,
-                    "independent": c.independent,
-                    "notes": c.notes,
-                }
-                for c in self.per_degree
-            ],
-        }
-
-
-def validate_vey(q: int, kind: str) -> ValidationReport:
-    """Cross-check the enumerated basis against the cohomology of the complex.
+def validate_vey(q: int, kind: str) -> dict:
+    """Cross-check the enumerated basis against the cohomology of the complex;
+    returns the ``docs/schemas/validation_report.json`` document.
 
     Per degree, the critical cells of the checked walk (`complexes.critical_cells`)
     must be those that `gca.critical_groups` lists, in the same order.  The Vey
@@ -257,7 +217,7 @@ def validate_vey(q: int, kind: str) -> ValidationReport:
     for n, ys, _, cparts in gca.critical_groups(cx.signature):
         listed.setdefault(n, []).extend(gca.Monomial(ys, c) for c in cparts)
 
-    checks: list[DegreeCheck] = []
+    per_degree = []
     for n, cells in complexes.critical_cells(cx):
         expected = listed.get(n, [])
         if not cells and not expected:
@@ -273,5 +233,7 @@ def validate_vey(q: int, kind: str) -> ValidationReport:
                 "degree-8 dimension is 2 (y1y2c1^2 and y1y2c2 both survive); "
                 "classical generator tables for this algebra list only y1y2c2"
             )
-        checks.append(DegreeCheck(n, vey, dim, agree, notes))
-    return ValidationReport(q, kind, checks, all(c.independent for c in checks))
+        per_degree.append({"degree": n, "enumerated": vey, "oracle_dim": dim,
+                           "independent": agree, "notes": notes})
+    return {"q": q, "kind": kind, "ok": all(c["independent"] for c in per_degree),
+            "per_degree": per_degree}

@@ -49,8 +49,8 @@ def test_criterion_02_oracle_q2():
     assert hw.dims.get(8, 0) == 2
     # ... and the validation report must flag and document it
     report = vey.validate_vey(2, "W")
-    deg8 = next(c for c in report.per_degree if c.degree == 8)
-    assert any("classical generator tables" in n for n in deg8.notes)
+    deg8 = next(c for c in report["per_degree"] if c["degree"] == 8)
+    assert any("classical generator tables" in n for n in deg8["notes"])
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s over the 5 s budget"
 
@@ -64,7 +64,7 @@ def test_criterion_03_oracle_q3():
     assert _labels(hwo.representatives[7]) == ["y1c1^3", "y1c1c2", "y1c3"]
 
     cx = complexes.build_complex(3, "W")
-    braced = [e.monomial for e in vey.extended_basis(3)[0] if e.degree == 10]
+    braced = [m for d, m in vey.extended_basis(3)[0] if d == 10]
     assert [m.label() for m in braced] == ["y1y2c1^3", "y1y2c1c2", "y1y2c3"]
     for m in braced:
         assert complexes.is_cocycle(cx, Element.monomial(cx.signature, m))
@@ -94,11 +94,11 @@ def test_criterion_04_vey_cross_validation():
     for q in (1, 2, 3):
         for kind in ("W", "WO"):
             report = vey.validate_vey(q, kind)
-            assert report.ok, (q, kind)
-            for check in report.per_degree:
-                assert check.independent, (q, kind, check.degree)
-                if check.degree > 2 * q:
-                    assert check.enumerated == check.oracle_dim, (q, kind, check.degree)
+            assert report["ok"], (q, kind)
+            for check in report["per_degree"]:
+                assert check["independent"], (q, kind, check["degree"])
+                if check["degree"] > 2 * q:
+                    assert check["enumerated"] == check["oracle_dim"], (q, kind, check["degree"])
 
 
 def test_criterion_05_counts():
@@ -210,7 +210,7 @@ def test_criterion_09_manifold_golden_files():
         d = manifold.preset(name)
         doc = {
             "descriptor": d.to_json_obj(),
-            "records": [r.to_json_obj() for r in manifold.report(d)],
+            "records": manifold.report(d),
         }
         assert canonical_json(doc) + "\n" == (GOLDEN / fname).read_text(), name
     # spot-check the stated annotations

@@ -655,6 +655,37 @@ def test_manifold_enums_follow_the_schema():
     assert fields["survives_to_BDiff_delta"]["enum"] == list(manifold.SURVIVAL)
 
 
+# every preset, and the braced path of a compact parallelizable 6-manifold
+MANIFOLD_FLAGS = [["--preset", name] for name in
+                  ("S1", "S2", "T2", "Sigma_g:2", "Sigma_g:3", "S3", "T3", "Rq:2", "Rq:3")]
+MANIFOLD_FLAGS.append(["--dim", "6", "--compact", "--parallelizable"])
+
+
+@pytest.mark.parametrize("flags", MANIFOLD_FLAGS, ids=[" ".join(f) for f in MANIFOLD_FLAGS])
+def test_manifold_records_are_the_library_report(capsys, flags):
+    # the CLI prints report's list as it stands
+    from veycalc import manifold
+
+    code, out, _ = run(capsys, ["manifold", *flags, "--format", "json", "--no-cache"])
+    assert code == 0
+    if flags[0] == "--preset":
+        descriptor = manifold.preset(flags[1])
+    else:
+        descriptor = manifold.ManifoldDescriptor(6, True, True)
+    assert json.loads(out)["records"] == manifold.report(descriptor)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["W", "WO"])
+def test_validation_document_is_the_library_result(capsys, kind, q):
+    from veycalc import vey
+
+    argv = ["validate", "--complex", kind, "--q", str(q), "--format", "json", "--no-cache"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == vey.validate_vey(q, kind)
+
+
 def _drop_ranks(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if k != "ranks"}
 

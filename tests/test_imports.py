@@ -69,6 +69,9 @@ JOBS = [
     ("vey --complex WO --q 3 --degree 7", {"vey", "gca"}, False),
     ("validate --complex W --q 2", {"vey", "gca", "complexes"}, False),
     ("manifold --dim 6 --compact", {"manifold", "vey", "gca"}, False),
+    ("manifold --preset Rq:2", {"manifold", "minimal_model", "linalg", "gca"}, False),
+    # the braced path
+    ("manifold --dim 6 --compact --parallelizable", {"manifold", "vey", "gca"}, False),
     ("--version", set(), True),
 ]
 

@@ -7,6 +7,7 @@ in-process against no cache from the repository root, as in
 over 300 KB, the largest `vey` documents, are left out to keep the suite fast.
 """
 
+import itertools
 import json
 import pathlib
 import re
@@ -70,3 +71,25 @@ def test_output_follows_its_schema(capsys, monkeypatch, job):
     doc = json.loads(capsys.readouterr().out)
     schema = SCHEMAS[SCHEMA_OF[job.split()[0]]]
     Draft202012Validator(schema, registry=REGISTRY).validate(doc)
+
+
+def _descriptors():
+    from veycalc.manifold import ManifoldDescriptor
+
+    for q in range(1, 13):
+        for flags in itertools.product((False, True), repeat=3):
+            for cospherical in ((), ((1, 2),), ((1, 2), (3, 1))):
+                if all(k < q for k, _ in cospherical):
+                    yield ManifoldDescriptor(q, *flags[:2], cospherical, flags[2])
+
+
+def test_every_manifold_report_follows_its_schema():
+    # the records are plain dicts, so the schema is what checks their targets,
+    # methods, survival values and ranks
+    from veycalc.manifold import report
+
+    validator = Draft202012Validator(SCHEMAS["manifold_report"], registry=REGISTRY)
+    descriptors = list(_descriptors())
+    assert len(descriptors) == 256
+    for d in descriptors:
+        validator.validate({"descriptor": d.to_json_obj(), "records": report(d)})

@@ -1,10 +1,11 @@
 """Tests for Vey basis enumeration, classification, counts, validation."""
 
+import io
 import itertools
 
 import pytest
 
-from veycalc import manifold, vey
+from veycalc import complexes, manifold, vey
 
 
 def _names(classes):
@@ -132,11 +133,30 @@ def test_kappa():
         prev = k
 
 
+NON_INT_Q = [
+    ("write_basis_json",
+     lambda q: vey.write_basis_json(q, "WO", vey.vey_basis(q, "WO"), io.StringIO())),
+    ("cohomology", lambda q: complexes.cohomology(complexes.build_complex(q, "W"))),
+    ("validate_vey", lambda q: vey.validate_vey(q, "WO")),
+    ("vey_basis", lambda q: vey.vey_basis(q, "W")),
+    ("kappa", vey.kappa),
+]
+
+
+@pytest.mark.parametrize("q", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("name, call", NON_INT_Q, ids=[n for n, _ in NON_INT_Q])
+def test_non_integer_q_is_refused(name, call, q):
+    # q is written into every document: True would print as `true` (`True` in
+    # the vey rows, which is not JSON), and 2.0 failed as a bare TypeError
+    with pytest.raises(ValueError, match=f"q must be an integer, got {q!r}"):
+        call(q)
+
+
 def test_extended_basis_q3():
     classes, counts = vey.extended_basis(3)
     assert counts[7] == 3  # empty I' reproduces the variable set
     assert counts[10] == 3
-    deg10 = [e.name() for e in classes if e.degree == 10]
+    deg10 = [m.label() for d, m in classes if d == 10]
     assert deg10 == ["y1y2c1^3", "y1y2c1c2", "y1y2c3"]
     assert vey.extended_count(3, 10) == 3
 
@@ -144,8 +164,8 @@ def test_extended_basis_q3():
 def test_extended_basis_empty_iprime_is_variable_set():
     for q in (1, 2, 3):
         classes, counts = vey.extended_basis(q)
-        base = [e for e in classes if not e.i_prime]
-        assert [e.name() for e in base] == _names(vey.variable_set(q))
+        base = [m for _, m in classes if len(m.y_part) == 1]  # I' empty
+        assert [m.label() for m in base] == _names(vey.variable_set(q))
         assert counts[2 * q + 1] == vey.v_count(q)
 
 
@@ -163,8 +183,8 @@ def test_extended_basis_matches_a_monomial_degree_reference(q):
             for iprime in itertools.combinations(evens, r):
                 m = Monomial(tuple(sorted((i1,) + iprime)), v.monomial.c_part)
                 counts[m.degree()] = counts.get(m.degree(), 0) + 1
-                reference.append(vey.ExtendedClass(v, iprime, m, m.degree()))
-    reference.sort(key=lambda e: e.monomial.sort_key())
+                reference.append((m.degree(), m))
+    reference.sort(key=lambda e: e[1].sort_key())
     classes, by_degree = vey.extended_basis(q)
     assert classes == reference
     assert list(by_degree.items()) == sorted(counts.items())
@@ -173,7 +193,7 @@ def test_extended_basis_matches_a_monomial_degree_reference(q):
 def test_extended_basis_q7_allows_i_prime_4():
     classes, counts = vey.extended_basis(7)
     # 2*4 = 8 <= q+1 = 8, so I' = (2,4) and (4,) appear
-    i_primes = {e.i_prime for e in classes}
+    i_primes = {m.y_part[1:] for _, m in classes}
     assert (4,) in i_primes and (2, 4) in i_primes
 
 
@@ -182,16 +202,16 @@ def test_extended_monomials_are_cocycles():
 
     cx = complexes.build_complex(3, "W")
     classes, _ = vey.extended_basis(3)
-    for e in classes:
-        el = gca.Element.monomial(cx.signature, e.monomial)
-        assert complexes.is_cocycle(cx, el), e.name()
+    for _, m in classes:
+        el = gca.Element.monomial(cx.signature, m)
+        assert complexes.is_cocycle(cx, el), m.label()
 
 
 def test_degree_range_filter():
     # callers slice the extension by degree themselves; the slice is the count
     classes, counts = vey.extended_basis(3)
-    at_10 = [e for e in classes if e.degree == 10]
-    assert all(e.degree == 10 for e in at_10)
+    at_10 = [m for d, m in classes if d == 10]
+    assert all(m.degree() == 10 for m in at_10)
     assert len(at_10) == counts[10] == 3
 
 
@@ -202,11 +222,11 @@ def test_degree_range_filter():
 )
 def test_validate(q, kind):
     report = vey.validate_vey(q, kind)
-    assert report.ok
-    for check in report.per_degree:
-        assert check.independent
-        if check.degree > 2 * q:
-            assert check.enumerated == check.oracle_dim
+    assert report["ok"]
+    for check in report["per_degree"]:
+        assert check["independent"]
+        if check["degree"] > 2 * q:
+            assert check["enumerated"] == check["oracle_dim"]
 
 
 def test_validate_reports_cells_off_the_walk(monkeypatch):
@@ -222,20 +242,20 @@ def test_validate_reports_cells_off_the_walk(monkeypatch):
 
     monkeypatch.setattr(gca, "critical_groups", faulty)
     report = vey.validate_vey(2, "W")
-    assert not report.ok
-    checks = {c.degree: c for c in report.per_degree}
-    assert (checks[1].enumerated, checks[1].oracle_dim, checks[1].independent) == (1, 0, False)
-    assert checks[1].notes == ["the walk's critical cells (0) differ from the enumerator's (1)"]
-    assert (checks[5].enumerated, checks[5].oracle_dim, checks[5].independent) == (4, 2, False)
-    assert checks[5].notes == ["the walk's critical cells (2) differ from the enumerator's (4)"]
-    assert all(c.independent for c in report.per_degree if c.degree not in (1, 5))
+    assert not report["ok"]
+    checks = {c["degree"]: c for c in report["per_degree"]}
+    assert checks[1] == {"degree": 1, "enumerated": 1, "oracle_dim": 0, "independent": False,
+                         "notes": ["the walk's critical cells (0) differ from the enumerator's (1)"]}
+    assert checks[5] == {"degree": 5, "enumerated": 4, "oracle_dim": 2, "independent": False,
+                         "notes": ["the walk's critical cells (2) differ from the enumerator's (4)"]}
+    assert all(c["independent"] for n, c in checks.items() if n not in (1, 5))
 
 
 def test_validate_flags_w2_degree8():
     report = vey.validate_vey(2, "W")
-    deg8 = next(c for c in report.per_degree if c.degree == 8)
-    assert deg8.oracle_dim == 2
-    assert any("classical generator tables" in n for n in deg8.notes)
+    deg8 = next(c for c in report["per_degree"] if c["degree"] == 8)
+    assert deg8["oracle_dim"] == 2
+    assert any("classical generator tables" in n for n in deg8["notes"])
 
 
 def test_vey_cocycles_q4():
@@ -253,11 +273,11 @@ def test_v_count_through_q8():
 
 
 def test_validate_w6_against_oracle():
-    assert vey.validate_vey(6, "W").ok
+    assert vey.validate_vey(6, "W")["ok"]
 
 
 def test_validate_w7_under_the_default_cap():
-    assert vey.validate_vey(7, "W").ok
+    assert vey.validate_vey(7, "W")["ok"]
 
 
 # -- the `vey` JSON rows and table cells against the dict-based references ----
