@@ -1,7 +1,8 @@
 """Exact cohomology of the truncated Weil complexes.
 
 Builds W_q / WO_q for small q and prints per-degree dimensions with
-deterministic cocycle representatives, all over exact rationals.
+deterministic cocycle representatives, each a critical cell y_I c_J of
+the Morse matching, all over exact rationals.
 """
 
 from veycalc import complexes
@@ -13,7 +14,7 @@ def show(q: int, kind: str) -> None:
     total = sum(len(b) for b in cx.bases.values())
     print(f"\n{kind}_{q}  (complex dimension {total}, top degree {cx.top_degree})")
     for n in sorted(h.dims):
-        reps = "; ".join(repr(e) for e in h.representatives[n])
+        reps = "; ".join(m.label() for m in h.representatives[n])
         print(f"  H^{n} = Q^{h.dims[n]}   [{reps}]")
 
 

@@ -75,22 +75,17 @@ def _sum_label(terms) -> str:
     return " + ".join(bits) or "0"
 
 
-def _element_label(terms: list[dict]) -> str:
-    from .gca import Monomial
-
-    return _sum_label((t["coeff"], Monomial.from_json_obj(t["m"]).label()) for t in terms)
-
-
 # -- table renderers ---------------------------------------------------------
 
 
 def _render_cohomology(doc: dict) -> str:
+    from .gca import Monomial
+
     rows = []
     for deg in sorted(doc["dims"], key=int):
-        reps = doc["representatives"].get(deg, [])
-        rows.append(
-            [deg, str(doc["dims"][deg]), "; ".join(_element_label(r) for r in reps)]
-        )
+        labels = (_sum_label((t["coeff"], Monomial.from_json_obj(t["m"]).label()) for t in r)
+                  for r in doc["representatives"].get(deg, []))
+        rows.append([deg, str(doc["dims"][deg]), "; ".join(labels)])
     head = f"H*({doc['kind']}_{doc['q']})  total dim {doc['total_dim_check']}\n"
     return head + _table(["degree", "dim", "representatives"], rows)
 

@@ -7,6 +7,8 @@ Adv. Math. 134, 1998; Skoldberg, Trans. AMS 358, 2006) leaves critical
 exactly the cells that ``gca.critical_groups`` lists, a basis of H^n:
 :func:`cohomology` reads them there and checks that each is a cocycle and
 that they have the Euler characteristic of the complex in each index weight.
+A class is its critical cell, kept as the ``Monomial`` it is; only its JSON
+writes it as the one-term sum of ``docs/schemas/element.json``.
 :func:`critical_cells` walks the matching over every cell, checked against
 ``gca.d_terms`` cell by cell; it is the certificate that ``validate_vey``
 compares with the enumerator.  Nothing here eliminates.
@@ -113,7 +115,7 @@ class CohomologyResult(NamedTuple):
     kind: str
     q: int
     dims: dict[int, int]
-    representatives: dict[int, list[Element]]
+    representatives: dict[int, list[Monomial]]  # the critical cells
     total_dim_check: int = 0
 
     def to_json_obj(self) -> dict:
@@ -122,7 +124,7 @@ class CohomologyResult(NamedTuple):
             "q": self.q,
             "dims": {str(n): d for n, d in sorted(self.dims.items())},
             "representatives": {
-                str(n): [e.to_json_obj() for e in reps]
+                str(n): [[{"coeff": "1", "m": m.to_json_obj()}] for m in reps]
                 for n, reps in sorted(self.representatives.items())
             },
             "total_dim_check": self.total_dim_check,
@@ -208,7 +210,7 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
     as its representatives.  Each must be a cocycle, and they must have the Euler
     characteristic of the complex in each index weight, or AssertionError is raised;
     the cell-by-cell certificate is the walk of critical_cells, which validate_vey runs."""
-    sig, q, odd = cx.signature, cx.q, sorted(cx.signature.odd_indices)
+    q, odd = cx.q, sorted(cx.signature.odd_indices)
     # d y_i = c_i keeps the index weight N = sum(I) + weight(J), so the Euler
     # characteristic in N is [s^N] of prod_(i in odd) (1 - s^i) * sum_w p(w) s^w,
     # p(w) the count of c_J of weight w <= q
@@ -216,14 +218,14 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
     for i in odd:
         for k in range(len(chi) - 1, i - 1, -1):
             chi[k] -= chi[k - i]
-    reps: dict[int, list[Element]] = {}
-    for n, ys, w, cs in gca.critical_groups(sig):
+    reps: dict[int, list[Monomial]] = {}
+    for n, ys, w, cs in gca.critical_groups(cx.signature):
         chi[sum(ys) + w] -= (-1) ** n * len(cs)
         for c in cs:
             m = Monomial(ys, c)
             if next(gca.d_terms(m, q), None) is not None:
                 raise AssertionError(f"the representative {m.label()} has d != 0")
-            reps.setdefault(n, []).append(Element(sig, {m: 1}))
+            reps.setdefault(n, []).append(m)
     for N, x in enumerate(chi):
         if x:
             raise AssertionError(f"H*({cx.kind}_{q}) misses the Euler characteristic at N = {N}")

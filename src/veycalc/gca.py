@@ -172,9 +172,7 @@ class Element:
         self.signature = signature
         clean: dict[Monomial, Coeff] = {}
         for m, c in (terms or {}).items():
-            if type(c) is not int:
-                c = _exact(c)
-            if c:
+            if c := _exact(c):
                 clean[m] = c
         self.terms = clean
 
@@ -205,8 +203,7 @@ class Element:
         return degs.pop()
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        terms = self.terms.items()  # one term is sorted: no sort_key, which takes the degree
-        return sorted(terms, key=lambda mc: mc[0].sort_key()) if len(terms) > 1 else list(terms)
+        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -266,13 +263,6 @@ class Element:
         for m, c in self.sorted_terms():
             bits.append(f"{c}*{m.label()}" if c != 1 else m.label())
         return " + ".join(bits)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_obj(self) -> list:
-        return [
-            {"m": m.to_json_obj(), "coeff": str(c)} for m, c in self.sorted_terms()
-        ]
 
 
 # -- module-level operations ------------------------------------------------

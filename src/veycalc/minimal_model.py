@@ -6,7 +6,8 @@ one elimination of d_n over word columns that never move, whose image
 echelon is stage n + 1's im d_n as it stands; new degree-(n-1) generators
 kill the kernel of H^n(model) -> I_q^n, and (below the cap) new closed
 degree-n generators hit its cokernel.  psi into I_q is a monomial map: each
-x generator goes to one c_J and each w to 0.  The quasi-iso check takes
+x generator goes to one c_J, which ``ModelStage.images`` holds as its
+exponent vector, and each w to 0, held as None.  The quasi-iso check takes
 dim H^n = words - rank d_n - rank d_(n-1) against dim I_q^n in closed form,
 and each word basis listed must have the size gca.free_series counts.
 Generator counts per degree are the dual homotopy ranks; the free-algebra
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 from . import gca, linalg
 from .errors import ModelBudgetError
-from .gca import AlgebraSignature, Coeff, Element, Monomial
+from .gca import AlgebraSignature, Coeff, Monomial
 
 WORD_BUDGET = 50_000
 
@@ -154,7 +155,7 @@ class ModelStage(NamedTuple):
     algebra: FreeAlgebra
     generators: dict[int, list[str]]  # degree -> generator ids
     differentials: dict[str, FreeElement]
-    images: dict[str, Element]  # quasi-iso map psi into I_q
+    images: dict[str, tuple[int, ...] | None]  # psi into I_q: c-exponents, None for 0
     quasi_iso_check: dict[int, bool]
 
     def to_json_obj(self) -> dict:
@@ -281,11 +282,8 @@ class _ModelBuilder:
             rank[n] = linalg.Echelon(map(self._d_column, basis_n)).rank
             check[n] = len(basis_n) - rank[n] - rank[n - 1] == target_dims[n]
         alg = self.alg
-        images = {gid: Element(self.sig, {Monomial((), c): 1} if c else {})  # psi
-                  for gid, c in zip(alg.gids, self._c_parts)}
-        model = ModelStage(
-            self.q, self.cap, alg, self.generators, dict(zip(alg.gids, alg.diffs)), images, check
-        )
+        model = ModelStage(self.q, self.cap, alg, self.generators, dict(zip(alg.gids, alg.diffs)),
+                           dict(zip(alg.gids, self._c_parts)), check)
         _assert_minimal(model)
         return model
 

@@ -63,14 +63,22 @@ def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[b
     return y_part == (1,), weight == q, rigid, degree == 2 * q + 1 and not rigid
 
 
+def _check_q(q: int) -> int:
+    """q, once it is a positive int: not a bool or float, as in gca.AlgebraSignature."""
+    if type(q) is not int:
+        raise ValueError(f"q must be an integer, got {q!r}")
+    if q < 1:
+        raise ValueError("q must be positive")
+    return q
+
+
 def vey_basis(q: int, kind: str, degree: int | None = None) -> list[VeyClass]:
     """All Vey classes y_I c_J (I nonempty) of W_q or WO_q, the critical cells of
     `gca.critical_groups` with a y-part, classified, in canonical order; given
     `degree`, only the classes of that degree, built without the others.  The
     unit and the pure c_J survivors (Pontrjagin monomials in WO_q) are not of
     Vey form; `complexes.cohomology` lists them with the rest."""
-    if q < 1:
-        raise ValueError("q must be positive")
+    _check_q(q)
     if kind not in ("W", "WO"):
         raise ValueError("kind must be 'W' or 'WO'")
     from .gca import AlgebraSignature, Monomial, critical_groups
@@ -144,7 +152,7 @@ def basis_table_rows(classes: list[VeyClass]) -> list[list[str]]:
 
 def variable_set(q: int) -> list[VeyClass]:
     """Degree-(2q+1) WO_q Vey classes flagged as independently variable."""
-    return list(_variable_classes(q))
+    return list(_variable_classes(_check_q(q)))
 
 
 @functools.cache
@@ -161,11 +169,7 @@ def v_count(q: int) -> int:
 
 def kappa(q: int) -> int:
     """Greatest integer with 4*kappa <= q+1 (number of usable Pontrjagin classes)."""
-    if type(q) is not int:  # bool and float too, as in gca.AlgebraSignature
-        raise ValueError(f"q must be an integer, got {q!r}")
-    if q < 1:
-        raise ValueError("q must be positive")
-    return (q + 1) // 4
+    return (_check_q(q) + 1) // 4
 
 
 def extended_basis(q: int) -> tuple[list[tuple[int, Monomial]], dict[int, int]]:

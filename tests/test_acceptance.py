@@ -14,13 +14,15 @@ from fractions import Fraction
 import elimination
 from veycalc import cli, complexes, gca, minimal_model, vey
 from veycalc.cache import canonical_json
-from veycalc.gca import AlgebraSignature, Element
+from veycalc.gca import AlgebraSignature, Element, Monomial
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def _labels(elements):
-    return [repr(e) for e in elements]
+def _labels(cells):
+    """The labels of critical cells, each a Monomial: a class is its cell."""
+    assert all(type(m) is Monomial for m in cells)
+    return [m.label() for m in cells]
 
 
 def test_criterion_01_oracle_q1():

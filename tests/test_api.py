@@ -29,7 +29,7 @@ DELETED = [
     (veycalc, "brace_degree"), (veycalc, "hurewicz_ok"),
     (manifold, "brace_degree"), (manifold, "hurewicz_ok"),
     (Element, "zero"), (Element, "one"), (Element, "y"), (Element, "c"),
-    (Element, "from_json_obj"), (gca, "unit_monomial"),
+    (Element, "from_json_obj"), (Element, "to_json_obj"), (gca, "unit_monomial"),
     (veycalc, "ClassRecord"), (manifold, "ClassRecord"),
     (veycalc, "ValidationReport"), (vey, "ValidationReport"),
     (vey, "DegreeCheck"), (vey, "ExtendedClass"),

@@ -921,3 +921,33 @@ def test_vey_json_peak_memory_is_near_the_output(monkeypatch):
     assert code == 0
     assert sink.size > 700_000
     assert peak < 3 * sink.size
+
+
+NO_ELEMENT_ARGV = [
+    ["cohomology", "--complex", "W", "--q", "4"],
+    ["cohomology", "--complex", "WO", "--q", "5"],
+    ["cohomology", "--complex", "I", "--q", "4"],
+    ["validate", "--complex", "W", "--q", "3"],
+    ["vey", "--complex", "WO", "--q", "5"],
+    ["model", "--q", "2", "--max-degree", "10"],
+    ["manifold", "--preset", "Rq:3"],
+    ["manifold", "--preset", "T3"],
+    ["manifold", "--dim", "6", "--compact", "--parallelizable"],
+    ["kappa", "--q", "7"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv", NO_ELEMENT_ARGV, ids=" ".join)
+def test_no_program_path_builds_an_element(monkeypatch, capsys, cache_dir, argv, fmt):
+    # a cohomology class is its critical cell and psi of a model generator its
+    # c-part; gca.Element is the tests' reference algebra alone
+    from veycalc import gca
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a program path built a gca.Element")
+
+    monkeypatch.setattr(gca.Element, "__init__", refuse)
+    code, out, err = run(capsys, argv + ["--format", fmt, "--cache-dir", cache_dir])
+    assert code == 0, err
+    assert out

@@ -10,8 +10,10 @@ from veycalc.cache import canonical_json
 from veycalc.gca import AlgebraSignature, Element, Monomial
 
 
-def _labels(elements):
-    return [repr(e) for e in elements]
+def _labels(cells):
+    """The labels of critical cells, each a Monomial: a class is its cell."""
+    assert all(type(m) is Monomial for m in cells)
+    return [m.label() for m in cells]
 
 
 def test_build_w1():

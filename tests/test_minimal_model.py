@@ -273,11 +273,15 @@ def test_mul_words_takes_its_sign_from_merge_y(monkeypatch):
 
 def _psi_word(model, w) -> Element:
     """psi of a word as the Element product of its generators' images, the
-    reference for the builder's exponent addition."""
-    out = Element(AlgebraSignature.I(model.q), {Monomial((), (0,) * model.q): 1})
+    reference for the builder's exponent addition: an image is the c-part of
+    one monomial c_J, or None for 0."""
+    sig = AlgebraSignature.I(model.q)
+    out = Element(sig, {Monomial((), (0,) * model.q): 1})
     for idx, e in w:
+        c = model.images[model.algebra.gids[idx]]
+        image = Element(sig, {Monomial((), c): 1} if c else {})
         for _ in range(e):
-            out = out * model.images[model.algebra.gids[idx]]
+            out = out * image
     return out
 
 
@@ -285,12 +289,13 @@ def _psi_word(model, w) -> Element:
 def test_psi_is_exponent_addition(q, cap):
     builder = minimal_model._ModelBuilder(q, cap)
     model = builder.build()
-    for gid, image in model.images.items():
-        if gid.startswith("x"):  # one c-only monomial of the generator's degree
-            ((m, c),) = image.terms.items()
-            assert (m.y_part, c, f"x{m.degree()}") == ((), 1, gid.split("_")[0])
+    assert list(model.images) == model.algebra.gids
+    for gid, c in model.images.items():
+        if gid.startswith("x"):  # the c-part of one c_J of the generator's degree
+            assert type(c) is tuple and len(c) == q, gid
+            assert f"x{Monomial((), c).degree()}" == gid.split("_")[0]
         else:
-            assert image.is_zero(), gid
+            assert c is None, gid
     for n in range(2, cap + 1):
         index = {m: i for i, m in enumerate(gca.basis_of_degree(builder.sig, n))}
         for w in builder._basis(n):

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import re
 
 import pytest
 
@@ -139,17 +140,26 @@ NON_INT_Q = [
     ("cohomology", lambda q: complexes.cohomology(complexes.build_complex(q, "W"))),
     ("validate_vey", lambda q: vey.validate_vey(q, "WO")),
     ("vey_basis", lambda q: vey.vey_basis(q, "W")),
+    ("variable_set", vey.variable_set),
+    ("v_count", vey.v_count),
+    ("extended_basis", vey.extended_basis),
+    ("extended_count", lambda q: vey.extended_count(q, 7)),
     ("kappa", vey.kappa),
 ]
 
 
-@pytest.mark.parametrize("q", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("q", [True, 2.0, "3", None, [3]],
+                         ids=["bool", "float", "str", "None", "list"])
 @pytest.mark.parametrize("name, call", NON_INT_Q, ids=[n for n, _ in NON_INT_Q])
 def test_non_integer_q_is_refused(name, call, q):
     # q is written into every document: True would print as `true` (`True` in
-    # the vey rows, which is not JSON), and 2.0 failed as a bare TypeError
-    with pytest.raises(ValueError, match=f"q must be an integer, got {q!r}"):
+    # the vey rows, which is not JSON); 2.0, "3" and None failed as a bare
+    # TypeError at `q < 1` or `2 * q + 1`, and [3] as unhashable in the cache
+    # of the variable set, which a refused q never reaches
+    misses = vey._variable_classes.cache_info().misses
+    with pytest.raises(ValueError, match=re.escape(f"q must be an integer, got {q!r}")):
         call(q)
+    assert vey._variable_classes.cache_info().misses == misses
 
 
 def test_extended_basis_q3():
