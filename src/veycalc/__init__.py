@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # Public names are resolved on first use (PEP 562), so importing the package,
 # or only the CLI and the cache, loads none of the algebra modules.
 _HOMES = {
-    "errors": ("ModelBudgetError", "ResourceBudgetError", "UnsupportedInputError"),
+    "errors": ("ResourceBudgetError", "UnsupportedInputError"),
     "gca": ("AlgebraSignature", "Element", "Monomial", "SignatureMismatch"),
     "complexes": ("CohomologyResult", "GradedComplex", "build_complex", "cohomology"),
     "vey": (

@@ -18,7 +18,7 @@ import os
 from pathlib import Path
 
 from . import __version__
-from .errors import DEFAULT_Q_CAP
+from .errors import DEFAULT_Q_CAP, check_int
 
 # The keys of each command's document, which a cached payload must carry, each
 # with the type json.load gives for its schema type: the `required` lists of
@@ -59,10 +59,8 @@ class Config:
         model_degree_cap: int = 12,
         cache_dir: str = _UNSET,
     ) -> None:
-        for name, value in (("q_cap", q_cap), ("model_degree_cap", model_degree_cap)):
-            # type(), not isinstance(): a JSON true is a bool, which is an int
-            if type(value) is not int or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int("q_cap", q_cap, 1, ConfigError)
+        check_int("model_degree_cap", model_degree_cap, 1, ConfigError)
         if cache_dir is _UNSET:
             cache_dir = default_cache_dir()
         if not isinstance(cache_dir, str) or not cache_dir:

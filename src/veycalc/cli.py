@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .cache import Config, ResultCache, canonical_json, load_config
-from .errors import KINDS, ModelBudgetError, ResourceBudgetError, UnsupportedInputError
+from .errors import KINDS, ResourceBudgetError, UnsupportedInputError, check_int
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -173,9 +173,8 @@ def _render_kappa(doc: dict) -> str:
 
 
 def _check_q_cap(q: int, kind: str, q_cap: int) -> None:
-    """Refuse a q that is not positive or is over the cap, before the progress line."""
-    if q < 1:
-        raise ValueError("q must be positive")
+    """Refuse a q that is not a positive int or is over the cap, before the progress line."""
+    check_int("q", q, 1)
     if q > q_cap:
         from . import complexes
 
@@ -221,7 +220,7 @@ def _model_job(args, config: Config):
 
         minimal_model.check_input(args.q, args.max_degree)  # before the cap and progress
         if args.max_degree > config.model_degree_cap:
-            raise ModelBudgetError(
+            raise ResourceBudgetError(
                 f"--max-degree {args.max_degree} exceeds the configured cap "
                 f"{config.model_degree_cap}", estimate=args.max_degree)
         _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")

@@ -20,20 +20,10 @@ from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from . import gca
 from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError  # re-exported
-from .gca import AlgebraSignature, Coeff, Element, Monomial
+from .gca import AlgebraSignature, Coeff, Element, Monomial, signature_for
 
 if TYPE_CHECKING:  # annotations only: a cohomology job never loads linalg
     from . import linalg
-
-
-def signature_for(q: int, kind: str) -> AlgebraSignature:
-    if kind == "W":
-        return AlgebraSignature.W(q)
-    if kind == "WO":
-        return AlgebraSignature.WO(q)
-    if kind == "I":
-        return AlgebraSignature.I(q)
-    raise ValueError(f"unknown complex kind {kind!r}")
 
 
 def dimension_estimate(q: int, kind: str) -> int:

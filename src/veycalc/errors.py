@@ -1,13 +1,13 @@
-"""Errors and limits the CLI needs before any computation starts.
+"""Errors, limits and the integer rule the CLI needs before any computation starts.
 
 This module imports nothing, so the front end can parse arguments, load the
 config, serve a cache hit and map errors to exit codes without loading the
 algebra stack.  The modules these names belong to re-export them:
-``complexes`` (``DEFAULT_Q_CAP``, ``KINDS``, ``ResourceBudgetError``),
-``minimal_model`` (``ModelBudgetError``) and ``manifold``
-(``UnsupportedInputError``).  Only the CLI checks the caps, after its cache
-lookup; the library refuses no job for its size, except a model whose word
-basis outgrows ``minimal_model.WORD_BUDGET`` (``ModelBudgetError``).
+``complexes`` (``DEFAULT_Q_CAP``, ``KINDS``, ``ResourceBudgetError``) and
+``manifold`` (``UnsupportedInputError``).  Only the CLI checks the caps, after
+its cache lookup; the library refuses no job for its size, except a model
+whose word basis outgrows ``minimal_model.WORD_BUDGET``.  Every q, degree,
+cap or count from outside passes ``check_int``.
 """
 
 DEFAULT_Q_CAP = 10
@@ -23,9 +23,15 @@ class ResourceBudgetError(RuntimeError):
         self.estimate = estimate
 
 
-class ModelBudgetError(ResourceBudgetError):
-    """A model budget refusal; its estimate is the attempted dimension."""
-
-
 class UnsupportedInputError(ValueError):
     """Raised for descriptors outside the supported rule table."""
+
+
+def check_int(name: str, value, least: int | None = None, error: type = ValueError) -> int:
+    """`value`, once it is an int (not a bool or float) of at least `least`, or raises `error`."""
+    if type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "positive" if least == 1 else f"at least {least}"
+        raise error(f"{name} must be {bound}")
+    return value

@@ -30,6 +30,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Union
 
+from .errors import KINDS, check_int
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -40,22 +42,13 @@ class SignatureMismatch(ValueError):
     """Raised when combining elements over different algebra signatures."""
 
 
-def _positive_q(q: int) -> int:
-    """q, once it is a positive int; as in cache.Config, bool and float are refused."""
-    if type(q) is not int:
-        raise ValueError(f"q must be an integer, got {q!r}")
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
-    return q
-
-
 class AlgebraSignature:
     """Shape of one truncated algebra: codimension q and the allowed y-indices."""
 
     __slots__ = ("q", "odd_indices")
 
     def __init__(self, q: int, odd_indices: frozenset[int]) -> None:
-        _positive_q(q)
+        check_int("q", q, 1)
         if not odd_indices <= frozenset(range(1, q + 1)):
             raise ValueError(f"odd_indices {sorted(odd_indices)} not within 1..{q}")
         self.q = q  # also the weight cap
@@ -75,17 +68,24 @@ class AlgebraSignature:
     @classmethod
     def W(cls, q: int) -> "AlgebraSignature":
         """Full complex: all of y_1..y_q allowed (framed normal bundle)."""
-        return cls(q, frozenset(range(1, _positive_q(q) + 1)))
+        return cls(q, frozenset(range(1, check_int("q", q, 1) + 1)))
 
     @classmethod
     def WO(cls, q: int) -> "AlgebraSignature":
         """Odd-index y's only: y_1, y_3, ..., y_q' with q' the largest odd integer <= q."""
-        return cls(q, frozenset(range(1, _positive_q(q) + 1, 2)))
+        return cls(q, frozenset(range(1, check_int("q", q, 1) + 1, 2)))
 
     @classmethod
     def I(cls, q: int) -> "AlgebraSignature":
         """Truncated polynomial algebra on c_1..c_q alone (no odd generators)."""
         return cls(q, frozenset())
+
+
+def signature_for(q: int, kind: str, kinds: tuple[str, ...] = KINDS) -> AlgebraSignature:
+    """The signature of the complex `kind`_q, for a kind among `kinds`."""
+    if kind not in kinds:
+        raise ValueError(f"complex kind must be one of {', '.join(kinds)}, got {kind!r}")
+    return getattr(AlgebraSignature, kind)(q)  # each kind names its constructor
 
 
 class Monomial(NamedTuple):

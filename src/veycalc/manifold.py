@@ -27,7 +27,7 @@ only where known.
 
 from __future__ import annotations
 
-from .errors import UnsupportedInputError
+from .errors import UnsupportedInputError, check_int
 
 TARGETS = ("BDiff_delta", "BbarDiff", "MDiff_delta")
 METHODS = (
@@ -51,11 +51,8 @@ class ManifoldDescriptor:
                  cospherical_degrees: tuple[tuple[int, int], ...] = (),
                  trivialized_over_cycles: bool = False, label: str = "") -> None:
         # cospherical_degrees: (degree k, count) with 0 < k < q; the fundamental
-        # class (k = q) is implicit; bool and float are refused as in cache.Config
-        if type(q) is not int:
-            raise UnsupportedInputError(f"dimension q must be an integer, got {q!r}")
-        if q < 1:
-            raise UnsupportedInputError("dimension q must be positive")
+        # class (k = q) is implicit
+        check_int("dimension q", q, 1, UnsupportedInputError)
         if not isinstance(cospherical_degrees, (tuple, list)):
             raise UnsupportedInputError(
                 f"co-spherical degrees {cospherical_degrees!r} must be a tuple of pairs")
@@ -64,14 +61,11 @@ class ManifoldDescriptor:
                 raise UnsupportedInputError(
                     f"co-spherical entry {entry!r} must be a (degree, count) pair")
             k, count = entry
-            if type(k) is not int or type(count) is not int:
-                raise UnsupportedInputError(f"co-spherical entry {(k, count)!r} must hold integers")
-            if not 0 < k < q:
+            if not 0 < check_int("co-spherical degree", k, error=UnsupportedInputError) < q:
                 raise UnsupportedInputError(
                     f"co-spherical degree {k} must lie strictly between 0 and {q}"
                 )
-            if count < 1:
-                raise UnsupportedInputError("co-spherical counts must be positive")
+            check_int("co-spherical count", count, 1, UnsupportedInputError)
             if any(k == j for j, _ in cospherical_degrees[:i]):
                 raise UnsupportedInputError(f"co-spherical degree {k} is listed twice")
         for name, flag in (("compact", compact), ("parallelizable", parallelizable),

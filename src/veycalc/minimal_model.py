@@ -15,9 +15,10 @@ Poincare series of a rank table after delooping describes the loop-space
 homology families.
 
 A degree of more than ``WORD_BUDGET`` words, counted before any is listed,
-raises ``ModelBudgetError``.  Everything is exact and deterministic.
-Coefficients are ints while they are integral; a Fraction only comes from
-the elimination in :mod:`veycalc.linalg`, past a pivot other than +-1.
+raises ``ResourceBudgetError`` with the count as its estimate.  Everything is
+exact and deterministic.  Coefficients are ints while they are integral; a
+Fraction only comes from the elimination in :mod:`veycalc.linalg`, past a
+pivot other than +-1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from . import gca, linalg
-from .errors import ModelBudgetError
+from .errors import ResourceBudgetError, check_int
 from .gca import AlgebraSignature, Coeff, Monomial
 
 WORD_BUDGET = 50_000
@@ -195,7 +196,7 @@ class _ModelBuilder:
         """Refuse a degree with more than WORD_BUDGET words, from its count."""
         count = self._counts[n]
         if count > WORD_BUDGET:
-            raise ModelBudgetError(
+            raise ResourceBudgetError(
                 f"free-algebra basis at degree {n} has {count} words, "
                 f"over the budget of {WORD_BUDGET}",
                 estimate=count,
@@ -299,12 +300,8 @@ def _assert_minimal(model: ModelStage) -> None:
 
 def check_input(q: int, degree_cap: int) -> None:
     """Refuse a q or a degree cap that no model has, before any work."""
-    if type(q) is not int or type(degree_cap) is not int:  # bool too, as in cache.Config
-        raise ValueError(f"q and degree cap must be integers, got {q!r} and {degree_cap!r}")
-    if q < 1:
-        raise ValueError("q must be positive")
-    if degree_cap < 2:
-        raise ValueError("degree cap must be at least 2")
+    check_int("q", q, 1)
+    check_int("degree cap", degree_cap, 2)
 
 
 def build_model(q: int, degree_cap: int) -> ModelStage:

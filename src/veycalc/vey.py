@@ -16,6 +16,8 @@ import functools
 import itertools
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
+from .errors import check_int
+
 # The algebra stack is imported where it is used, so `kappa` loads this
 # module alone.
 if TYPE_CHECKING:
@@ -26,6 +28,8 @@ if TYPE_CHECKING:
 # the Morse walk leaves critical; the reading "some odd entry" fails
 # validate_vey from q = 2 on.
 WO_CONDITION = "forall_odd"
+
+VEY_KINDS = ("W", "WO")  # the complexes with a Vey basis
 
 
 class VeyClass(NamedTuple):
@@ -63,27 +67,18 @@ def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[b
     return y_part == (1,), weight == q, rigid, degree == 2 * q + 1 and not rigid
 
 
-def _check_q(q: int) -> int:
-    """q, once it is a positive int: not a bool or float, as in gca.AlgebraSignature."""
-    if type(q) is not int:
-        raise ValueError(f"q must be an integer, got {q!r}")
-    if q < 1:
-        raise ValueError("q must be positive")
-    return q
-
-
 def vey_basis(q: int, kind: str, degree: int | None = None) -> list[VeyClass]:
     """All Vey classes y_I c_J (I nonempty) of W_q or WO_q, the critical cells of
     `gca.critical_groups` with a y-part, classified, in canonical order; given
     `degree`, only the classes of that degree, built without the others.  The
     unit and the pure c_J survivors (Pontrjagin monomials in WO_q) are not of
-    Vey form; `complexes.cohomology` lists them with the rest."""
-    _check_q(q)
-    if kind not in ("W", "WO"):
-        raise ValueError("kind must be 'W' or 'WO'")
-    from .gca import AlgebraSignature, Monomial, critical_groups
+    Vey form; `complexes.cohomology` lists them with the rest.  A negative
+    degree is an empty request."""
+    from .gca import Monomial, critical_groups, signature_for
 
-    sig = AlgebraSignature.W(q) if kind == "W" else AlgebraSignature.WO(q)
+    sig = signature_for(q, kind, VEY_KINDS)
+    if degree is not None:
+        check_int("degree", degree)
     classes = []
     for n, ys, w, cparts in critical_groups(sig, degree):
         if ys:
@@ -152,7 +147,7 @@ def basis_table_rows(classes: list[VeyClass]) -> list[list[str]]:
 
 def variable_set(q: int) -> list[VeyClass]:
     """Degree-(2q+1) WO_q Vey classes flagged as independently variable."""
-    return list(_variable_classes(_check_q(q)))
+    return list(_variable_classes(check_int("q", q, 1)))
 
 
 @functools.cache
@@ -169,7 +164,7 @@ def v_count(q: int) -> int:
 
 def kappa(q: int) -> int:
     """Greatest integer with 4*kappa <= q+1 (number of usable Pontrjagin classes)."""
-    return (_check_q(q) + 1) // 4
+    return (check_int("q", q, 1) + 1) // 4
 
 
 def extended_basis(q: int) -> tuple[list[tuple[int, Monomial]], dict[int, int]]:
@@ -198,6 +193,7 @@ def extended_basis(q: int) -> tuple[list[tuple[int, Monomial]], dict[int, int]]:
 
 def extended_count(q: int, degree: int) -> int:
     """The count of braced classes in one degree (v-hat_{q,degree})."""
+    check_int("degree", degree)
     return extended_basis(q)[1].get(degree, 0)
 
 
@@ -214,9 +210,8 @@ def validate_vey(q: int, kind: str) -> dict:
     unit, surviving Pontrjagin monomials), listed as notes, not failures."""
     from . import complexes, gca
 
+    gca.signature_for(q, kind, VEY_KINDS)  # before the complex is built
     cx = complexes.build_complex(q, kind)
-    if kind not in ("W", "WO"):
-        raise ValueError("kind must be 'W' or 'WO'")
     listed: dict[int, list[Monomial]] = {}
     for n, ys, _, cparts in gca.critical_groups(cx.signature):
         listed.setdefault(n, []).extend(gca.Monomial(ys, c) for c in cparts)

@@ -18,13 +18,14 @@ PUBLIC = {
     "CohomologyResult", "GradedComplex", "ResourceBudgetError", "build_complex",
     "cohomology", "VeyClass", "extended_basis",
     "extended_count", "kappa", "v_count", "validate_vey", "variable_set",
-    "vey_basis", "ModelBudgetError", "ModelStage", "build_model", "loop_poincare",
+    "vey_basis", "ModelStage", "build_model", "loop_poincare",
     "rank_table", "ManifoldDescriptor", "UnsupportedInputError", "fiber_integrate_degree",
     "preset", "report", "__version__",
 }
 # Helpers that no program path used, deleted from the library, and the
 # wrappers that only restated a document: report returns the records,
-# validate_vey the validation document, extended_basis (degree, Monomial) pairs
+# validate_vey the validation document, extended_basis (degree, Monomial) pairs;
+# ModelBudgetError, a second type for one refusal: ResourceBudgetError is the one
 DELETED = [
     (veycalc, "brace_degree"), (veycalc, "hurewicz_ok"),
     (manifold, "brace_degree"), (manifold, "hurewicz_ok"),
@@ -33,6 +34,8 @@ DELETED = [
     (veycalc, "ClassRecord"), (manifold, "ClassRecord"),
     (veycalc, "ValidationReport"), (vey, "ValidationReport"),
     (vey, "DegreeCheck"), (vey, "ExtendedClass"),
+    (veycalc, "ModelBudgetError"), (errors, "ModelBudgetError"),
+    (minimal_model, "ModelBudgetError"),
 ]
 
 
@@ -74,7 +77,6 @@ def test_unknown_name_raises_attribute_error():
         (complexes, "ResourceBudgetError"),
         (complexes, "DEFAULT_Q_CAP"),
         (complexes, "KINDS"),
-        (minimal_model, "ModelBudgetError"),
         (manifold, "UnsupportedInputError"),
     ],
 )
@@ -125,14 +127,6 @@ def test_invalid_monomial_message_is_unchanged():
     )
 
 
-def test_model_budget_error_is_a_resource_budget_error():
-    exc = errors.ModelBudgetError("over budget", estimate=7)
-    assert isinstance(exc, errors.ResourceBudgetError)
-    assert exc.estimate == 7
-    with pytest.raises(TypeError):
-        errors.ModelBudgetError("over budget", attempted_dimension=7)
-
-
 # Inputs that every program caller set to one value are constants or derived
 # values: closed is compact, orientable is True, the word budget is
 # minimal_model.WORD_BUDGET, and loop_poincare takes the plain rank dict that
@@ -142,13 +136,13 @@ SIGNATURES = [
                           "trivialized_over_cycles", "label"]),
     (minimal_model.build_model, ["q", "degree_cap"]),
     (minimal_model.loop_poincare, ["ranks", "loops", "cap"]),
-    (errors.ModelBudgetError, ["message", "estimate"]),
+    (errors.ResourceBudgetError, ["message", "estimate"]),
 ]
 
 
 @pytest.mark.parametrize("obj, params", SIGNATURES,
                          ids=["ManifoldDescriptor", "build_model", "loop_poincare",
-                              "ModelBudgetError"])
+                              "ResourceBudgetError"])
 def test_signature_is_pinned(obj, params):
     assert list(inspect.signature(obj).parameters) == params
 

@@ -10,6 +10,7 @@ pivot other than +-1, which none of these jobs meets.  `hashlib`, whose
 config digest: cache entries are addressed by a `zlib` CRC-32.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -57,6 +58,13 @@ def _loaded(argv: list[str]) -> set[str]:
 
 def test_importing_the_cli_loads_no_algebra_module():
     assert _loaded([]) == FRONT
+
+
+def test_errors_module_imports_nothing():
+    # gca, vey and the front end import errors at module level, so an import
+    # there would reach every job
+    tree = ast.parse(pathlib.Path(SRC, "veycalc", "errors.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 # (job, algebra modules it loads beyond FRONT, whether it hashes the config

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from veycalc import gca, linalg, minimal_model
+from veycalc.errors import ResourceBudgetError
 from veycalc.gca import AlgebraSignature, Element, Monomial
 from veycalc.minimal_model import (
     FreeAlgebra,
-    ModelBudgetError,
     add_into,
     build_model,
     loop_poincare,
@@ -189,7 +189,7 @@ def test_budget_refuses_before_a_basis_is_listed(monkeypatch, budget):
     monkeypatch.setattr(minimal_model, "WORD_BUDGET", budget)
     listed = _count_listings(monkeypatch)
     if budget < 255:
-        with pytest.raises(ModelBudgetError) as exc:
+        with pytest.raises(ResourceBudgetError) as exc:
             build_model(2, 22)
         assert exc.value.estimate > budget
     else:
@@ -250,13 +250,6 @@ def test_word_count_certificate_refuses_a_short_basis(monkeypatch):
                         lambda self, degree: real(self, degree)[: -1 if degree == 8 else None])
     with pytest.raises(AssertionError, match="degree 8 lists 3 words, not 4"):
         build_model(3, 12)
-
-
-@pytest.mark.parametrize("q, cap", [(True, 4), (2, True), (2.0, 6), (2, 6.0), ("2", 6)])
-def test_non_integer_input_is_refused(q, cap):
-    # True would reach model.json as "q": true; a float ended in a bare TypeError
-    with pytest.raises(ValueError, match="must be integers"):
-        build_model(q, cap)
 
 
 def test_mul_words_takes_its_sign_from_merge_y(monkeypatch):
@@ -325,7 +318,7 @@ def test_minimality_certificate_refuses_a_linear_term():
 
 def test_budget_error(monkeypatch):
     monkeypatch.setattr(minimal_model, "WORD_BUDGET", 2)
-    with pytest.raises(ModelBudgetError) as exc:
+    with pytest.raises(ResourceBudgetError) as exc:
         build_model(3, 12)
     assert exc.value.estimate > 2
 
@@ -336,11 +329,11 @@ def test_budget_covers_every_enumerated_basis(monkeypatch):
     # the builder reads WORD_BUDGET when it enumerates a basis
     expected = build_model(2, 22).to_json_obj()
     monkeypatch.setattr(minimal_model, "WORD_BUDGET", 192)
-    with pytest.raises(ModelBudgetError) as exc:
+    with pytest.raises(ResourceBudgetError) as exc:
         build_model(2, 22)
     assert exc.value.estimate == 255
     monkeypatch.setattr(minimal_model, "WORD_BUDGET", 254)
-    with pytest.raises(ModelBudgetError):
+    with pytest.raises(ResourceBudgetError):
         build_model(2, 22)
     monkeypatch.setattr(minimal_model, "WORD_BUDGET", 255)
     assert build_model(2, 22).to_json_obj() == expected

@@ -162,6 +162,28 @@ def test_non_integer_q_is_refused(name, call, q):
     assert vey._variable_classes.cache_info().misses == misses
 
 
+def test_negative_degree_is_an_empty_request():
+    # a degree has no least value (tests/test_inputs.py refuses a non-int one):
+    # `veycalc vey --degree -1` prints 0 classes
+    assert vey.vey_basis(3, "W", -1) == []
+    assert vey.extended_count(3, -1) == 0
+
+
+@pytest.mark.parametrize("call", [lambda k: vey.vey_basis(3, k), lambda k: vey.validate_vey(3, k)],
+                         ids=["vey_basis", "validate_vey"])
+@pytest.mark.parametrize("kind", ["X", "I", None])
+def test_kind_without_a_vey_basis_is_refused_before_the_complex(monkeypatch, call, kind):
+    # validate_vey refused "X" from build_complex, with another message, and
+    # built I_3 before it refused "I"
+    def no_complex(*args):
+        raise AssertionError("build_complex ran")
+
+    monkeypatch.setattr(complexes, "build_complex", no_complex)
+    with pytest.raises(ValueError, match=re.escape(
+            f"complex kind must be one of W, WO, got {kind!r}")):
+        call(kind)
+
+
 def test_extended_basis_q3():
     classes, counts = vey.extended_basis(3)
     assert counts[7] == 3  # empty I' reproduces the variable set
