@@ -1,30 +1,27 @@
 """The combinatorial Vey basis, classification, and oracle cross-check.
 
 Enumerates y_I c_J monomials cut out by the index inequalities, classifies
-each one (generalized Godbillon-Vey / residual / rigid / variable), and runs
-the validation that compares the enumeration against the exact cohomology.
+each group of them that shares a degree and a y-part (generalized
+Godbillon-Vey / residual / rigid / variable), and runs the validation that
+compares the enumeration against the exact cohomology.
 """
 
 from veycalc import vey
+from veycalc.gca import Monomial
 
 
 def main() -> None:
     for q in (1, 2, 3):
         for kind in ("W", "WO"):
-            classes = vey.vey_basis(q, kind)
-            print(f"\nVey basis of {kind}_{q} ({len(classes)} classes):")
-            for c in classes:
-                flags = [
-                    name
-                    for name, on in [
-                        ("gv", c.is_generalized_gv),
-                        ("residual", c.is_residual),
-                        ("rigid", c.is_rigid),
-                        ("variable", c.is_variable_candidate),
-                    ]
-                    if on
-                ]
-                print(f"  deg {c.degree:2d}  {c.name():12s} {', '.join(flags)}")
+            groups = vey.vey_groups(q, kind)
+            count = sum(len(c_parts) for _, _, c_parts, _ in groups)
+            print(f"\nVey basis of {kind}_{q} ({count} classes):")
+            for degree, y_part, c_parts, flags in groups:
+                marks = [name for name, on in zip(("gv", "residual", "rigid", "variable"), flags)
+                         if on]
+                for c_part in c_parts:
+                    name = Monomial(y_part, c_part).label()
+                    print(f"  deg {degree:2d}  {name:12s} {', '.join(marks)}")
 
     print("\nvariable-class counts:", {q: vey.v_count(q) for q in (1, 2, 3)})
     print("kappa:", {q: vey.kappa(q) for q in (1, 3, 7, 11)})

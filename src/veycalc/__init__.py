@@ -17,7 +17,6 @@ _HOMES = {
     "gca": ("AlgebraSignature", "Element", "Monomial", "SignatureMismatch"),
     "complexes": ("CohomologyResult", "GradedComplex", "build_complex", "cohomology"),
     "vey": (
-        "VeyClass",
         "extended_basis",
         "extended_count",
         "kappa",
@@ -25,6 +24,7 @@ _HOMES = {
         "validate_vey",
         "variable_set",
         "vey_basis",
+        "vey_groups",
     ),
     "minimal_model": (
         "ModelStage",

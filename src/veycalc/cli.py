@@ -13,9 +13,9 @@ input and returns (cache params or None, compute); a capped compute checks its
 input, then its cap, so a cached result is served under any cap.  `run` serves
 the cached document for those params or stores what compute returns, and
 reports every budget refusal at one site.  `vey` is never cached: its compute
-returns (q, kind, classes), which `veycalc.vey` writes row by row.  `main`, the
-console entry point, runs `run`, then freezes the heap so that exit skips
-collecting it.
+returns (q, kind, groups) of `vey.vey_groups`, which `veycalc.vey` writes row
+by row, with no object per class.  `main`, the console entry point, runs
+`run`, then freezes the heap so that exit skips collecting it.
 
 compute imports the algebra modules it runs when it runs, and the other
 renderers read only the result document, so argument parsing, a cache hit and
@@ -93,11 +93,10 @@ def _render_cohomology(doc: dict) -> str:
 def _render_vey(doc) -> str:
     from . import vey
 
-    q, kind, classes = doc
-    head = f"Vey basis of {kind}_{q} ({len(classes)} classes)\n"
-    return head + _table(
-        ["name", "degree", "gv", "residual", "rigid", "variable"], vey.basis_table_rows(classes)
-    )
+    q, kind, groups = doc
+    rows = vey.basis_table_rows(groups)
+    head = f"Vey basis of {kind}_{q} ({len(rows)} classes)\n"
+    return head + _table(["name", "degree", "gv", "residual", "rigid", "variable"], rows)
 
 
 def _write_vey_json(doc, out) -> None:
@@ -198,7 +197,7 @@ def _vey_job(args, config: Config):
     def compute() -> tuple:
         from . import vey
 
-        return args.q, args.complex, vey.vey_basis(args.q, args.complex, args.degree)
+        return args.q, args.complex, vey.vey_groups(args.q, args.complex, args.degree)
 
     return None, compute
 

@@ -106,7 +106,7 @@ def _record(name: str, degree: int, target: str, method: str, rank: int,
 
 def fiber_integrate_degree(n: int, q: int) -> int:
     """Degree after integration over a closed q-dimensional fiber."""
-    if n < q:
+    if check_int("degree", n) < check_int("q", q, 1):
         raise ValueError(f"cannot integrate a degree-{n} class over a {q}-fiber")
     return n - q
 
@@ -122,7 +122,7 @@ def report(m: ManifoldDescriptor) -> list[dict]:
 
     from . import vey
 
-    names = [v.name() for v in vey.variable_set(q)]
+    names = [m.label() for m in vey.variable_set(q)]
     vq = len(names)
     top = 2 * q + 1
     has_section = m.compact and m.parallelizable

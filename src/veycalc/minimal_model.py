@@ -320,7 +320,7 @@ def loop_poincare(ranks: dict[int, int], loops: int, cap: int) -> list[int]:
     algebra on the delooped generating set ranks (degree -> count, as rank_table
     returns): each degree-m generator shifts to m - loops, dropping nonpositive
     degrees (gca.free_series)."""
-    if loops < 0:
-        raise ValueError("loops must be nonnegative")
+    check_int("loops", loops, 0)
+    check_int("cap", cap, 0)
     degrees = (deg - loops for deg, count in ranks.items() if deg > loops for _ in range(count))
     return gca.free_series(degrees, cap)

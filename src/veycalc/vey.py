@@ -2,19 +2,20 @@
 
 The cohomology of the truncated complexes has an explicit monomial basis
 y_I c_J cut out by index inequalities (the Vey basis): the cells with a
-y-part among those that ``gca.critical_groups`` enumerates.  This module
-classifies each class (generalized Godbillon-Vey, residual, rigid, variable
-candidate), builds the variable set and its braced extension, as (degree,
-monomial) pairs, and cross-validates everything against the checked Morse
-walk of :mod:`veycalc.complexes`.  ``validate_vey`` returns that check as the
-``validation_report.json`` document the CLI prints, a plain dict.
+y-part among those that ``gca.critical_groups`` enumerates.  A Vey class is
+its critical cell, a ``Monomial``.  This module classifies the classes
+(generalized Godbillon-Vey, residual, rigid, variable candidate) once per
+group of ``vey_groups``, whose classes share their flags, writes the ``vey``
+rows from those groups, builds the variable set and its braced extension, as
+(degree, monomial) pairs, and cross-validates everything against the checked
+Morse walk of :mod:`veycalc.complexes`.  ``validate_vey`` returns that check
+as the ``validation_report.json`` document the CLI prints, a plain dict.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import check_int
 
@@ -32,33 +33,6 @@ WO_CONDITION = "forall_odd"
 VEY_KINDS = ("W", "WO")  # the complexes with a Vey basis
 
 
-class VeyClass(NamedTuple):
-    monomial: Monomial
-    complex_kind: str  # "W" or "WO"
-    q: int
-    degree: int
-    is_generalized_gv: bool = False
-    is_residual: bool = False
-    is_rigid: bool = False
-    is_variable_candidate: bool = False
-
-    def name(self) -> str:
-        return self.monomial.label()
-
-    def to_json_obj(self) -> dict:
-        return {
-            "monomial": self.monomial.to_json_obj(),
-            "name": self.name(),
-            "complex": self.complex_kind,
-            "q": self.q,
-            "degree": self.degree,
-            "generalized_gv": self.is_generalized_gv,
-            "residual": self.is_residual,
-            "rigid": self.is_rigid,
-            "variable_candidate": self.is_variable_candidate,
-        }
-
-
 def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[bool, ...]:
     """(generalized GV, residual, rigid, variable candidate) of y_I c_J in W_q or WO_q."""
     rigid = y_part[0] + weight >= q + 2
@@ -67,24 +41,29 @@ def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[b
     return y_part == (1,), weight == q, rigid, degree == 2 * q + 1 and not rigid
 
 
-def vey_basis(q: int, kind: str, degree: int | None = None) -> list[VeyClass]:
-    """All Vey classes y_I c_J (I nonempty) of W_q or WO_q, the critical cells of
-    `gca.critical_groups` with a y-part, classified, in canonical order; given
-    `degree`, only the classes of that degree, built without the others.  The
-    unit and the pure c_J survivors (Pontrjagin monomials in WO_q) are not of
-    Vey form; `complexes.cohomology` lists them with the rest.  A negative
-    degree is an empty request."""
-    from .gca import Monomial, critical_groups, signature_for
+def vey_groups(q: int, kind: str, degree: int | None = None) -> list[tuple]:
+    """(degree, I, c-parts, flags) for each group of `gca.critical_groups` with
+    a y-part, in canonical order: the Vey classes y_I c_J of the group, which
+    share their degree and their flags (generalized GV, residual, rigid,
+    variable candidate); given `degree`, only the groups of that degree, built
+    without the others.  A negative degree is an empty request."""
+    from .gca import critical_groups, signature_for
 
     sig = signature_for(q, kind, VEY_KINDS)
     if degree is not None:
         check_int("degree", degree)
-    classes = []
-    for n, ys, w, cparts in critical_groups(sig, degree):
-        if ys:
-            flags = _flags(q, ys, w, n)
-            classes += [VeyClass(Monomial(ys, c), kind, q, n, *flags) for c in cparts]
-    return classes
+    return [(n, ys, cparts, _flags(q, ys, w, n))
+            for n, ys, w, cparts in critical_groups(sig, degree) if ys]
+
+
+def vey_basis(q: int, kind: str, degree: int | None = None) -> list[Monomial]:
+    """All Vey classes y_I c_J (I nonempty) of W_q or WO_q, each its critical
+    cell, in canonical order; given `degree`, only those of that degree.  The
+    unit and the pure c_J survivors (Pontrjagin monomials in WO_q) are not of
+    Vey form; `complexes.cohomology` lists them with the rest."""
+    from .gca import Monomial
+
+    return [Monomial(ys, c) for _, ys, cparts, _ in vey_groups(q, kind, degree) for c in cparts]
 
 
 _BATCH = 256  # JSON rows per write; on an unbuffered stdout each write is a system call
@@ -104,27 +83,29 @@ class _Pieces(dict):
         return piece
 
 
-def _json_rows(classes: list[VeyClass]) -> Iterator[str]:
-    """Each class's `canonical_json(c.to_json_obj())`, built from its pieces."""
+def _json_rows(q: int, kind: str, groups: list[tuple]) -> Iterator[str]:
+    """The `canonical_json` text of each class's row of `vey_basis.json`, the
+    text its group shares built once."""
     ys, cs = _Pieces(True), _Pieces(False)
     b = ("false", "true")
-    for v in classes:
-        (yj, yl), (cj, cl) = ys[v.monomial.y_part], cs[v.monomial.c_part]
-        yield (
-            f'{{"complex":"{v.complex_kind}","degree":{v.degree},'
-            f'"generalized_gv":{b[v.is_generalized_gv]},"monomial":{{"c":{cj},"y":{yj}}},'
-            f'"name":"{yl}{cl}","q":{v.q},"residual":{b[v.is_residual]},'
-            f'"rigid":{b[v.is_rigid]},"variable_candidate":{b[v.is_variable_candidate]}}}'
-        )
+    for n, y, cparts, (gv, residual, rigid, variable) in groups:
+        yj, yl = ys[y]
+        head = f'{{"complex":"{kind}","degree":{n},"generalized_gv":{b[gv]},"monomial":{{"c":'
+        mid = f',"y":{yj}}},"name":"{yl}'
+        tail = (f'","q":{q},"residual":{b[residual]},"rigid":{b[rigid]},'
+                f'"variable_candidate":{b[variable]}}}')
+        for c in cparts:
+            cj, cl = cs[c]
+            yield head + cj + mid + cl + tail
 
 
-def write_basis_json(q: int, kind: str, classes: list[VeyClass], out) -> None:
-    """Write the `vey` JSON document and a newline to `out`, _BATCH rows per
-    write: the bytes of `canonical_json` of {"q", "complex", "wo_condition",
-    "classes": [c.to_json_obj() for c in classes]}, without that dict or text."""
+def write_basis_json(q: int, kind: str, groups: list[tuple], out) -> None:
+    """Write the `vey` JSON document of `vey_groups(q, kind, ...)` and a newline
+    to `out`, _BATCH rows per write: the bytes of `canonical_json` of {"q",
+    "complex", "wo_condition", "classes": the rows}, without that dict or text."""
     from .cache import canonical_json
 
-    rows = _json_rows(classes)
+    rows = _json_rows(q, kind, groups)
     out.write('{"classes":[')
     sep = ""
     while batch := list(itertools.islice(rows, _BATCH)):
@@ -134,28 +115,23 @@ def write_basis_json(q: int, kind: str, classes: list[VeyClass], out) -> None:
     out.write("]," + tail[1:] + "\n")
 
 
-def basis_table_rows(classes: list[VeyClass]) -> list[list[str]]:
+def basis_table_rows(groups: list[tuple]) -> list[list[str]]:
     """The `vey` table cells of each class: name, degree and the four flag marks."""
     ys, cs = _Pieces(True), _Pieces(False)
     x = ("", "x")
-    return [
-        [ys[v.monomial.y_part][1] + cs[v.monomial.c_part][1], str(v.degree),
-         x[v.is_generalized_gv], x[v.is_residual], x[v.is_rigid], x[v.is_variable_candidate]]
-        for v in classes
-    ]
+    rows = []
+    for n, y, cparts, flags in groups:
+        yl, cells = ys[y][1], [str(n), *(x[f] for f in flags)]
+        rows += ([yl + cs[c][1], *cells] for c in cparts)
+    return rows
 
 
-def variable_set(q: int) -> list[VeyClass]:
+def variable_set(q: int) -> list[Monomial]:
     """Degree-(2q+1) WO_q Vey classes flagged as independently variable."""
-    return list(_variable_classes(check_int("q", q, 1)))
-
-
-@functools.cache
-def _variable_classes(q: int) -> tuple[VeyClass, ...]:
     # Degree 2q+1 forces I = (i_1) with i_1 odd and weight q+1-i_1 (a second
     # y index pushes the degree past 2q+1), so no class of the slice is rigid
     # and every one is a variable candidate.
-    return tuple(vey_basis(q, "WO", 2 * q + 1))
+    return vey_basis(check_int("q", q, 1), "WO", 2 * q + 1)
 
 
 def v_count(q: int) -> int:
@@ -175,20 +151,19 @@ def extended_basis(q: int) -> tuple[list[tuple[int, Monomial]], dict[int, int]]:
 
     groups = []
     counts: dict[int, int] = {}
-    # the variable set runs by i_1, each i_1's classes in partition order
-    for i1, run in itertools.groupby(variable_set(q), key=lambda v: v.monomial.y_part[0]):
-        base = list(run)
+    # degree 2q+1 makes each group one i_1 (see variable_set), in partition order
+    for n, (i1,), cparts, _ in vey_groups(check_int("q", q, 1), "WO", 2 * q + 1):
         evens = range(i1 + 1, (q + 1) // 2 + 1, 2)  # the even i' > i_1 (odd), 2 i' <= q+1
         for r in range(len(evens) + 1):
             for iprime in itertools.combinations(evens, r):
-                ypart = (i1,) + iprime  # increasing, as every i' > i_1
-                deg = base[0].degree + sum(2 * i - 1 for i in iprime)
-                counts[deg] = counts.get(deg, 0) + len(base)
-                groups.append((deg, ypart, [Monomial(ypart, v.monomial.c_part) for v in base]))
+                deg = n + sum(2 * i - 1 for i in iprime)
+                counts[deg] = counts.get(deg, 0) + len(cparts)
+                groups.append((deg, (i1,) + iprime, cparts))  # increasing, as every i' > i_1
     # as in gca.critical_groups, sorting the groups by (degree, I) and keeping
     # each in partition order gives the canonical (degree, I, J) order
     groups.sort(key=lambda g: g[:2])
-    return [(deg, m) for deg, _, ms in groups for m in ms], dict(sorted(counts.items()))
+    return ([(deg, Monomial(ys, c)) for deg, ys, cparts in groups for c in cparts],
+            dict(sorted(counts.items())))
 
 
 def extended_count(q: int, degree: int) -> int:

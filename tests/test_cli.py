@@ -896,9 +896,12 @@ def test_subcommands_follow_the_readme():
     assert listed == list(cli._SUBCOMMANDS)
 
 
-def test_vey_json_peak_memory_is_near_the_output(monkeypatch):
-    # the rows go out in batches, so the peak is about the class list, not a
-    # dict per class plus the whole document text (8.8x the output when so built)
+@pytest.mark.parametrize("q, least_size, bound", [(8, 700_000, 3), (10, 5_000_000, 1 / 4)],
+                         ids=["W8", "W10"])
+def test_vey_json_peak_memory_is_near_the_output(monkeypatch, q, least_size, bound):
+    # the rows go out in batches from the groups of vey_groups, so the peak is
+    # about the group list: no dict per class and no whole document text (8.8x
+    # the output when so built), nor an object per class (1.04x at W_10)
     import tracemalloc
 
     from veycalc import gca, vey  # noqa: F401 -- imported before tracing starts
@@ -914,13 +917,30 @@ def test_vey_json_peak_memory_is_near_the_output(monkeypatch):
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = cli.run(["vey", "--complex", "W", "--q", "8", "--format", "json"])
+        code = cli.run(["vey", "--complex", "W", "--q", str(q), "--format", "json"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert sink.size > 700_000
-    assert peak < 3 * sink.size
+    assert sink.size > least_size
+    assert peak < bound * sink.size
+
+
+@pytest.mark.parametrize("degree", [[], ["--degree", "9"]], ids=["all", "degree9"])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_vey_rows_are_written_from_the_groups(monkeypatch, capsys, cache_dir, fmt, degree):
+    # the `vey` command lists no class: its rows come from vey.vey_groups
+    from veycalc import vey
+
+    argv = ["vey", "--complex", "W", "--q", "4", *degree, "--format", fmt]
+    expected = run(capsys, argv + ["--cache-dir", cache_dir])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the vey command listed the classes")
+
+    monkeypatch.setattr(vey, "vey_basis", refuse)
+    assert run(capsys, argv + ["--cache-dir", cache_dir]) == expected
+    assert expected[0] == 0 and expected[1]
 
 
 NO_ELEMENT_ARGV = [

@@ -75,6 +75,8 @@ JOBS = [
     ("model --q 2 --max-degree 6", {"gca", "linalg", "minimal_model"}, False),
     ("vey --complex WO --q 3", {"vey", "gca"}, False),
     ("vey --complex WO --q 3 --degree 7", {"vey", "gca"}, False),
+    # the JSON row writer
+    ("vey --complex W --q 3 --format json", {"vey", "gca"}, False),
     ("validate --complex W --q 2", {"vey", "gca", "complexes"}, False),
     ("manifold --dim 6 --compact", {"manifold", "vey", "gca"}, False),
     ("manifold --preset Rq:2", {"manifold", "minimal_model", "linalg", "gca"}, False),

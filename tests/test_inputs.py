@@ -11,8 +11,8 @@ from veycalc import vey
 from veycalc.cache import Config, ConfigError
 from veycalc.errors import UnsupportedInputError
 from veycalc.gca import AlgebraSignature
-from veycalc.manifold import ManifoldDescriptor
-from veycalc.minimal_model import build_model
+from veycalc.manifold import ManifoldDescriptor, fiber_integrate_degree
+from veycalc.minimal_model import build_model, loop_poincare
 
 Q = "q must be positive"
 
@@ -24,6 +24,8 @@ ENTRIES = [
     ("AlgebraSignature.I", "q", AlgebraSignature.I, ValueError, 1, Q),
     ("vey_basis", "q", lambda v: vey.vey_basis(v, "W"), ValueError, 1, Q),
     ("vey_basis-degree", "degree", lambda v: vey.vey_basis(3, "W", v), ValueError, None, None),
+    ("vey_groups", "q", lambda v: vey.vey_groups(v, "W"), ValueError, 1, Q),
+    ("vey_groups-degree", "degree", lambda v: vey.vey_groups(3, "W", v), ValueError, None, None),
     ("variable_set", "q", vey.variable_set, ValueError, 1, Q),
     ("v_count", "q", vey.v_count, ValueError, 1, Q),
     ("kappa", "q", vey.kappa, ValueError, 1, Q),
@@ -34,6 +36,13 @@ ENTRIES = [
     ("build_model", "q", lambda v: build_model(v, 4), ValueError, 1, Q),
     ("build_model-degree_cap", "degree cap", lambda v: build_model(2, v), ValueError,
      2, "degree cap must be at least 2"),
+    ("loop_poincare-loops", "loops", lambda v: loop_poincare({2: 1}, v, 4), ValueError,
+     0, "loops must be at least 0"),
+    ("loop_poincare-cap", "cap", lambda v: loop_poincare({2: 1}, 0, v), ValueError,
+     0, "cap must be at least 0"),
+    ("fiber_integrate_degree", "degree", lambda v: fiber_integrate_degree(v, 2), ValueError,
+     None, None),
+    ("fiber_integrate_degree-q", "q", lambda v: fiber_integrate_degree(7, v), ValueError, 1, Q),
     ("ManifoldDescriptor", "dimension q", lambda v: ManifoldDescriptor(v, True, True),
      UnsupportedInputError, 1, "dimension q must be positive"),
     ("ManifoldDescriptor-degree", "co-spherical degree",

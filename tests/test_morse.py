@@ -107,7 +107,7 @@ def test_validate_past_the_oracle(monkeypatch, q, kind):
     assert set(listed) <= set(cells)
     assert cells == {n: listed.get(n, []) for n in cells}
     above = [m for n, ms in sorted(cells.items()) if n > 2 * q for m in ms]
-    assert above == [v.monomial for v in vey.vey_basis(q, kind)]
+    assert above == vey.vey_basis(q, kind)
     series = gca.basis_dimension_series(complexes.signature_for(q, kind))
     chi = sum((-1) ** n * d for n, d in enumerate(series))
     assert sum((-1) ** n * len(ms) for n, ms in cells.items()) == chi

@@ -10,7 +10,23 @@ from veycalc import complexes, manifold, vey
 
 
 def _names(classes):
-    return [c.name() for c in classes]
+    return [m.label() for m in classes]
+
+
+def _row(q, kind, m) -> dict:
+    """The `vey` row of the class m, its flags read off the monomial alone."""
+    rigid = m.y_part[0] + m.weight() >= q + 2
+    return {
+        "monomial": m.to_json_obj(),
+        "name": m.label(),
+        "complex": kind,
+        "q": q,
+        "degree": m.degree(),
+        "generalized_gv": m.y_part == (1,),
+        "residual": m.weight() == q,
+        "rigid": rigid,
+        "variable_candidate": m.degree() == 2 * q + 1 and not rigid,
+    }
 
 
 def test_vey_basis_wo1():
@@ -19,26 +35,29 @@ def test_vey_basis_wo1():
 
 def test_vey_basis_w2_degrees():
     classes = vey.vey_basis(2, "W")
-    assert _names([c for c in classes if c.degree == 5]) == ["y1c1^2", "y1c2"]
+    assert _names([m for m in classes if m.degree() == 5]) == ["y1c1^2", "y1c2"]
     # y2c1^2 excluded: i_1 = 2 > j_1 = 1
-    assert _names([c for c in classes if c.degree == 7]) == ["y2c2"]
+    assert _names([m for m in classes if m.degree() == 7]) == ["y2c2"]
 
 
 def test_vey_basis_wo3_degree7():
-    classes = [c for c in vey.vey_basis(3, "WO") if c.degree == 7]
+    classes = [m for m in vey.vey_basis(3, "WO") if m.degree() == 7]
     assert _names(classes) == ["y1c1^3", "y1c1c2", "y1c3"]
 
 
-def test_classification():
-    classes = {c.name(): c for c in vey.vey_basis(2, "W")}
-    gv = classes["y1c1^2"]
-    assert gv.is_generalized_gv and gv.is_residual and not gv.is_rigid
-    rigid = classes["y2c2"]
-    assert rigid.is_rigid and rigid.is_residual and not rigid.is_generalized_gv
-    assert not rigid.is_variable_candidate  # rigid classes cannot vary
+def _flags_by_name(q, kind):
+    from veycalc.gca import Monomial
 
-    y1c3 = {c.name(): c for c in vey.vey_basis(3, "WO")}["y1c3"]
-    assert y1c3.is_generalized_gv and y1c3.is_residual and not y1c3.is_rigid
+    return {Monomial(ys, c).label(): flags
+            for _, ys, cparts, flags in vey.vey_groups(q, kind) for c in cparts}
+
+
+def test_classification():
+    # flags: (generalized GV, residual, rigid, variable candidate)
+    flags = _flags_by_name(2, "W")
+    assert flags["y1c1^2"] == (True, True, False, True)
+    assert flags["y2c2"] == (False, True, True, False)  # rigid classes cannot vary
+    assert _flags_by_name(3, "WO")["y1c3"] == (True, True, False, True)
 
 
 def test_variable_sets_and_counts():
@@ -50,23 +69,22 @@ def test_variable_sets_and_counts():
 
 def test_wo_basis_enumerated_once_per_q(monkeypatch):
     # a compact parallelizable report needs the variable set and its braced
-    # extension; they and every extended_count share one degree-(2q+1) slice
-    # of vey_basis and never build the whole WO_q basis
-    real = vey.vey_basis
+    # extension; they, every extended_count and v_count enumerate only the
+    # degree-(2q+1) slice of WO_q and never the whole basis
+    from veycalc import gca
+
+    real = gca.critical_groups
     calls = []
 
-    def counting(q, kind, degree=None):
-        calls.append((q, kind, degree))
-        return real(q, kind, degree)
+    def counting(sig, degree=None):
+        calls.append((sig, degree))
+        return real(sig, degree)
 
-    monkeypatch.setattr(vey, "vey_basis", counting)
-    vey._variable_classes.cache_clear()
+    monkeypatch.setattr(gca, "critical_groups", counting)
     manifold.report(manifold.preset("T3"))
     assert [vey.extended_count(3, d) for d in (7, 10, 13)] == [3, 3, 0]
-    vey.variable_set(3).clear()  # the caller's list, not the cached set
     assert vey.v_count(3) == 3
-    assert calls == [(3, "WO", 7)]
-    assert vey._variable_classes.cache_info().misses == 1
+    assert calls and set(calls) == {(gca.AlgebraSignature.WO(3), 7)}
 
 
 SLICED = [("W", q) for q in range(1, 9)] + [("WO", q) for q in range(1, 13)]
@@ -76,17 +94,18 @@ SLICED = [("W", q) for q in range(1, 9)] + [("WO", q) for q in range(1, 13)]
 def test_degree_slice_is_the_filtered_basis(kind, q):
     from veycalc import complexes, gca
 
-    full = vey.vey_basis(q, kind)
+    full, groups = vey.vey_basis(q, kind), vey.vey_groups(q, kind)
     top = gca.top_degree(complexes.signature_for(q, kind))
-    assert max(v.degree for v in full) <= top
+    assert max(m.degree() for m in full) <= top
     for d in range(-1, top + 2):
-        assert vey.vey_basis(q, kind, d) == [v for v in full if v.degree == d], d
+        assert vey.vey_basis(q, kind, d) == [m for m in full if m.degree() == d], d
+        assert vey.vey_groups(q, kind, d) == [g for g in groups if g[0] == d], d
 
 
 @pytest.mark.parametrize("q", range(1, 13))
 def test_variable_set_is_the_degree_2q_plus_1_slice(q):
     wo = vey.vey_basis(q, "WO")
-    assert vey.variable_set(q) == [v for v in wo if v.is_variable_candidate]
+    assert vey.variable_set(q) == [m for m in wo if _row(q, "WO", m)["variable_candidate"]]
 
 
 def _partitions(n, parts):
@@ -113,12 +132,25 @@ def test_v_count_matches_a_partition_count():
 
 @pytest.mark.parametrize("kind", ["W", "WO"])
 def test_enumerated_flags_follow_classify(kind):
-    # the flags recomputed from the monomial alone match the enumerated ones
+    # each class of a group has the group's degree and y-part, and the flags
+    # read off its monomial alone are the group's; the groups list vey_basis
+    from veycalc.gca import Monomial
+
+    marks = ("generalized_gv", "residual", "rigid", "variable_candidate")
     for q in range(1, 11):
-        for v in vey.vey_basis(q, kind):
-            m = v.monomial
-            flags = vey._flags(v.q, m.y_part, m.weight(), m.degree())
-            assert vey.VeyClass(m, v.complex_kind, v.q, m.degree(), *flags) == v, v.name()
+        groups = vey.vey_groups(q, kind)
+        for n, ys, cparts, flags in groups:
+            for c in cparts:
+                row = _row(q, kind, Monomial(ys, c))
+                assert (row["degree"], *(row[k] for k in marks)) == (n, *flags), row["name"]
+        assert vey.vey_basis(q, kind) == [Monomial(ys, c) for _, ys, cs, _ in groups for c in cs]
+
+
+def test_classes_are_their_monomials():
+    from veycalc.gca import Monomial
+
+    assert vey.vey_basis(2, "W")[0] == Monomial((1,), (2, 0))
+    assert all(type(m) is Monomial for m in vey.vey_basis(3, "WO") + vey.variable_set(3))
 
 
 def test_kappa():
@@ -136,10 +168,11 @@ def test_kappa():
 
 NON_INT_Q = [
     ("write_basis_json",
-     lambda q: vey.write_basis_json(q, "WO", vey.vey_basis(q, "WO"), io.StringIO())),
+     lambda q: vey.write_basis_json(q, "WO", vey.vey_groups(q, "WO"), io.StringIO())),
     ("cohomology", lambda q: complexes.cohomology(complexes.build_complex(q, "W"))),
     ("validate_vey", lambda q: vey.validate_vey(q, "WO")),
     ("vey_basis", lambda q: vey.vey_basis(q, "W")),
+    ("vey_groups", lambda q: vey.vey_groups(q, "W")),
     ("variable_set", vey.variable_set),
     ("v_count", vey.v_count),
     ("extended_basis", vey.extended_basis),
@@ -154,23 +187,22 @@ NON_INT_Q = [
 def test_non_integer_q_is_refused(name, call, q):
     # q is written into every document: True would print as `true` (`True` in
     # the vey rows, which is not JSON); 2.0, "3" and None failed as a bare
-    # TypeError at `q < 1` or `2 * q + 1`, and [3] as unhashable in the cache
-    # of the variable set, which a refused q never reaches
-    misses = vey._variable_classes.cache_info().misses
+    # TypeError at `q < 1` or `2 * q + 1`
     with pytest.raises(ValueError, match=re.escape(f"q must be an integer, got {q!r}")):
         call(q)
-    assert vey._variable_classes.cache_info().misses == misses
 
 
 def test_negative_degree_is_an_empty_request():
     # a degree has no least value (tests/test_inputs.py refuses a non-int one):
     # `veycalc vey --degree -1` prints 0 classes
     assert vey.vey_basis(3, "W", -1) == []
+    assert vey.vey_groups(3, "W", -1) == []
     assert vey.extended_count(3, -1) == 0
 
 
-@pytest.mark.parametrize("call", [lambda k: vey.vey_basis(3, k), lambda k: vey.validate_vey(3, k)],
-                         ids=["vey_basis", "validate_vey"])
+@pytest.mark.parametrize("call", [lambda k: vey.vey_basis(3, k), lambda k: vey.vey_groups(3, k),
+                                  lambda k: vey.validate_vey(3, k)],
+                         ids=["vey_basis", "vey_groups", "validate_vey"])
 @pytest.mark.parametrize("kind", ["X", "I", None])
 def test_kind_without_a_vey_basis_is_refused_before_the_complex(monkeypatch, call, kind):
     # validate_vey refused "X" from build_complex, with another message, and
@@ -209,11 +241,11 @@ def test_extended_basis_matches_a_monomial_degree_reference(q):
 
     reference, counts = [], {}
     for v in vey.variable_set(q):
-        i1 = v.monomial.y_part[0]
+        i1 = v.y_part[0]
         evens = [i for i in range(2, (q + 1) // 2 + 1, 2) if i > i1]
         for r in range(len(evens) + 1):
             for iprime in itertools.combinations(evens, r):
-                m = Monomial(tuple(sorted((i1,) + iprime)), v.monomial.c_part)
+                m = Monomial(tuple(sorted((i1,) + iprime)), v.c_part)
                 counts[m.degree()] = counts.get(m.degree(), 0) + 1
                 reference.append((m.degree(), m))
     reference.sort(key=lambda e: e[1].sort_key())
@@ -295,9 +327,9 @@ def test_vey_cocycles_q4():
 
     for kind in ("W", "WO"):
         cx = complexes.build_complex(4, kind)
-        for v in vey.vey_basis(4, kind):
-            el = gca.Element.monomial(cx.signature, v.monomial)
-            assert complexes.is_cocycle(cx, el), v.name()
+        for m in vey.vey_basis(4, kind):
+            el = gca.Element.monomial(cx.signature, m)
+            assert complexes.is_cocycle(cx, el), m.label()
 
 
 def test_v_count_through_q8():
@@ -322,12 +354,12 @@ def _dict_document(q, kind, classes) -> dict:
         "q": q,
         "complex": kind,
         "wo_condition": vey.WO_CONDITION,
-        "classes": [c.to_json_obj() for c in classes],
+        "classes": [_row(q, kind, m) for m in classes],
     }
 
 
-def _dict_cells(c) -> list[str]:
-    d = c.to_json_obj()
+def _dict_cells(q, kind, m) -> list[str]:
+    d = _row(q, kind, m)
     marks = ("generalized_gv", "residual", "rigid", "variable_candidate")
     return [d["name"], str(d["degree"]), *("x" if d[k] else "" for k in marks)]
 
@@ -341,9 +373,9 @@ class _Writes:
         return len(text)
 
 
-def _written(q, kind, classes) -> list[str]:
+def _written(q, kind, groups) -> list[str]:
     out = _Writes()
-    vey.write_basis_json(q, kind, classes, out)
+    vey.write_basis_json(q, kind, groups, out)
     return out.chunks
 
 
@@ -351,11 +383,11 @@ def _written(q, kind, classes) -> list[str]:
 def test_json_rows_and_table_cells_match_the_dicts(kind, q):
     from veycalc.cache import canonical_json
 
-    classes = vey.vey_basis(q, kind)
-    rows = list(vey._json_rows(classes))
-    assert rows == [canonical_json(c.to_json_obj()) for c in classes]
-    assert vey.basis_table_rows(classes) == [_dict_cells(c) for c in classes]
-    chunks = _written(q, kind, classes)
+    classes, groups = vey.vey_basis(q, kind), vey.vey_groups(q, kind)
+    rows = list(vey._json_rows(q, kind, groups))
+    assert rows == [canonical_json(_row(q, kind, m)) for m in classes]
+    assert vey.basis_table_rows(groups) == [_dict_cells(q, kind, m) for m in classes]
+    chunks = _written(q, kind, groups)
     assert "".join(chunks) == canonical_json(_dict_document(q, kind, classes)) + "\n"
     # one write for the head, one per batch of rows, one for the tail
     assert len(chunks) == -(-len(classes) // vey._BATCH) + 2
@@ -367,7 +399,7 @@ def test_json_document_at_the_batch_boundary(monkeypatch, extra):
 
     classes = vey.vey_basis(5, "WO")
     monkeypatch.setattr(vey, "_BATCH", len(classes) - extra)
-    chunks = _written(5, "WO", classes)
+    chunks = _written(5, "WO", vey.vey_groups(5, "WO"))
     assert len(chunks) == 3 + extra
     assert "".join(chunks) == canonical_json(_dict_document(5, "WO", classes)) + "\n"
 
@@ -384,7 +416,7 @@ def test_cli_degree_filter_matches_the_dicts(capsys, kind, q, degree, fmt):
     argv = ["vey", "--complex", kind, "--q", str(q), "--degree", str(degree), "--format", fmt]
     assert cli.run(argv) == 0
     out = capsys.readouterr().out
-    classes = [c for c in vey.vey_basis(q, kind) if c.degree == degree]
+    classes = [m for m in vey.vey_basis(q, kind) if m.degree() == degree]
     doc = _dict_document(q, kind, classes)
     if fmt == "json":
         assert out == canonical_json(doc) + "\n"
@@ -392,4 +424,4 @@ def test_cli_degree_filter_matches_the_dicts(capsys, kind, q, degree, fmt):
     else:
         head = f"Vey basis of {kind}_{q} ({len(classes)} classes)\n"
         headers = ["name", "degree", "gv", "residual", "rigid", "variable"]
-        assert out == head + cli._table(headers, [_dict_cells(c) for c in classes])
+        assert out == head + cli._table(headers, [_dict_cells(q, kind, m) for m in classes])
