@@ -122,7 +122,7 @@ def report(m: ManifoldDescriptor) -> list[dict]:
 
     from . import vey
 
-    names = [m.label() for m in vey.variable_set(q)]
+    names = [v.label() for v in vey.variable_set(q)]
     vq = len(names)
     top = 2 * q + 1
     has_section = m.compact and m.parallelizable

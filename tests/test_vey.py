@@ -67,7 +67,7 @@ def test_variable_sets_and_counts():
     assert [vey.v_count(q) for q in (1, 2, 3)] == [1, 2, 3]
 
 
-def test_wo_basis_enumerated_once_per_q(monkeypatch):
+def test_wo_basis_enumerated_only_in_degree_2q_plus_1(monkeypatch):
     # a compact parallelizable report needs the variable set and its braced
     # extension; they, every extended_count and v_count enumerate only the
     # degree-(2q+1) slice of WO_q and never the whole basis
