@@ -6,16 +6,18 @@ results are cached content-addressed under the configured cache directory.
 Exit codes: 0 success, 2 invalid input (a usage error too), 3 budget refusal.
 
 Each subcommand is one row of `_SUBCOMMANDS`: help, flags as (flag, argparse
-kwargs) pairs, job, table renderer and, for `vey` alone, a JSON writer.
+kwargs) pairs, a plain `compute(args, config)` that checks its input and
+returns the result, a table renderer and, for `vey` alone, a JSON writer.
 `build_parser` builds one parser per invocation: the common flags, accepted on
-either side of the subcommand, then the invoked row's flags.  A job checks its
-input and returns (cache params or None, compute); a capped compute checks its
-input, then its cap, so a cached result is served under any cap.  `run` serves
-the cached document for those params or stores what compute returns, and
-reports every budget refusal at one site.  `vey` is never cached: its compute
-returns (q, kind, groups) of `vey.vey_groups`, which `veycalc.vey` writes row
-by row, with no object per class.  `main`, the console entry point, runs
-`run`, then freezes the heap so that exit skips collecting it.
+either side of the subcommand, then the invoked row's flags.  A command is
+cached iff `cache.REQUIRED_KEYS` names it, under params that are the values of
+its row's own flags, so no common flag, cap or format is among them: `run`
+serves the cached document for those params or stores what compute returns,
+and reports every budget refusal at one site.  A capped compute checks its
+input, then its cap, so a cached result is served under any cap.  `vey`'s
+compute returns (q, kind, groups) of `vey.vey_groups`, which `veycalc.vey`
+writes row by row, with no object per class.  `main`, the console entry
+point, runs `run`, then freezes the heap so that exit skips collecting it.
 
 compute imports the algebra modules it runs when it runs, and the other
 renderers read only the result document, so argument parsing, a cache hit and
@@ -32,7 +34,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .cache import Config, ResultCache, canonical_json, load_config
+from .cache import REQUIRED_KEYS, Config, ResultCache, canonical_json, load_config
 from .errors import KINDS, ResourceBudgetError, UnsupportedInputError, check_int
 
 EXIT_OK = 0
@@ -181,54 +183,42 @@ def _check_q_cap(q: int, kind: str, q_cap: int) -> None:
                                   estimate=complexes.dimension_estimate(q, kind))
 
 
-def _cohomology_job(args, config: Config):
-    def compute() -> dict:
-        _check_q_cap(args.q, args.complex, config.q_cap)
-        from . import complexes
+def _cohomology(args, config: Config) -> dict:
+    _check_q_cap(args.q, args.complex, config.q_cap)
+    from . import complexes
 
-        _progress(f"computing H*({args.complex}_{args.q}) ...")
-        cx = complexes.build_complex(args.q, args.complex)
-        return complexes.cohomology(cx).to_json_obj()
-
-    return {"q": args.q, "kind": args.complex}, compute
+    _progress(f"computing H*({args.complex}_{args.q}) ...")
+    cx = complexes.build_complex(args.q, args.complex)
+    return complexes.cohomology(cx).to_json_obj()
 
 
-def _vey_job(args, config: Config):
-    def compute() -> tuple:
-        from . import vey
+def _vey(args, config: Config) -> tuple:
+    from . import vey
 
-        return args.q, args.complex, vey.vey_groups(args.q, args.complex, args.degree)
-
-    return None, compute
+    return args.q, args.complex, vey.vey_groups(args.q, args.complex, args.degree)
 
 
-def _validate_job(args, config: Config):
-    def compute() -> dict:
-        _check_q_cap(args.q, args.complex, config.q_cap)
-        from . import vey
+def _validate(args, config: Config) -> dict:
+    _check_q_cap(args.q, args.complex, config.q_cap)
+    from . import vey
 
-        _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
-        return vey.validate_vey(args.q, args.complex)
-
-    return {"q": args.q, "kind": args.complex}, compute
+    _progress(f"validating Vey basis of {args.complex}_{args.q} against the oracle ...")
+    return vey.validate_vey(args.q, args.complex)
 
 
-def _model_job(args, config: Config):
-    def compute() -> dict:
-        from . import minimal_model
+def _model(args, config: Config) -> dict:
+    from . import minimal_model
 
-        minimal_model.check_input(args.q, args.max_degree)  # before the cap and progress
-        if args.max_degree > config.model_degree_cap:
-            raise ResourceBudgetError(
-                f"--max-degree {args.max_degree} exceeds the configured cap "
-                f"{config.model_degree_cap}", estimate=args.max_degree)
-        _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
-        model = minimal_model.build_model(args.q, args.max_degree)
-        doc = model.to_json_obj()
-        doc["ranks"] = {str(d): r for d, r in minimal_model.rank_table(model).items()}
-        return doc
-
-    return {"q": args.q, "max_degree": args.max_degree}, compute
+    minimal_model.check_input(args.q, args.max_degree)  # before the cap and progress
+    if args.max_degree > config.model_degree_cap:
+        raise ResourceBudgetError(
+            f"--max-degree {args.max_degree} exceeds the configured cap "
+            f"{config.model_degree_cap}", estimate=args.max_degree)
+    _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
+    model = minimal_model.build_model(args.q, args.max_degree)
+    doc = model.to_json_obj()
+    doc["ranks"] = {str(d): r for d, r in minimal_model.rank_table(model).items()}
+    return doc
 
 
 def _parse_cospherical(text: str) -> tuple[tuple[int, int], ...]:
@@ -247,14 +237,14 @@ def _parse_cospherical(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _manifold_job(args, config: Config):
+def _manifold(args, config: Config) -> dict:
     from . import manifold
 
     if args.preset is not None:
         # each flag of the row after --preset builds a descriptor; absent, a
         # switch reads False and any other flag None
         given = [flag for flag, kwargs in _SUBCOMMANDS["manifold"].flags[1:]
-                 if getattr(args, flag[2:].replace("-", "_"))
+                 if getattr(args, _dest(flag))
                  is not (False if kwargs.get("action") == "store_true" else None)]
         if given:
             raise UnsupportedInputError(
@@ -272,26 +262,24 @@ def _manifold_job(args, config: Config):
             cospherical_degrees=_parse_cospherical(args.cospherical or ""),
             trivialized_over_cycles=args.trivialized_over_cycles,
         )
-
-    def compute() -> dict:
-        return {"descriptor": descriptor.to_json_obj(), "records": manifold.report(descriptor)}
-
-    return {"descriptor": descriptor.to_json_obj()}, compute
+    return {"descriptor": descriptor.to_json_obj(), "records": manifold.report(descriptor)}
 
 
-def _kappa_job(args, config: Config):
-    def compute() -> dict:
-        from . import vey
+def _kappa(args, config: Config) -> dict:
+    from . import vey
 
-        return {"q": args.q, "kappa": vey.kappa(args.q)}
+    return {"q": args.q, "kappa": vey.kappa(args.q)}
 
-    return None, compute
+
+def _dest(flag: str) -> str:
+    """The attribute of the parsed args that holds flag's value."""
+    return flag[2:].replace("-", "_")
 
 
 class _Subcommand(NamedTuple):
     help: str
     flags: tuple  # (flag, argparse kwargs) pairs
-    job: Callable  # (args, config) -> (cache params or None, compute)
+    compute: Callable  # (args, config) -> the result
     render: Callable[..., str]  # the result as a table
     write_json: Callable | None = None  # (result, out): writes it itself, in place of canonical_json
 
@@ -304,19 +292,19 @@ _SUBCOMMANDS = {
     "cohomology": _Subcommand(
         "exact cohomology of W_q / WO_q / I_q",
         (("--complex", {"choices": KINDS, "required": True}), _Q),
-        _cohomology_job, _render_cohomology,
+        _cohomology, _render_cohomology,
     ),
     "vey": _Subcommand(
         "Vey basis enumeration and classification",
-        (_VEY_COMPLEX, _Q, ("--degree", {"type": int})), _vey_job, _render_vey, _write_vey_json,
+        (_VEY_COMPLEX, _Q, ("--degree", {"type": int})), _vey, _render_vey, _write_vey_json,
     ),
     "validate": _Subcommand(
         "cross-check the Vey basis against the oracle",
-        (_VEY_COMPLEX, _Q), _validate_job, _render_validation,
+        (_VEY_COMPLEX, _Q), _validate, _render_validation,
     ),
     "model": _Subcommand(
         "bigraded minimal model of I_q",
-        (_Q, ("--max-degree", {"type": int, "required": True})), _model_job, _render_model,
+        (_Q, ("--max-degree", {"type": int, "required": True})), _model, _render_model,
     ),
     "manifold": _Subcommand(
         "characteristic-class inventory for a manifold",
@@ -324,10 +312,10 @@ _SUBCOMMANDS = {
          ("--compact", _SWITCH), ("--parallelizable", _SWITCH),
          ("--trivialized-over-cycles", _SWITCH),
          ("--cospherical", {"help": "comma list of k:count"})),
-        _manifold_job, _render_manifold,
+        _manifold, _render_manifold,
     ),
     "kappa": _Subcommand(
-        "number of Pontrjagin classes usable for bracing", (_Q,), _kappa_job, _render_kappa,
+        "number of Pontrjagin classes usable for bracing", (_Q,), _kappa, _render_kappa,
     ),
 }
 
@@ -379,14 +367,14 @@ def run(argv=None) -> int:
         if not args.command:
             raise UnsupportedInputError("a subcommand is required")
         subcommand = _SUBCOMMANDS[args.command]
-        params, compute = subcommand.job(args, config)
         cache = None
-        if params is not None and not args.no_cache:
+        if args.command in REQUIRED_KEYS and not args.no_cache:
             cache = ResultCache(config.cache_dir)
+            params = {d: getattr(args, d) for d in (_dest(flag) for flag, _ in subcommand.flags)}
         hit = cache.get(args.command, params) if cache else None
         doc, text = hit or (None, None)  # text: canonical_json(doc), once the cache holds it
         if doc is None:
-            doc = compute()
+            doc = subcommand.compute(args, config)
             if cache:
                 try:
                     text = cache.put(args.command, params, doc)

@@ -154,9 +154,11 @@ def _merge_y(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ..
 
 
 def _exact(c) -> Coeff:
-    """c as an int if it is integral, else as a Fraction (c may be a str or float)."""
+    """c as an int if integral, else a Fraction; c may be a str ("1/10"), not a float or bool."""
     if type(c) is int:
         return c
+    if isinstance(c, (float, bool)):
+        raise ValueError(f"coefficient must be an int, a Fraction or a rational string, got {c!r}")
     from fractions import Fraction
 
     c = Fraction(c)

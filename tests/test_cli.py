@@ -331,7 +331,7 @@ def test_entry_of_an_earlier_format_is_never_read(capsys, cache_dir, address):
     # of older versions or at today's address with today's key text, is not
     # served, and the entry at today's address is rewritten with a head
     argv = ["cohomology", "--complex", "W", "--q", "1", "--format", "json"]
-    params = {"q": 1, "kind": "W"}
+    params = {"complex": "W", "q": 1}
     key_text = canonical_json({"command": "cohomology", "params": params, "version": __version__})
     if address == "sha256":
         name = key = hashlib.sha256(key_text.encode()).hexdigest()
@@ -485,6 +485,82 @@ def test_oracle_cache_entry_is_independent_of_q_cap(tmp_path, capsys, cache_dir,
     assert len(list(pathlib.Path(cache_dir).glob("*.json"))) == 1
     code, out, _ = run(capsys, ["--config", _config(tmp_path, 2), *argv[:-2], "--no-cache"])
     assert (code, out) == (3, "")  # uncached, the cap refuses
+
+
+# (cached command, a flag of its row, a base argv, the base with that flag
+# alone changed); `--preset` conflicts with the other manifold flags, so it
+# changes a preset
+KEY_CHANGES = [
+    ("cohomology", "--complex", "--complex W --q 2", "--complex WO --q 2"),
+    ("cohomology", "--q", "--complex W --q 2", "--complex W --q 3"),
+    ("validate", "--complex", "--complex W --q 2", "--complex WO --q 2"),
+    ("validate", "--q", "--complex W --q 2", "--complex W --q 3"),
+    ("model", "--q", "--q 1 --max-degree 4", "--q 2 --max-degree 4"),
+    ("model", "--max-degree", "--q 1 --max-degree 4", "--q 1 --max-degree 5"),
+    ("manifold", "--preset", "--preset T2", "--preset S1"),
+    ("manifold", "--dim", "--dim 2", "--dim 3"),
+    ("manifold", "--compact", "--dim 2", "--dim 2 --compact"),
+    ("manifold", "--parallelizable", "--dim 2", "--dim 2 --parallelizable"),
+    ("manifold", "--trivialized-over-cycles", "--dim 2", "--dim 2 --trivialized-over-cycles"),
+    ("manifold", "--cospherical", "--dim 2", "--dim 2 --cospherical 1:1"),
+]
+
+
+def _entries(cache_dir) -> int:
+    return len(list(pathlib.Path(cache_dir).glob("*.json")))
+
+
+def _serve_only_hits(monkeypatch, command):
+    """From now on a run of command that misses the cache fails the test."""
+    def compute(args, config):
+        raise AssertionError(f"{command} computed on what should be a cache hit")
+
+    row = cli._SUBCOMMANDS[command]
+    monkeypatch.setitem(cli._SUBCOMMANDS, command, row._replace(compute=compute))
+
+
+def test_key_changes_cover_every_flag_of_every_cached_row():
+    cached = {(c, flag) for c in REQUIRED_KEYS for flag, _ in cli._SUBCOMMANDS[c].flags}
+    assert {(c, flag) for c, flag, _, _ in KEY_CHANGES} == cached
+
+
+@pytest.mark.parametrize("command, flag, base, changed", KEY_CHANGES,
+                         ids=[f"{c}{f}" for c, f, _, _ in KEY_CHANGES])
+def test_each_flag_of_a_cached_row_is_in_its_key(monkeypatch, capsys, cache_dir,
+                                                 command, flag, base, changed):
+    outs = []
+    for n, argv in enumerate((base, changed), 1):
+        code, out, _ = run(capsys, [command, *argv.split(), "--cache-dir", cache_dir])
+        assert code == 0
+        assert _entries(cache_dir) == n  # the changed flag writes a second entry
+        outs.append(out)
+    _serve_only_hits(monkeypatch, command)
+    for argv, out in zip((base, changed), outs):
+        assert run(capsys, [command, *argv.split(), "--cache-dir", cache_dir]) == (0, out, "")
+
+
+@pytest.mark.parametrize("command", list(REQUIRED_KEYS))
+def test_common_flags_caps_and_format_are_not_in_the_key(tmp_path, monkeypatch, capsys,
+                                                         cache_dir, command):
+    base = next(b for c, _, b, _ in KEY_CHANGES if c == command).split()
+    code, table, _ = run(capsys, [command, *base, "--cache-dir", cache_dir])
+    assert code == 0
+    code, doc, _ = run(capsys, [command, *base, "--cache-dir", cache_dir, "--format", "json"])
+    assert code == 0
+    _serve_only_hits(monkeypatch, command)
+    config = tmp_path / "caps.json"
+    config.write_text('{"q_cap": 1, "model_degree_cap": 2}')  # each cap under the base request it bounds
+    for argv, out in [
+        (["--cache-dir", cache_dir, command, *base], table),
+        (["--format", "json", command, *base, "--cache-dir", cache_dir], doc),
+        (["--format", "json", "--cache-dir", cache_dir, command, *base], doc),
+        ([command, *base, "--config", str(config), "--cache-dir", cache_dir], table),
+        (["--config", str(config), command, *base, "--cache-dir", cache_dir], table),
+        (["--config", str(config), "--format", "json", "--cache-dir", cache_dir, command, *base],
+         doc),
+    ]:
+        assert run(capsys, argv) == (0, out, ""), argv
+    assert _entries(cache_dir) == 1
 
 
 @pytest.mark.parametrize("key, value",

@@ -1,6 +1,7 @@
 """Unit tests for the graded-commutative algebra core."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,23 @@ def test_signature_mismatch():
     b = Element.monomial(AlgebraSignature.W(3), Monomial((1,), (0, 0, 0)))
     with pytest.raises(SignatureMismatch):
         _ = a + b
+
+
+def test_coefficients_are_exact():
+    # 0.1 as a binary float is 3602879701896397/2^55, not 1/10, and True is no number
+    from fractions import Fraction
+
+    sig = AlgebraSignature.W(1)
+    y1 = Monomial((1,), (0,))
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            Element(sig, {y1: bad})
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            Element.monomial(sig, y1).scale(bad)
+    assert Element(sig, {y1: "1/10"}).terms == {y1: Fraction(1, 10)}
+    assert Element(sig, {y1: Fraction(4, 2)}).terms == {y1: 2}
+    assert type(Element(sig, {y1: Fraction(4, 2)}).terms[y1]) is int
+    assert Element.monomial(sig, y1).scale("-3/6").terms == {y1: Fraction(-1, 2)}
 
 
 def test_dimension_series_matches_enumeration():

@@ -94,10 +94,12 @@ HITS = [
     ("validate --complex WO --q 2", "table", set()),
     ("model --q 2 --max-degree 6", "json", set()),
     ("model --q 2 --max-degree 6", "table", set()),
-    ("manifold --preset T2", "json", {"manifold"}),
-    ("manifold --preset T2", "table", {"manifold"}),
-    ("manifold --preset Rq:2", "json", {"manifold"}),
-    ("manifold --preset Rq:2", "table", {"manifold"}),
+    ("manifold --preset T2", "json", set()),
+    ("manifold --preset T2", "table", set()),
+    ("manifold --preset Rq:2", "json", set()),
+    ("manifold --preset Rq:2", "table", set()),
+    ("manifold --dim 6 --compact --parallelizable", "json", set()),
+    ("manifold --dim 6 --compact --parallelizable", "table", set()),
 ]
 
 
