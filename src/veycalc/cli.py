@@ -35,18 +35,20 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .cache import REQUIRED_KEYS, Config, ResultCache, canonical_json, load_config
-from .errors import KINDS, ResourceBudgetError, UnsupportedInputError, check_int
+from .errors import KINDS, VEY_KINDS, ResourceBudgetError, UnsupportedInputError, check_int
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 _HUGE = 10**1000  # the smallest estimate with more than 1000 digits
+_EXACT_Q = 1000  # the largest q refused with its exact estimate: W_1000's has 334 digits
 
 
-def _estimate_text(estimate: int) -> str:
-    """The estimate in full, or as ~10^k past 1000 digits, which `str` may refuse."""
-    if estimate < _HUGE:
+def _estimate_text(estimate: int | str) -> str:
+    """The estimate in full, a bound as its text, or ~10^k past 1000 digits, which
+    `str` may refuse."""
+    if isinstance(estimate, str) or estimate < _HUGE:
         return str(estimate)
     import math
 
@@ -174,13 +176,25 @@ def _render_kappa(doc: dict) -> str:
 
 
 def _check_q_cap(q: int, kind: str, q_cap: int) -> None:
-    """Refuse a q that is not a positive int or is over the cap, before the progress line."""
+    """Refuse a q that is not a positive int or is over the cap, before the progress
+    line: with the exact estimate through q = _EXACT_Q, and past it with a bound
+    >10^k that costs nothing at any q."""
     check_int("q", q, 1)
-    if q > q_cap:
-        from . import complexes
+    if q <= q_cap:
+        return
+    if q <= _EXACT_Q:
+        from .complexes import dimension_estimate
 
-        raise ResourceBudgetError(f"{kind}_{q} exceeds the configured cap q <= {q_cap}",
-                                  estimate=complexes.dimension_estimate(q, kind))
+        estimate = dimension_estimate(q, kind)
+    else:
+        from .gca import AlgebraSignature
+
+        # 10^k <= 2^(y + b) <= 2^y (q+1), the y-subsets times c_1^0..c_1^q, with
+        # y = len(odd), which len() refuses past 2^63, and 30102999/10^8 < log10 2
+        odd = AlgebraSignature(q, kind).odd_indices
+        y, b = (odd.stop - odd.start + odd.step - 1) // odd.step, (q + 1).bit_length() - 1
+        estimate = f">10^{(y + b) * 30102999 // 10**8}"
+    raise ResourceBudgetError(f"{kind}_{q} exceeds the configured cap q <= {q_cap}", estimate)
 
 
 def _cohomology(args, config: Config) -> dict:
@@ -285,7 +299,7 @@ class _Subcommand(NamedTuple):
 
 
 _Q = ("--q", {"type": int, "required": True})
-_VEY_COMPLEX = ("--complex", {"choices": ("W", "WO"), "required": True})
+_VEY_COMPLEX = ("--complex", {"choices": VEY_KINDS, "required": True})
 _SWITCH = {"action": "store_true"}
 
 _SUBCOMMANDS = {

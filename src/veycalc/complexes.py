@@ -16,11 +16,11 @@ compares with the enumerator.  Nothing here eliminates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from . import gca
 from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError  # re-exported
-from .gca import AlgebraSignature, Coeff, Element, Monomial, signature_for
+from .gca import AlgebraSignature, Coeff, Element, Monomial
 
 if TYPE_CHECKING:  # annotations only: a cohomology job never loads linalg
     from . import linalg
@@ -28,18 +28,17 @@ if TYPE_CHECKING:  # annotations only: a cohomology job never loads linalg
 
 def dimension_estimate(q: int, kind: str) -> int:
     """Total monomial count in closed form: every y-subset times every c_J."""
-    return 2 ** len(signature_for(q, kind).odd_indices) * sum(gca.c_series(q))
+    return 2 ** len(AlgebraSignature(q, kind).odd_indices) * sum(gca.c_series(q))
 
 
 Triplet = tuple[int, int, int]
 
 
 class GradedComplex:
-    __slots__ = ("signature", "kind", "_bases", "_diff", "_indices")
+    __slots__ = ("signature", "_bases", "_diff", "_indices")
 
-    def __init__(self, signature: AlgebraSignature, kind: str) -> None:
+    def __init__(self, signature: AlgebraSignature) -> None:
         self.signature = signature
-        self.kind = kind
         self._bases: dict[int, list[Monomial]] | None = None
         self._diff: dict[int, list[Triplet]] | None = None
         self._indices: dict[int, dict[Monomial, int]] = {}
@@ -98,7 +97,7 @@ class GradedComplex:
 
 def build_complex(q: int, kind: str) -> GradedComplex:
     """The complex of the given kind, for any q; its bases and d are built on first read."""
-    return GradedComplex(signature_for(q, kind), kind)
+    return GradedComplex(AlgebraSignature(q, kind))
 
 
 class CohomologyResult(NamedTuple):
@@ -121,7 +120,7 @@ class CohomologyResult(NamedTuple):
         }
 
 
-def _cell(cell: Monomial, n: int, odd: tuple[int, ...], bound: int) -> tuple[str, Monomial | None]:
+def _cell(cell: Monomial, n: int, odd: Sequence[int], bound: int) -> tuple[str, Monomial | None]:
     """("lower" or "upper", its partner) or ("critical", None) for a cell y_I c_J of
     degree n, over the sorted y-indices odd.  With m the least of I and of the
     parts of J in odd, it is lower if m = i_1 and weight + m <= bound, paired
@@ -142,22 +141,32 @@ def critical_cells(cx: GradedComplex) -> Iterator[tuple[int, list[Monomial]]]:
     after every cell of degree n is checked against gca.d_terms, or else raising
     AssertionError: a lower cell's d starts with (1, its partner), a critical
     cell's d is 0, and the upper cells are the partners of the lower cells one
-    degree down.  Gradient paths have length 1, so these cells are a basis of H^n."""
-    q, odd = cx.q, tuple(sorted(cx.signature.odd_indices))
+    degree down.  No later term of a lower cell's d is an upper cell, so gradient
+    paths have length 1 and these cells are a basis of H^n.  A later term
+    y_(I - i_k) c_(J + i_k) keeps i_1 and gains a part above it, so whether it is
+    upper depends on I alone: the first lower cell of each group (n, I) checks it."""
+    q, odd = cx.q, tuple(cx.signature.odd_indices)
     partners: set[Monomial] = set()  # of the lower cells one degree down
     for n, basis in gca.iter_basis(cx.signature):
-        critical, claimed, lowers, uppers = [], set(), 0, set()
+        critical, claimed, lowers, uppers, checked = [], set(), 0, set(), None
         for cell in basis:
             kind, partner = _cell(cell, n, odd, q)
             if kind == "upper":
                 uppers.add(cell)
                 continue
-            first = next(gca.d_terms(cell, q), None)
+            d = gca.d_terms(cell, q)
+            first = next(d, None)
             if kind == "lower":
                 if first != (1, partner):
                     raise AssertionError(f"d({cell.label()}) does not start with {partner.label()}")
                 lowers += 1
                 claimed.add(partner)
+                if cell.y_part != checked:  # the first lower cell of its group (n, I)
+                    checked = cell.y_part
+                    for _, term in d:
+                        if _cell(term, n + 1, odd, q)[0] == "upper":
+                            raise AssertionError(
+                                f"d({cell.label()}) has a second upper cell {term.label()}")
             elif first is not None:
                 raise AssertionError(f"critical cell {cell.label()} has d != 0")
             else:
@@ -174,7 +183,7 @@ def critical_class(cx: GradedComplex, n: int, terms: Mapping[Monomial, Coeff]) -
     """{critical cell: coefficient}, the class of a degree-n cocycle: a critical
     cell maps to itself and an upper cell u to minus the rest of d(l) = u + rest
     for its lower partner l; lower cells must cancel, or ValueError is raised."""
-    q, odd = cx.q, tuple(sorted(cx.signature.odd_indices))
+    q, odd = cx.q, tuple(cx.signature.odd_indices)
     out: dict[Monomial, Coeff] = {}
     for cell, x in terms.items():
         kind, partner = _cell(cell, n, odd, q)
@@ -200,7 +209,7 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
     as its representatives.  Each must be a cocycle, and they must have the Euler
     characteristic of the complex in each index weight, or AssertionError is raised;
     the cell-by-cell certificate is the walk of critical_cells, which validate_vey runs."""
-    q, odd = cx.q, sorted(cx.signature.odd_indices)
+    q, kind, odd = cx.q, cx.signature.kind, cx.signature.odd_indices
     # d y_i = c_i keeps the index weight N = sum(I) + weight(J), so the Euler
     # characteristic in N is [s^N] of prod_(i in odd) (1 - s^i) * sum_w p(w) s^w,
     # p(w) the count of c_J of weight w <= q
@@ -218,9 +227,9 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
             reps.setdefault(n, []).append(m)
     for N, x in enumerate(chi):
         if x:
-            raise AssertionError(f"H*({cx.kind}_{q}) misses the Euler characteristic at N = {N}")
+            raise AssertionError(f"H*({kind}_{q}) misses the Euler characteristic at N = {N}")
     dims = {n: len(r) for n, r in reps.items()}
-    return CohomologyResult(cx.kind, q, dims, reps, sum(dims.values()))
+    return CohomologyResult(kind, q, dims, reps, sum(dims.values()))
 
 
 def is_cocycle(cx: GradedComplex, a: Element) -> bool:

@@ -3,22 +3,26 @@
 This module imports nothing, so the front end can parse arguments, load the
 config, serve a cache hit and map errors to exit codes without loading the
 algebra stack.  The modules these names belong to re-export them:
-``complexes`` (``DEFAULT_Q_CAP``, ``KINDS``, ``ResourceBudgetError``) and
-``manifold`` (``UnsupportedInputError``).  Only the CLI checks the caps, after
-its cache lookup; the library refuses no job for its size, except a model
-whose word basis outgrows ``minimal_model.WORD_BUDGET``.  Every q, degree,
-cap or count from outside passes ``check_int``.
+``complexes`` (``DEFAULT_Q_CAP``, ``KINDS``, ``ResourceBudgetError``),
+``vey`` (``VEY_KINDS``) and ``manifold`` (``UnsupportedInputError``).  Only
+the CLI checks the caps, after its cache lookup; the library refuses no job
+for its size, except a model whose word basis outgrows
+``minimal_model.WORD_BUDGET``.  Every q, degree, cap or count from outside
+passes ``check_int``.
 """
 
 DEFAULT_Q_CAP = 10
 
 KINDS = ("W", "WO", "I")
+VEY_KINDS = ("W", "WO")  # the complexes with a Vey basis
 
 
 class ResourceBudgetError(RuntimeError):
-    """Raised when a requested computation exceeds the configured budget."""
+    """Raised when a requested computation exceeds the configured budget; its
+    estimate is the size, or the text of a lower bound where that is too large
+    to compute."""
 
-    def __init__(self, message: str, estimate: int):
+    def __init__(self, message: str, estimate: int | str):
         super().__init__(message)
         self.estimate = estimate
 

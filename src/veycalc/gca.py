@@ -1,13 +1,13 @@
 """Exact graded-commutative algebra with odd generators y_i and even generators c_i.
 
-The algebra carries q odd exterior generators y_1..y_q of degree 2i-1 (a
-configurable subset may be disabled) and q even polynomial generators
-c_1..c_q of degree 2i.  Products whose total c-weight (sum of j over each
-factor c_j) exceeds the weight cap q are identified with zero; this is the
-truncation that makes every complex here finite dimensional.  The
-differential is d(y_i) = c_i, d(c_i) = 0, extended by the graded Leibniz
-rule; d_terms is its one formula, on a monomial, which both differential
-and the assembly of a complex read.
+The algebra carries odd exterior generators y_i of degree 2i-1, for the
+indices its kind allows (all of 1..q in W_q, the odd ones in WO_q, none in
+I_q), and q even polynomial generators c_1..c_q of degree 2i.  Products
+whose total c-weight (sum of j over each factor c_j) exceeds the weight cap
+q are identified with zero; this is the truncation that makes every complex
+here finite dimensional.  The differential is d(y_i) = c_i, d(c_i) = 0,
+extended by the graded Leibniz rule; d_terms is its one formula, on a
+monomial, which both differential and the assembly of a complex read.
 
 The Vey condition, is_critical, is stated here once: critical_groups lists
 the cells y_I c_J that meet it, the critical cells of the least-index Morse
@@ -28,7 +28,7 @@ operation is a pure function.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import KINDS, check_int
 
@@ -43,49 +43,32 @@ class SignatureMismatch(ValueError):
 
 
 class AlgebraSignature:
-    """Shape of one truncated algebra: codimension q and the allowed y-indices."""
+    """Shape of one truncated algebra: codimension q and the kind W, WO or I,
+    which fixes the y-indices.  A kind outside `kinds` is refused before q."""
 
-    __slots__ = ("q", "odd_indices")
+    __slots__ = ("q", "kind")
 
-    def __init__(self, q: int, odd_indices: frozenset[int]) -> None:
-        check_int("q", q, 1)
-        if not odd_indices <= frozenset(range(1, q + 1)):
-            raise ValueError(f"odd_indices {sorted(odd_indices)} not within 1..{q}")
-        self.q = q  # also the weight cap
-        self.odd_indices = odd_indices
+    def __init__(self, q: int, kind: str, kinds: tuple[str, ...] = KINDS) -> None:
+        if kind not in kinds:
+            raise ValueError(f"complex kind must be one of {', '.join(kinds)}, got {kind!r}")
+        self.q = check_int("q", q, 1)  # also the weight cap
+        self.kind = kind
+
+    @property
+    def odd_indices(self) -> range:
+        """The allowed y-indices: 1..q for W, the odd ones for WO, none for I."""
+        return range(1, 1 if self.kind == "I" else self.q + 1, 2 if self.kind == "WO" else 1)
 
     def __eq__(self, other) -> bool:
         if type(other) is not AlgebraSignature:
             return NotImplemented
-        return self is other or (self.q == other.q and self.odd_indices == other.odd_indices)
+        return self is other or (self.q == other.q and self.kind == other.kind)
 
     def __hash__(self) -> int:
-        return hash((self.q, self.odd_indices))
+        return hash((self.q, self.kind))
 
     def __repr__(self) -> str:
-        return f"AlgebraSignature(q={self.q!r}, odd_indices={self.odd_indices!r})"
-
-    @classmethod
-    def W(cls, q: int) -> "AlgebraSignature":
-        """Full complex: all of y_1..y_q allowed (framed normal bundle)."""
-        return cls(q, frozenset(range(1, check_int("q", q, 1) + 1)))
-
-    @classmethod
-    def WO(cls, q: int) -> "AlgebraSignature":
-        """Odd-index y's only: y_1, y_3, ..., y_q' with q' the largest odd integer <= q."""
-        return cls(q, frozenset(range(1, check_int("q", q, 1) + 1, 2)))
-
-    @classmethod
-    def I(cls, q: int) -> "AlgebraSignature":
-        """Truncated polynomial algebra on c_1..c_q alone (no odd generators)."""
-        return cls(q, frozenset())
-
-
-def signature_for(q: int, kind: str, kinds: tuple[str, ...] = KINDS) -> AlgebraSignature:
-    """The signature of the complex `kind`_q, for a kind among `kinds`."""
-    if kind not in kinds:
-        raise ValueError(f"complex kind must be one of {', '.join(kinds)}, got {kind!r}")
-    return getattr(AlgebraSignature, kind)(q)  # each kind names its constructor
+        return f"AlgebraSignature(q={self.q!r}, kind={self.kind!r})"
 
 
 class Monomial(NamedTuple):
@@ -113,9 +96,9 @@ class Monomial(NamedTuple):
         return (self.degree(), self.y_part, self.partition())
 
     def is_valid(self, sig: AlgebraSignature) -> bool:
-        ys = self.y_part
+        ys, odd = self.y_part, sig.odd_indices
         return (len(self.c_part) == sig.q and list(ys) == sorted(set(ys))
-                and set(ys) <= sig.odd_indices and self.weight() <= sig.q)
+                and all(i in odd for i in ys) and self.weight() <= sig.q)
 
     def label(self) -> str:
         """Human-readable name like 'y1y2c1^2c3' ('1' for the unit)."""
@@ -315,7 +298,7 @@ def c_parts(q: int, weight: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _y_subsets(odd: tuple[int, ...], budget: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _y_subsets(odd: Sequence[int], budget: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(degree, I) for the subsets I of odd of degree <= budget, in lexicographic order."""
     yield 0, ()
     for k, i in enumerate(odd):
@@ -329,7 +312,7 @@ def basis_of_degree(sig: AlgebraSignature, n: int) -> list[Monomial]:
     """All valid monomials of degree n, in canonical order (deterministic): the
     y-subsets in lexicographic order, each followed by its c-parts."""
     out: list[Monomial] = []
-    for ydeg, ys in _y_subsets(tuple(sorted(sig.odd_indices)), n):
+    for ydeg, ys in _y_subsets(tuple(sig.odd_indices), n):
         weight, odd = divmod(n - ydeg, 2)  # c_J has degree 2 * weight
         if not odd and weight <= sig.q:
             out.extend(Monomial(ys, c) for c in c_parts(sig.q, weight))
@@ -342,7 +325,7 @@ def iter_basis(sig: AlgebraSignature) -> Iterator[tuple[int, list[Monomial]]]:
         yield n, basis_of_degree(sig, n)
 
 
-def is_critical(q: int, odd: tuple[int, ...], i1: int, c_part: tuple[int, ...]) -> bool:
+def is_critical(q: int, odd: Sequence[int], i1: int, c_part: tuple[int, ...]) -> bool:
     """The Vey condition on y_I c_J, with i_1 the least index of I (q+1 when I is
     empty) and odd the y-indices: no part of J below i_1 is a y-index, and
     q+1-i_1 <= weight <= q."""
@@ -353,7 +336,7 @@ def critical_groups(sig: AlgebraSignature, degree: int | None = None) -> list[tu
     """(degree, I, weight, c-parts) for each y_I with cells y_I c_J that meet
     is_critical, in every degree or in the given one, sorted by (degree, I),
     each c-part tuple in partition order: the cells of a degree in basis order."""
-    q, odd = sig.q, tuple(sorted(sig.odd_indices))
+    q, odd = sig.q, tuple(sig.odd_indices)
     kept: dict[tuple[int, int], tuple] = {}  # (i_1, weight) -> its critical c-parts
     groups = []
     for ydeg, ys in _y_subsets(odd, top_degree(sig) if degree is None else degree):

@@ -22,7 +22,11 @@ exercises, the only records with a ``note``.  Each record is the dict that
 ``docs/schemas/manifold_report.json`` describes, so the CLI prints the list as
 it stands.  Detection ranks are the variable-class counts from
 :mod:`veycalc.vey` and are lower bounds; survival annotations are recorded
-only where known.
+only where known.  The loop family of ``Rq:q`` reads its coefficient of t^k
+from the model generators up to degree k+q, and its model is certified
+through degree 2q+1, so the coefficients through t^(q+1) are exact and those
+from t^(q+2) to t^(2q+2) are lower bounds: each is at most the value a model
+built to degree 3q+3 gives, as the tests check for q = 2..6.
 """
 
 from __future__ import annotations

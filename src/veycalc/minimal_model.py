@@ -181,7 +181,7 @@ class _ModelBuilder:
     def __init__(self, q: int, cap: int):
         self.q = q
         self.cap = cap
-        self.sig = AlgebraSignature.I(q)
+        self.sig = AlgebraSignature(q, "I")
         self.alg = FreeAlgebra()
         self.generators: dict[int, list[str]] = {}
         self._c_parts: list[tuple[int, ...] | None] = []  # psi(g) as c-exponents, None for 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import check_int
+from .errors import VEY_KINDS, check_int  # VEY_KINDS re-exported
 
 # The algebra stack is imported where it is used, so `kappa` loads this
 # module alone.
@@ -29,8 +29,6 @@ if TYPE_CHECKING:
 # the Morse walk leaves critical; the reading "some odd entry" fails
 # validate_vey from q = 2 on.
 WO_CONDITION = "forall_odd"
-
-VEY_KINDS = ("W", "WO")  # the complexes with a Vey basis
 
 
 def _flags(q: int, y_part: tuple[int, ...], weight: int, degree: int) -> tuple[bool, ...]:
@@ -47,9 +45,9 @@ def vey_groups(q: int, kind: str, degree: int | None = None) -> list[tuple]:
     share their degree and their flags (generalized GV, residual, rigid,
     variable candidate); given `degree`, only the groups of that degree, built
     without the others.  A negative degree is an empty request."""
-    from .gca import critical_groups, signature_for
+    from .gca import AlgebraSignature, critical_groups
 
-    sig = signature_for(q, kind, VEY_KINDS)
+    sig = AlgebraSignature(q, kind, VEY_KINDS)
     if degree is not None:
         check_int("degree", degree)
     return [(n, ys, cparts, _flags(q, ys, w, n))
@@ -183,7 +181,7 @@ def validate_vey(q: int, kind: str) -> dict:
     unit, surviving Pontrjagin monomials), listed as notes, not failures."""
     from . import complexes, gca
 
-    gca.signature_for(q, kind, VEY_KINDS)  # before the complex is built
+    gca.AlgebraSignature(q, kind, VEY_KINDS)  # before the complex is built
     cx = complexes.build_complex(q, kind)
     listed: dict[int, list[Monomial]] = {}
     for n, ys, _, cparts in gca.critical_groups(cx.signature):

@@ -117,9 +117,9 @@ def test_criterion_06_property_suites():
     counts. Exact arithmetic; zero failures tolerated."""
     rng = random.Random(20260823)
     signatures = [
-        ctor(q)
+        AlgebraSignature(q, kind)
         for q in range(1, 5)
-        for ctor in (AlgebraSignature.W, AlgebraSignature.WO, AlgebraSignature.I)
+        for kind in ("W", "WO", "I")
     ]
     for sig in signatures:
         per_degree = {n: b for n, b in gca.iter_basis(sig) if b}

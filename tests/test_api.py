@@ -80,6 +80,7 @@ def test_unknown_name_raises_attribute_error():
         (complexes, "DEFAULT_Q_CAP"),
         (complexes, "KINDS"),
         (manifold, "UnsupportedInputError"),
+        (vey, "VEY_KINDS"),
     ],
 )
 def test_moved_name_keeps_its_identity(old_home, name):
@@ -91,7 +92,7 @@ def test_moved_name_keeps_its_identity(old_home, name):
 # The reprs of the value classes, recorded when they were dataclasses;
 # Element.monomial's error message embeds the first two.
 REPRS = [
-    (lambda: AlgebraSignature.W(2), "AlgebraSignature(q=2, odd_indices=frozenset({1, 2}))"),
+    (lambda: AlgebraSignature(2, "W"), "AlgebraSignature(q=2, kind='W')"),
     (lambda: Monomial((1,), (0, 0)), "Monomial(y_part=(1,), c_part=(0, 0))"),
 ]
 
@@ -103,22 +104,22 @@ def test_value_class_repr_is_pinned(make, text):
 
 def test_equal_values_are_equal_and_hash_alike():
     pairs = [
-        (AlgebraSignature.W(3), AlgebraSignature(3, frozenset({1, 2, 3}))),
+        (AlgebraSignature(3, "W"), AlgebraSignature(3, "W")),
         (Monomial((1,), (0, 0)), Monomial((1,), (0, 0))),
     ]
     for a, b in pairs:
         assert a is not b
         assert a == b
         assert hash(a) == hash(b)
-    assert AlgebraSignature.W(3) != AlgebraSignature.WO(3)
+    assert AlgebraSignature(3, "W") != AlgebraSignature(3, "WO")
 
 
 def test_invalid_monomial_message_is_unchanged():
     with pytest.raises(ValueError) as exc:
-        Element.monomial(AlgebraSignature.W(2), Monomial((3,), (0, 0)))
+        Element.monomial(AlgebraSignature(2, "W"), Monomial((3,), (0, 0)))
     assert str(exc.value) == (
         "monomial Monomial(y_part=(3,), c_part=(0, 0)) invalid for signature "
-        "AlgebraSignature(q=2, odd_indices=frozenset({1, 2}))"
+        "AlgebraSignature(q=2, kind='W')"
     )
 
 

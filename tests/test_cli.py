@@ -117,6 +117,53 @@ def test_large_q_refusal_does_not_hang(tmp_path, command):
     assert _refusal_estimate(proc.stderr) > 2**1000  # the y-subsets alone
 
 
+def _limited_child(argv: list, cache: str) -> tuple:
+    """(exit code, stdout, stderr, CPU seconds) of the CLI run on argv in a child
+    under a 1 GiB address-space limit, killed at a timeout."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "veycalc.cli", *argv, "--cache-dir", cache],
+                          env=_child_env(), capture_output=True, text=True, timeout=10,
+                          preexec_fn=limit)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    return proc.returncode, proc.stdout, proc.stderr, cpu
+
+
+@pytest.mark.parametrize("q", [10**6, 10**26])
+@pytest.mark.parametrize("command, kind", [("cohomology", "W"), ("cohomology", "WO"),
+                                           ("cohomology", "I"), ("validate", "W"),
+                                           ("validate", "WO")])
+def test_refusal_far_over_the_cap_answers_at_once(tmp_path, command, kind, q):
+    # past q = 1000 the estimate is a bound from the y-count and q alone: no
+    # set of y-indices and no series of length ~q^2 is built
+    code, out, err, cpu = _limited_child([command, "--complex", kind, "--q", str(q)],
+                                         str(tmp_path / "cache"))
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+    assert err.count("(dimension estimate >10^") == 1
+    assert cpu < 1.0
+
+
+@pytest.mark.parametrize("kind", ["W", "WO", "I"])
+def test_refusal_bound_is_below_the_estimate(capsys, cache_dir, kind):
+    from veycalc import complexes
+
+    code, out, err = run(capsys, ["cohomology", "--complex", kind, "--q", "1001",
+                                  "--cache-dir", cache_dir])
+    assert (code, out) == (3, "")
+    (k,) = re.findall(r"\(dimension estimate >10\^(\d+)\)", err)
+    assert 10 ** int(k) <= complexes.dimension_estimate(1001, kind)
+    code, _, err = run(capsys, ["cohomology", "--complex", kind, "--q", "1000",
+                                "--cache-dir", cache_dir])
+    assert code == 3
+    assert _refusal_estimate(err) == complexes.dimension_estimate(1000, kind)  # exact to 1000
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [(["cohomology", "--complex", "W", "--q", "99"], 3, None),

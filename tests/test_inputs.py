@@ -19,9 +19,9 @@ Q = "q must be positive"
 # (entry point, the name it refuses by, a call with the value, its error, the
 # least value it takes, or None for a degree, and its message one below that)
 ENTRIES = [
-    ("AlgebraSignature.W", "q", AlgebraSignature.W, ValueError, 1, Q),
-    ("AlgebraSignature.WO", "q", AlgebraSignature.WO, ValueError, 1, Q),
-    ("AlgebraSignature.I", "q", AlgebraSignature.I, ValueError, 1, Q),
+    ("AlgebraSignature-W", "q", lambda v: AlgebraSignature(v, "W"), ValueError, 1, Q),
+    ("AlgebraSignature-WO", "q", lambda v: AlgebraSignature(v, "WO"), ValueError, 1, Q),
+    ("AlgebraSignature-I", "q", lambda v: AlgebraSignature(v, "I"), ValueError, 1, Q),
     ("vey_basis", "q", lambda v: vey.vey_basis(v, "W"), ValueError, 1, Q),
     ("vey_basis-degree", "degree", lambda v: vey.vey_basis(3, "W", v), ValueError, None, None),
     ("vey_groups", "q", lambda v: vey.vey_groups(v, "W"), ValueError, 1, Q),

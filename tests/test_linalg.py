@@ -124,7 +124,7 @@ def _matrices(draw):
     return rows, ncols
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(_matrices(), _matrices())
 def test_property_kernel_matches_dense_gauss_jordan(a, b):
     mat, ncols = a

@@ -176,6 +176,23 @@ def test_rq_loop_family_only():
     assert not any(r["method"] == "section_pullback" for r in records)
 
 
+@pytest.mark.parametrize("q", range(2, 7))
+def test_rq_loop_coefficients_past_t_q_plus_1_are_lower_bounds(q):
+    # the Rq:q model is built to cap 2q+2, certified through degree 2q+1, and
+    # the coefficient of t^k reads generators up to degree k+q; a model to cap
+    # 3q+3 certifies every published degree, through t^(2q+2)
+    from veycalc import minimal_model
+
+    cap = 2 * q + 2
+    published = [0] * (cap + 1)
+    for r in report(preset(f"Rq:{q}")):
+        published[r["degree"]] = r["detection_rank"]
+    deeper = minimal_model.build_model(q, 3 * q + 3)
+    certified = minimal_model.loop_poincare(minimal_model.rank_table(deeper), q, cap)
+    assert published[1 : q + 2] == certified[1 : q + 2]
+    assert all(p <= c for p, c in zip(published[q + 2 :], certified[q + 2 :]))
+
+
 def test_degree_consistency():
     for name in ("T2", "S2", "Sigma_g:2", "S3", "T3"):
         d = preset(name)

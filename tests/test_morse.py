@@ -103,12 +103,12 @@ def test_validate_past_the_oracle(monkeypatch, q, kind):
         assert check["independent"]
         if check["degree"] > 2 * q:
             assert check["enumerated"] == check["oracle_dim"] == len(cells[check["degree"]])
-    listed = _listed(complexes.signature_for(q, kind))
+    listed = _listed(gca.AlgebraSignature(q, kind))
     assert set(listed) <= set(cells)
     assert cells == {n: listed.get(n, []) for n in cells}
     above = [m for n, ms in sorted(cells.items()) if n > 2 * q for m in ms]
     assert above == vey.vey_basis(q, kind)
-    series = gca.basis_dimension_series(complexes.signature_for(q, kind))
+    series = gca.basis_dimension_series(gca.AlgebraSignature(q, kind))
     chi = sum((-1) ** n * d for n, d in enumerate(series))
     assert sum((-1) ** n * len(ms) for n, ms in cells.items()) == chi
 
@@ -141,6 +141,28 @@ def test_an_unmatched_upper_cell_is_caught(monkeypatch):
     cx = complexes.build_complex(2, "W")
     monkeypatch.setattr(complexes, "_cell", claimed)
     with pytest.raises(AssertionError, match="no bijection at degree 7"):
+        list(complexes.critical_cells(cx))
+
+
+@pytest.mark.parametrize("q, kind", [(4, "W"), (6, "WO")])
+def test_a_second_upper_cell_is_caught(monkeypatch, q, kind):
+    # d_terms with an upper cell other than the partner appended to each lower
+    # cell's d: the first term and the bijection still hold, but a gradient path
+    # then runs on from that upper cell's own lower partner
+    cx = complexes.build_complex(q, kind)
+    odd, real = tuple(cx.signature.odd_indices), gca.d_terms
+    uppers = {n: [m for m in basis if complexes._cell(m, n, odd, q)[0] == "upper"]
+              for n, basis in gca.iter_basis(cx.signature)}
+
+    def planted(m, bound):
+        terms = list(real(m, bound))
+        n = m.degree()
+        if complexes._cell(m, n, odd, bound)[0] == "lower":
+            terms += [(1, u) for u in uppers.get(n + 1, []) if u != terms[0][1]][:1]
+        return iter(terms)
+
+    monkeypatch.setattr(gca, "d_terms", planted)
+    with pytest.raises(AssertionError, match="has a second upper cell"):
         list(complexes.critical_cells(cx))
 
 

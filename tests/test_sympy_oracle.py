@@ -49,7 +49,7 @@ def test_model_quasi_iso_check_matches_sympy_ranks():
         return _rank(entries, (len(target), len(source)))
 
     ranks = {n: rank_d(n) for n in range(1, cap)}
-    sig = gca.AlgebraSignature.I(q)
+    sig = gca.AlgebraSignature(q, "I")
     assert sorted(model.quasi_iso_check) == list(range(2, cap))
     for n in model.quasi_iso_check:
         dim_h = len(alg.basis(n)) - ranks[n] - ranks[n - 1]
