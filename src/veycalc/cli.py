@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -50,8 +51,6 @@ def _estimate_text(estimate: int | str) -> str:
     `str` may refuse."""
     if isinstance(estimate, str) or estimate < _HUGE:
         return str(estimate)
-    import math
-
     return f"~10^{math.floor(math.log10(estimate))}"
 
 
@@ -189,11 +188,12 @@ def _check_q_cap(q: int, kind: str, q_cap: int) -> None:
     else:
         from .gca import AlgebraSignature
 
-        # 10^k <= 2^(y + b) <= 2^y (q+1), the y-subsets times c_1^0..c_1^q, with
-        # y = len(odd), which len() refuses past 2^63, and 30102999/10^8 < log10 2
+        # 10^k <= 2^(y + m), the y-subsets times the c_J with distinct parts from
+        # 1..m, each of weight <= m(m+1)/2 <= q, with y = len(odd), which len()
+        # refuses past 2^63, and 30102999/10^8 < log10 2
         odd = AlgebraSignature(q, kind).odd_indices
-        y, b = (odd.stop - odd.start + odd.step - 1) // odd.step, (q + 1).bit_length() - 1
-        estimate = f">10^{(y + b) * 30102999 // 10**8}"
+        y, m = (odd.stop - odd.start + odd.step - 1) // odd.step, (math.isqrt(8 * q + 1) - 1) // 2
+        estimate = f">10^{(y + m) * 30102999 // 10**8}"
     raise ResourceBudgetError(f"{kind}_{q} exceeds the configured cap q <= {q_cap}", estimate)
 
 

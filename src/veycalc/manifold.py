@@ -17,34 +17,23 @@ manifold is compact and parallelizable.
     gamma_braced[C_i]   BDiff_delta  cycle_integration  a global section, q = 3
     loop[t^d]           BbarDiff     loop_family        open and parallelizable
 
-The loop family replaces every other row; gamma_braced records are reader
-exercises, the only records with a ``note``.  Each record is the dict that
-``docs/schemas/manifold_report.json`` describes, so the CLI prints the list as
-it stands.  Detection ranks are the variable-class counts from
-:mod:`veycalc.vey` and are lower bounds; survival annotations are recorded
-only where known.  The loop family of ``Rq:q`` reads its coefficient of t^k
-from the model generators up to degree k+q, and its model is certified
-through degree 2q+1, so the coefficients through t^(q+1) are exact and those
-from t^(q+2) to t^(2q+2) are lower bounds: each is at most the value a model
-built to degree 3q+3 gives, as the tests check for q = 2..6.
+The loop family replaces every other row, and its method extends the published
+list with the loop-space data of open manifolds; gamma_braced records are
+reader exercises, the only records with a ``note``.  Each record is the dict
+that ``docs/schemas/manifold_report.json``, the one statement of the record
+vocabulary, describes, so the CLI prints the list as it stands.  Detection
+ranks are the variable-class counts from :mod:`veycalc.vey` and are lower
+bounds; survival annotations are recorded only where known.  The loop family
+of ``Rq:q`` reads its coefficient of t^k from the model generators up to
+degree k+q, and its model is certified through degree 2q+1, so the
+coefficients through t^(q+1) are exact and those from t^(q+2) to t^(2q+2) are
+lower bounds: each is at most the value a model built to degree 3q+3 gives, as
+the tests check for q = 2..6.
 """
 
 from __future__ import annotations
 
 from .errors import UnsupportedInputError, check_int
-
-TARGETS = ("BDiff_delta", "BbarDiff", "MDiff_delta")
-METHODS = (
-    "fiber_integration",
-    "section_pullback",
-    "cycle_integration",
-    "braced",
-    "gv_total",
-    # loop_family extends the published method list: it carries the
-    # loop-space generating-function data used for open manifolds.
-    "loop_family",
-)
-SURVIVAL = ("yes", "unknown", "killed")
 
 
 class ManifoldDescriptor:

@@ -1,18 +1,18 @@
 """Bigraded minimal model of the truncated polynomial algebra I_q.
 
 The target algebra has zero differential, so the model is built in one pass
-per degree n = 2..cap, lower degree first: H^n(model) is solved once, from
-one elimination of d_n over word columns that never move, whose image
-echelon is stage n + 1's im d_n as it stands; new degree-(n-1) generators
-kill the kernel of H^n(model) -> I_q^n, and (below the cap) new closed
-degree-n generators hit its cokernel.  psi into I_q is a monomial map: each
-x generator goes to one c_J, which ``ModelStage.images`` holds as its
-exponent vector, and each w to 0, held as None.  The quasi-iso check takes
-dim H^n = words - rank d_n - rank d_(n-1) against dim I_q^n in closed form,
-and each word basis listed must have the size gca.free_series counts.
-Generator counts per degree are the dual homotopy ranks; the free-algebra
-Poincare series of a rank table after delooping describes the loop-space
-homology families.
+per degree n = 2..cap, lower degree first: H^n(model) is solved once, from one
+elimination of d_n over word columns that never move, whose image echelon is
+stage n + 1's im d_n as it stands; new degree-(n-1) generators kill the kernel
+of H^n(model) -> I_q^n, and (below the cap) new closed degree-n generators hit
+its cokernel.  I_q has no relation below degree 2q+2, so the model is built
+over I_min(q, cap//2), alike through degree cap.  psi is a monomial map: each
+x generator goes to one c_J, which ``ModelStage.images`` holds as its exponent
+vector, and each w to 0, held as None.  The quasi-iso check takes dim H^n =
+words - rank d_n - rank d_(n-1) against dim I_q^n in closed form, and each
+word basis listed must have the size gca.free_series counts.  Generator counts
+per degree are the dual homotopy ranks; the free-algebra Poincare series of a
+rank table after delooping describes the loop-space homology families.
 
 A degree of more than ``WORD_BUDGET`` words, counted before any is listed,
 raises ``ResourceBudgetError`` with the count as its estimate.  Everything is
@@ -307,7 +307,7 @@ def check_input(q: int, degree_cap: int) -> None:
 def build_model(q: int, degree_cap: int) -> ModelStage:
     """Stagewise bigraded model of I_q, certified through degree_cap - 1."""
     check_input(q, degree_cap)
-    return _ModelBuilder(q, degree_cap).build()
+    return _ModelBuilder(min(q, degree_cap // 2), degree_cap).build()._replace(q=q)
 
 
 def rank_table(model: ModelStage) -> dict[int, int]:

@@ -26,7 +26,8 @@ PUBLIC = {
 # wrappers that only restated a document: report returns the records,
 # validate_vey the validation document, extended_basis (degree, Monomial) pairs;
 # ModelBudgetError, a second type for one refusal: ResourceBudgetError is the one;
-# VeyClass, whose flags vey_groups lists once per group: a Vey class is its Monomial
+# VeyClass, whose flags vey_groups lists once per group: a Vey class is its Monomial;
+# the record vocabulary, whose one statement is docs/schemas/manifold_report.json
 DELETED = [
     (veycalc, "brace_degree"), (veycalc, "hurewicz_ok"),
     (manifold, "brace_degree"), (manifold, "hurewicz_ok"),
@@ -38,6 +39,7 @@ DELETED = [
     (veycalc, "ModelBudgetError"), (errors, "ModelBudgetError"),
     (minimal_model, "ModelBudgetError"),
     (veycalc, "VeyClass"), (vey, "VeyClass"),
+    (manifold, "TARGETS"), (manifold, "METHODS"), (manifold, "SURVIVAL"),
 ]
 
 

@@ -149,6 +149,22 @@ def test_refusal_far_over_the_cap_answers_at_once(tmp_path, command, kind, q):
     assert cpu < 1.0
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("q", [10**6, 10**26])
+def test_model_answers_at_any_q(tmp_path, fmt, q):
+    # a model through degree 12 reads c_1..c_6 alone, so at any q it is the
+    # model of I_6 but for q, and costs what that one costs
+    argv = ["model", "--max-degree", "12", "--format", fmt, "--q"]
+    code, out, err, cpu = _limited_child(argv + [str(q)], str(tmp_path / "big"))
+    assert (code, "Traceback" in err) == (0, False)
+    assert cpu < 1.0
+    _, small, _, _ = _limited_child(argv + ["6"], str(tmp_path / "small"))
+    if fmt == "json":
+        assert json.loads(out) == {**json.loads(small), "q": q}
+    else:
+        assert out == small.replace("I_6 ", f"I_{q} ")
+
+
 @pytest.mark.parametrize("kind", ["W", "WO", "I"])
 def test_refusal_bound_is_below_the_estimate(capsys, cache_dir, kind):
     from veycalc import complexes
@@ -162,6 +178,16 @@ def test_refusal_bound_is_below_the_estimate(capsys, cache_dir, kind):
                                 "--cache-dir", cache_dir])
     assert code == 3
     assert _refusal_estimate(err) == complexes.dimension_estimate(1000, kind)  # exact to 1000
+
+
+def test_refusal_bound_counts_c_parts(capsys, cache_dir):
+    # I_q has no y-index, so the bound is the c_J with distinct parts from
+    # 1..m, m(m+1)/2 <= q: 2^1413 of them at q = 10^6
+    code, out, err = run(capsys, ["cohomology", "--complex", "I", "--q", "1000000",
+                                  "--cache-dir", cache_dir])
+    assert (code, out) == (3, "")
+    (k,) = re.findall(r"\(dimension estimate >10\^(\d+)\)", err)
+    assert int(k) >= 425
 
 
 @pytest.mark.parametrize(
@@ -766,16 +792,6 @@ def test_required_keys_follow_the_schemas():
                 assert {type(v) for v in prop["enum"]} == {t}, (command, key)
             else:
                 assert json_types[prop["type"]] is t, (command, key)
-
-
-def test_manifold_enums_follow_the_schema():
-    from veycalc import manifold
-
-    schema = json.loads((SCHEMAS / "manifold_report.json").read_text())
-    fields = schema["properties"]["records"]["items"]["properties"]
-    assert fields["target"]["enum"] == list(manifold.TARGETS)
-    assert fields["method"]["enum"] == list(manifold.METHODS)
-    assert fields["survives_to_BDiff_delta"]["enum"] == list(manifold.SURVIVAL)
 
 
 # every preset, and the braced path of a compact parallelizable 6-manifold

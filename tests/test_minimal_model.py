@@ -112,6 +112,17 @@ def test_determinism():
     assert a == b
 
 
+
+def test_model_is_built_over_the_c_i_its_cap_reads():
+    # I_q has no relation below degree 2q+2, so through the cap the model over
+    # c_1..c_min(q, cap // 2) is the one the builder gives at the full q
+    for cap in range(2, 17):
+        for q in range(cap // 2, cap // 2 + 5):
+            model, full = build_model(q, cap), minimal_model._ModelBuilder(q, cap).build()
+            assert model.to_json_obj() == full.to_json_obj(), (q, cap)
+            assert rank_table(model) == rank_table(full), (q, cap)
+            assert {len(c) for c in model.images.values() if c} <= {min(q, cap // 2)}
+
 def test_model_solves_each_degree_once_per_stage(monkeypatch):
     # for I_3 to degree 16, one column pass over d_n in each of the 11 stages
     # whose degree has words, and one over the psi-images in each of the 15

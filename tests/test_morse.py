@@ -23,6 +23,8 @@ from fractions import Fraction
 
 import elimination
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veycalc import complexes, gca, linalg, vey
 from veycalc.cache import canonical_json
@@ -80,6 +82,59 @@ def test_the_matching_is_an_involution(q, kind):
                 assert complexes._cell(partner, n + 1, odd, q) == ("upper", cell)
             elif kind_ == "upper":
                 assert complexes._cell(partner, n - 1, odd, q) == ("lower", cell)
+
+
+@st.composite
+def _sampled_cells(draw):
+    """(q, odd, cell): q up to 1000, the kind W or WO, and a random cell, or a
+    critical one: an i_1, a weight in [q+1-i_1, q] and a partition with no
+    y-index part below i_1, which random cells rarely are at large q."""
+    q = draw(st.integers(1, 1000))
+    odd = tuple(gca.AlgebraSignature(q, draw(st.sampled_from(["W", "WO"]))).odd_indices)
+    picks = draw(st.lists(st.integers(0, len(odd) - 1), max_size=6, unique=True))
+    ys, parts, J = tuple(sorted(odd[i] for i in picks)), draw(st.lists(st.integers(1, q))), []
+    if draw(st.booleans()):  # random: keep the parts while the weight stays <= q
+        for j in parts:
+            if sum(J) + j <= q:
+                J.append(j)
+    else:
+        i1, oddset = ys[0] if ys else q + 1, set(odd)
+
+        def fits(r):  # a sum of allowed parts is 0 or itself an allowed part
+            return r == 0 or r >= i1 or r not in oddset
+
+        r = draw(st.sampled_from([w for w in range(max(0, q + 1 - i1), q + 1) if fits(w)]))
+        for j in parts:
+            if j <= r and fits(j) and fits(r - j):
+                J.append(j)
+                r -= j
+        J += [r] if r else []
+    cs = [0] * q
+    for j in J:
+        cs[j - 1] += 1
+    return q, odd, Monomial(ys, tuple(cs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sampled_cells())
+def test_sampled_cells_follow_the_matching_at_any_q(drawn):
+    # past the q the walk affords: the matching is an involution, critical
+    # is the Vey condition, a lower cell's d starts with its partner and has
+    # no other upper cell, and a critical cell's d is 0
+    q, odd, cell = drawn
+    n = cell.degree()
+    kind, partner = complexes._cell(cell, n, odd, q)
+    i1 = cell.y_part[0] if cell.y_part else q + 1
+    assert (kind == "critical") == gca.is_critical(q, odd, i1, cell.c_part)
+    d = list(gca.d_terms(cell, q))
+    if kind == "lower":
+        assert complexes._cell(partner, n + 1, odd, q) == ("upper", cell)
+        assert d[0] == (1, partner)
+        assert all(complexes._cell(t, n + 1, odd, q)[0] != "upper" for _, t in d[1:])
+    elif kind == "upper":
+        assert complexes._cell(partner, n - 1, odd, q) == ("lower", cell)
+    else:
+        assert d == []
 
 
 @pytest.mark.parametrize("q, kind", [(10, "W"), (11, "W"), (16, "WO")])
