@@ -43,7 +43,6 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 _HUGE = 10**1000  # the smallest estimate with more than 1000 digits
-_EXACT_Q = 1000  # the largest q refused with its exact estimate: W_1000's has 334 digits
 
 
 def _estimate_text(estimate: int | str) -> str:
@@ -176,25 +175,13 @@ def _render_kappa(doc: dict) -> str:
 
 def _check_q_cap(q: int, kind: str, q_cap: int) -> None:
     """Refuse a q that is not a positive int or is over the cap, before the progress
-    line: with the exact estimate through q = _EXACT_Q, and past it with a bound
-    >10^k that costs nothing at any q."""
+    line, with complexes.dimension_estimate, which answers at once at any q."""
     check_int("q", q, 1)
-    if q <= q_cap:
-        return
-    if q <= _EXACT_Q:
+    if q > q_cap:
         from .complexes import dimension_estimate
 
-        estimate = dimension_estimate(q, kind)
-    else:
-        from .gca import AlgebraSignature
-
-        # 10^k <= 2^(y + m), the y-subsets times the c_J with distinct parts from
-        # 1..m, each of weight <= m(m+1)/2 <= q, with y = len(odd), which len()
-        # refuses past 2^63, and 30102999/10^8 < log10 2
-        odd = AlgebraSignature(q, kind).odd_indices
-        y, m = (odd.stop - odd.start + odd.step - 1) // odd.step, (math.isqrt(8 * q + 1) - 1) // 2
-        estimate = f">10^{(y + m) * 30102999 // 10**8}"
-    raise ResourceBudgetError(f"{kind}_{q} exceeds the configured cap q <= {q_cap}", estimate)
+        raise ResourceBudgetError(f"{kind}_{q} exceeds the configured cap q <= {q_cap}",
+                                  dimension_estimate(q, kind))
 
 
 def _cohomology(args, config: Config) -> dict:

@@ -16,6 +16,7 @@ compares with the enumerator.  Nothing here eliminates.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from . import gca
@@ -26,9 +27,20 @@ if TYPE_CHECKING:  # annotations only: a cohomology job never loads linalg
     from . import linalg
 
 
-def dimension_estimate(q: int, kind: str) -> int:
-    """Total monomial count in closed form: every y-subset times every c_J."""
-    return 2 ** len(AlgebraSignature(q, kind).odd_indices) * sum(gca.c_series(q))
+_EXACT_Q = 1000  # the largest q with an exact estimate: W_1000's has 334 digits
+
+
+def dimension_estimate(q: int, kind: str) -> int | str:
+    """The size of the complex, at once at any q: through q = _EXACT_Q the int
+    count of its monomials in closed form, every y-subset times every c_J, and
+    past it the str ">10^k" of a lower bound, 10^k <= 2^(y + m): the y-subsets
+    times the c_J with distinct parts from 1..m, of weight at most m(m+1)/2 <= q."""
+    odd = AlgebraSignature(q, kind).odd_indices
+    y = (odd.stop - odd.start + odd.step - 1) // odd.step  # len() refuses past 2^63
+    if q <= _EXACT_Q:
+        return 2**y * sum(gca.c_series(q))
+    m = (math.isqrt(8 * q + 1) - 1) // 2
+    return f">10^{(y + m) * 30102999 // 10**8}"  # 30102999/10^8 < log10 2
 
 
 Triplet = tuple[int, int, int]

@@ -117,16 +117,19 @@ def test_large_q_refusal_does_not_hang(tmp_path, command):
     assert _refusal_estimate(proc.stderr) > 2**1000  # the y-subsets alone
 
 
-def _limited_child(argv: list, cache: str) -> tuple:
-    """(exit code, stdout, stderr, CPU seconds) of the CLI run on argv in a child
-    under a 1 GiB address-space limit, killed at a timeout."""
+def _limited_child(argv: list, cache: str | None) -> tuple:
+    """(exit code, stdout, stderr, CPU seconds) of the CLI run on argv, or with no
+    cache of python run on argv, in a child under a 1 GiB address-space limit,
+    killed at a timeout."""
     import resource
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
+    if cache is not None:
+        argv = ["-m", "veycalc.cli", *argv, "--cache-dir", cache]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    proc = subprocess.run([sys.executable, "-m", "veycalc.cli", *argv, "--cache-dir", cache],
+    proc = subprocess.run([sys.executable, *argv],
                           env=_child_env(), capture_output=True, text=True, timeout=10,
                           preexec_fn=limit)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -134,10 +137,13 @@ def _limited_child(argv: list, cache: str) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, cpu
 
 
+# every kind of the two subcommands that q_cap caps
+_Q_CAPPED = [("cohomology", "W"), ("cohomology", "WO"), ("cohomology", "I"),
+             ("validate", "W"), ("validate", "WO")]
+
+
 @pytest.mark.parametrize("q", [10**6, 10**26])
-@pytest.mark.parametrize("command, kind", [("cohomology", "W"), ("cohomology", "WO"),
-                                           ("cohomology", "I"), ("validate", "W"),
-                                           ("validate", "WO")])
+@pytest.mark.parametrize("command, kind", _Q_CAPPED)
 def test_refusal_far_over_the_cap_answers_at_once(tmp_path, command, kind, q):
     # past q = 1000 the estimate is a bound from the y-count and q alone: no
     # set of y-indices and no series of length ~q^2 is built
@@ -147,6 +153,28 @@ def test_refusal_far_over_the_cap_answers_at_once(tmp_path, command, kind, q):
     assert "Traceback" not in err
     assert err.count("(dimension estimate >10^") == 1
     assert cpu < 1.0
+
+
+@pytest.mark.parametrize("kind", ["W", "WO", "I"])
+def test_library_estimate_answers_at_once(kind):
+    # the library's estimate is the refusal's: past q = 1000 it sums no series
+    code, out, err, cpu = _limited_child(["-c", "from veycalc import complexes; "
+                                          f"print(complexes.dimension_estimate(10**6, {kind!r}))"],
+                                         None)
+    assert (code, err) == (0, "")
+    assert re.fullmatch(r">10\^\d+\n", out)
+    assert cpu < 1.0
+
+
+@pytest.mark.parametrize("q", [11, 1000, 1001, 10**6, 10**26])
+@pytest.mark.parametrize("command, kind", _Q_CAPPED)
+def test_refusal_states_the_library_estimate(capsys, cache_dir, command, kind, q):
+    from veycalc import complexes
+
+    code, out, err = run(capsys, [command, "--complex", kind, "--q", str(q),
+                                  "--cache-dir", cache_dir])
+    assert (code, out) == (3, "")
+    assert err.count(f"(dimension estimate {complexes.dimension_estimate(q, kind)})") == 1
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -167,13 +195,14 @@ def test_model_answers_at_any_q(tmp_path, fmt, q):
 
 @pytest.mark.parametrize("kind", ["W", "WO", "I"])
 def test_refusal_bound_is_below_the_estimate(capsys, cache_dir, kind):
-    from veycalc import complexes
+    from veycalc import complexes, gca
 
     code, out, err = run(capsys, ["cohomology", "--complex", kind, "--q", "1001",
                                   "--cache-dir", cache_dir])
     assert (code, out) == (3, "")
     (k,) = re.findall(r"\(dimension estimate >10\^(\d+)\)", err)
-    assert 10 ** int(k) <= complexes.dimension_estimate(1001, kind)
+    y = len(gca.AlgebraSignature(1001, kind).odd_indices)
+    assert 10 ** int(k) <= 2**y * sum(gca.c_series(1001))  # the exact count
     code, _, err = run(capsys, ["cohomology", "--complex", kind, "--q", "1000",
                                 "--cache-dir", cache_dir])
     assert code == 3

@@ -1,6 +1,7 @@
 """Tests for the cochain complexes, their cohomology and the elimination oracle."""
 
 import hashlib
+import re
 
 import elimination
 import pytest
@@ -43,6 +44,13 @@ def test_dimension_estimate_is_the_series_total(kind):
     for q in range(1, 13):
         sig = gca.AlgebraSignature(q, kind)
         assert complexes.dimension_estimate(q, kind) == sum(gca.basis_dimension_series(sig)), q
+
+
+def test_dimension_estimate_answers_past_ssize_t():
+    # a range of 2^63 y-indices has no len(), and 2^(2^63) no int
+    ks = [complexes.dimension_estimate(2**63, kind) for kind in ("W", "WO", "I")]
+    assert all(re.fullmatch(r">10\^\d+", k) for k in ks)
+    assert int(ks[0][4:]) > int(ks[1][4:]) > int(ks[2][4:]) > 0
 
 
 def test_cohomology_w1():
