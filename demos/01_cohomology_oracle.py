@@ -2,17 +2,19 @@
 
 Builds W_q / WO_q for small q and prints per-degree dimensions with
 deterministic cocycle representatives, each a critical cell y_I c_J of
-the Morse matching, all over exact rationals.
+the Morse matching, all over exact rationals.  A complex is its signature
+AlgebraSignature(q, kind): every function of veycalc.complexes takes one.
 """
 
 from veycalc import complexes
+from veycalc.gca import AlgebraSignature, Element, Monomial, top_degree
 
 
 def show(q: int, kind: str) -> None:
-    cx = complexes.build_complex(q, kind)
-    h = complexes.cohomology(cx)
-    total = sum(len(b) for b in cx.bases.values())
-    print(f"\n{kind}_{q}  (complex dimension {total}, top degree {cx.top_degree})")
+    sig = AlgebraSignature(q, kind)
+    h = complexes.cohomology(sig)
+    total = complexes.dimension_estimate(q, kind)
+    print(f"\n{kind}_{q}  (complex dimension {total}, top degree {top_degree(sig)})")
     for n in sorted(h.dims):
         reps = "; ".join(m.label() for m in h.representatives[n])
         print(f"  H^{n} = Q^{h.dims[n]}   [{reps}]")
@@ -23,13 +25,11 @@ def main() -> None:
         show(q, kind)
 
     print("\nPontrjagin survival: c2 is a cocycle but not a coboundary in WO_2:")
-    from veycalc.gca import Element, Monomial
-
-    cx = complexes.build_complex(2, "WO")
-    c2 = Element.monomial(cx.signature, Monomial((), (0, 1)))
+    wo2 = AlgebraSignature(2, "WO")
+    c2 = Element.monomial(wo2, Monomial((), (0, 1)))
     print(
-        f"  is_cocycle = {complexes.is_cocycle(cx, c2)}, "
-        f"is_coboundary = {complexes.is_coboundary(cx, c2)}"
+        f"  is_cocycle = {complexes.is_cocycle(wo2, c2)}, "
+        f"is_coboundary = {complexes.is_coboundary(wo2, c2)}"
     )
 
 

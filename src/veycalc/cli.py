@@ -186,11 +186,10 @@ def _check_q_cap(q: int, kind: str, q_cap: int) -> None:
 
 def _cohomology(args, config: Config) -> dict:
     _check_q_cap(args.q, args.complex, config.q_cap)
-    from . import complexes
+    from . import complexes, gca
 
     _progress(f"computing H*({args.complex}_{args.q}) ...")
-    cx = complexes.build_complex(args.q, args.complex)
-    return complexes.cohomology(cx).to_json_obj()
+    return complexes.cohomology(gca.AlgebraSignature(args.q, args.complex)).to_json_obj()
 
 
 def _vey(args, config: Config) -> tuple:

@@ -1,14 +1,16 @@
 """Finite cochain complexes W_q, WO_q, I_q and their exact cohomology.
 
-A complex is its signature; its monomial bases (``gca.iter_basis``) and its
-differential, as triplet lists with coefficients +-1 from ``gca.d_terms``,
-are built on first read.  The least-index algebraic Morse matching (Forman,
-Adv. Math. 134, 1998; Skoldberg, Trans. AMS 358, 2006) leaves critical
-exactly the cells that ``gca.critical_groups`` lists, a basis of H^n:
-:func:`cohomology` reads them there and checks that each is a cocycle and
-that they have the Euler characteristic of the complex in each index weight.
-A class is its critical cell, kept as the ``Monomial`` it is; only its JSON
-writes it as the one-term sum of ``docs/schemas/element.json``.
+A complex is its signature: every function here takes an ``AlgebraSignature``,
+and ``GradedComplex(q, kind)`` is one that adds the elimination oracle's view,
+its monomial bases (``gca.iter_basis``) and its differential as triplets with
+coefficients +-1 from ``gca.d_terms``, built on first read.  The least-index
+algebraic Morse matching (Forman, Adv. Math. 134, 1998; Skoldberg, Trans. AMS
+358, 2006) leaves critical exactly the cells that ``gca.critical_groups``
+lists, a basis of H^n: :func:`cohomology` reads them there and checks that
+each is a cocycle and that they have the Euler characteristic of the complex
+in each index weight.  A class is its critical cell, kept as the ``Monomial``
+it is; only its JSON writes it as the one-term sum of
+``docs/schemas/element.json``.
 :func:`critical_cells` walks the matching over every cell, checked against
 ``gca.d_terms`` cell by cell; it is the certificate that ``validate_vey``
 compares with the enumerator.  Nothing here eliminates.
@@ -17,6 +19,7 @@ compares with the enumerator.  Nothing here eliminates.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from . import gca
@@ -46,44 +49,33 @@ def dimension_estimate(q: int, kind: str) -> int | str:
 Triplet = tuple[int, int, int]
 
 
-class GradedComplex:
-    __slots__ = ("signature", "_bases", "_diff", "_indices")
+class GradedComplex(AlgebraSignature):
+    """The signature (q, kind), equal to AlgebraSignature(q, kind), with its
+    complex's monomial bases and triplets of d, built on first read."""
 
-    def __init__(self, signature: AlgebraSignature) -> None:
-        self.signature = signature
-        self._bases: dict[int, list[Monomial]] | None = None
-        self._diff: dict[int, list[Triplet]] | None = None
-        self._indices: dict[int, dict[Monomial, int]] = {}
+    signature = property(lambda self: self)
 
-    @property
+    @cached_property
     def bases(self) -> dict[int, list[Monomial]]:
-        """Degree n -> the monomial basis of C^n, for each n with C^n != 0,
-        enumerated (gca.iter_basis) on first read."""
-        if self._bases is None:
-            self._bases = {n: basis for n, basis in gca.iter_basis(self.signature) if basis}
-        return self._bases
+        """Degree n -> the monomial basis of C^n, for each n with C^n != 0."""
+        return {n: basis for n, basis in gca.iter_basis(self) if basis}
 
-    @property
+    @cached_property
     def diff(self) -> dict[int, list[Triplet]]:
         """Degree n -> the triplets (row, column, sign) of d: C^n -> C^(n+1),
-        assembled from gca.d_terms on first read, each column in row order."""
-        if self._diff is None:
-            self._diff = {}
-            for n, basis in self.bases.items():
-                target, triplets = self.index(n + 1), []
-                for col, m in enumerate(basis):
-                    triplets += sorted((target[t], col, sign) for sign, t in gca.d_terms(m, self.q))
-                if triplets:
-                    self._diff[n] = triplets
-        return self._diff
-
-    @property
-    def q(self) -> int:
-        return self.signature.q
+        assembled from gca.d_terms, each column in row order."""
+        diff = {}
+        for n, basis in self.bases.items():
+            target, triplets = self.index(n + 1), []
+            for col, m in enumerate(basis):
+                triplets += sorted((target[t], col, sign) for sign, t in gca.d_terms(m, self.q))
+            if triplets:
+                diff[n] = triplets
+        return diff
 
     @property
     def top_degree(self) -> int:
-        return gca.top_degree(self.signature)
+        return gca.top_degree(self)
 
     def basis(self, n: int) -> list[Monomial]:
         return self.bases.get(n, [])
@@ -100,16 +92,13 @@ class GradedComplex:
         return m
 
     def index(self, n: int) -> dict[Monomial, int]:
-        """Position of each monomial in the degree-n basis, built once per degree."""
-        index = self._indices.get(n)
-        if index is None:
-            index = self._indices[n] = {m: i for i, m in enumerate(self.basis(n))}
-        return index
+        """Position of each monomial in the degree-n basis."""
+        return {m: i for i, m in enumerate(self.basis(n))}
 
 
 def build_complex(q: int, kind: str) -> GradedComplex:
     """The complex of the given kind, for any q; its bases and d are built on first read."""
-    return GradedComplex(AlgebraSignature(q, kind))
+    return GradedComplex(q, kind)
 
 
 class CohomologyResult(NamedTuple):
@@ -148,7 +137,7 @@ def _cell(cell: Monomial, n: int, odd: Sequence[int], bound: int) -> tuple[str, 
     return "critical", None
 
 
-def critical_cells(cx: GradedComplex) -> Iterator[tuple[int, list[Monomial]]]:
+def critical_cells(sig: AlgebraSignature) -> Iterator[tuple[int, list[Monomial]]]:
     """(n, the critical cells of degree n in basis order) for n upward, each yielded
     after every cell of degree n is checked against gca.d_terms, or else raising
     AssertionError: a lower cell's d starts with (1, its partner), a critical
@@ -157,9 +146,9 @@ def critical_cells(cx: GradedComplex) -> Iterator[tuple[int, list[Monomial]]]:
     paths have length 1 and these cells are a basis of H^n.  A later term
     y_(I - i_k) c_(J + i_k) keeps i_1 and gains a part above it, so whether it is
     upper depends on I alone: the first lower cell of each group (n, I) checks it."""
-    q, odd = cx.q, tuple(cx.signature.odd_indices)
+    q, odd = sig.q, tuple(sig.odd_indices)
     partners: set[Monomial] = set()  # of the lower cells one degree down
-    for n, basis in gca.iter_basis(cx.signature):
+    for n, basis in gca.iter_basis(sig):
         critical, claimed, lowers, uppers, checked = [], set(), 0, set(), None
         for cell in basis:
             kind, partner = _cell(cell, n, odd, q)
@@ -191,11 +180,11 @@ def critical_cells(cx: GradedComplex) -> Iterator[tuple[int, list[Monomial]]]:
         raise AssertionError("a lower cell of the top degree has a partner")
 
 
-def critical_class(cx: GradedComplex, n: int, terms: Mapping[Monomial, Coeff]) -> dict:
+def critical_class(sig: AlgebraSignature, n: int, terms: Mapping[Monomial, Coeff]) -> dict:
     """{critical cell: coefficient}, the class of a degree-n cocycle: a critical
     cell maps to itself and an upper cell u to minus the rest of d(l) = u + rest
     for its lower partner l; lower cells must cancel, or ValueError is raised."""
-    q, odd = cx.q, tuple(cx.signature.odd_indices)
+    q, odd = sig.q, tuple(sig.odd_indices)
     out: dict[Monomial, Coeff] = {}
     for cell, x in terms.items():
         kind, partner = _cell(cell, n, odd, q)
@@ -216,12 +205,12 @@ def critical_class(cx: GradedComplex, n: int, terms: Mapping[Monomial, Coeff]) -
     return out
 
 
-def cohomology(cx: GradedComplex) -> CohomologyResult:
+def cohomology(sig: AlgebraSignature) -> CohomologyResult:
     """H^n with the critical cells of degree n (gca.critical_groups), in basis order,
     as its representatives.  Each must be a cocycle, and they must have the Euler
     characteristic of the complex in each index weight, or AssertionError is raised;
     the cell-by-cell certificate is the walk of critical_cells, which validate_vey runs."""
-    q, kind, odd = cx.q, cx.signature.kind, cx.signature.odd_indices
+    q, kind, odd = sig.q, sig.kind, sig.odd_indices
     # d y_i = c_i keeps the index weight N = sum(I) + weight(J), so the Euler
     # characteristic in N is [s^N] of prod_(i in odd) (1 - s^i) * sum_w p(w) s^w,
     # p(w) the count of c_J of weight w <= q
@@ -230,7 +219,7 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
         for k in range(len(chi) - 1, i - 1, -1):
             chi[k] -= chi[k - i]
     reps: dict[int, list[Monomial]] = {}
-    for n, ys, w, cs in gca.critical_groups(cx.signature):
+    for n, ys, w, cs in gca.critical_groups(sig):
         chi[sum(ys) + w] -= (-1) ** n * len(cs)
         for c in cs:
             m = Monomial(ys, c)
@@ -244,7 +233,7 @@ def cohomology(cx: GradedComplex) -> CohomologyResult:
     return CohomologyResult(kind, q, dims, reps, sum(dims.values()))
 
 
-def is_cocycle(cx: GradedComplex, a: Element) -> bool:
+def is_cocycle(sig: AlgebraSignature, a: Element) -> bool:
     if a.is_zero():
         return True
     if not a.is_homogeneous():
@@ -252,8 +241,8 @@ def is_cocycle(cx: GradedComplex, a: Element) -> bool:
     return gca.differential(a).is_zero()
 
 
-def is_coboundary(cx: GradedComplex, a: Element) -> bool:
+def is_coboundary(sig: AlgebraSignature, a: Element) -> bool:
     """True iff a is a cocycle whose class over the critical cells is empty."""
-    if not is_cocycle(cx, a):
+    if not is_cocycle(sig, a):
         return False
-    return a.is_zero() or not critical_class(cx, a.degree(), a.terms)
+    return a.is_zero() or not critical_class(sig, a.degree(), a.terms)

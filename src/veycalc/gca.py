@@ -60,7 +60,7 @@ class AlgebraSignature:
         return range(1, 1 if self.kind == "I" else self.q + 1, 2 if self.kind == "WO" else 1)
 
     def __eq__(self, other) -> bool:
-        if type(other) is not AlgebraSignature:
+        if not isinstance(other, AlgebraSignature):
             return NotImplemented
         return self is other or (self.q == other.q and self.kind == other.kind)
 
@@ -68,7 +68,7 @@ class AlgebraSignature:
         return hash((self.q, self.kind))
 
     def __repr__(self) -> str:
-        return f"AlgebraSignature(q={self.q!r}, kind={self.kind!r})"
+        return f"{type(self).__name__}(q={self.q!r}, kind={self.kind!r})"
 
 
 class Monomial(NamedTuple):

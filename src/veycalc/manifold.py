@@ -119,28 +119,27 @@ def report(m: ManifoldDescriptor) -> list[dict]:
     vq = len(names)
     top = 2 * q + 1
     has_section = m.compact and m.parallelizable
-    # The lower co-spherical cycles, numbered C_1, C_2, ... in degree order, as
-    # (i, (degree k, count of cycles in degree k)); the fundamental class is implicit.
-    cycles = list(enumerate((kc for kc in sorted(m.cospherical_degrees) for _ in range(kc[1])), 1))
+    # The lower co-spherical cycles C_1, C_2, ... in degree order, as (i, (degree k,
+    # count)), listed only where the tangent bundle is trivial over their supports.
+    cycles = list(enumerate((kc for kc in sorted(m.cospherical_degrees) for _ in range(kc[1])), 1)
+                  if m.parallelizable or m.trivialized_over_cycles else ())
     # One row per family over the variable classes: (name prefix, degree,
-    # target, method, detection rank, survival, applies).
+    # target, method, detection rank, survival).
     families = [
-        ("gv", top, "MDiff_delta", "gv_total", vq, "yes", True),
+        ("gv", top, "MDiff_delta", "gv_total", vq, "yes"),
         # the degree 2q+1 exceeds 2q, and the fundamental class is co-spherical
         ("alpha", fiber_integrate_degree(top, q), "BDiff_delta", "fiber_integration",
-         vq, "yes", True),
-        ("beta", top, "BbarDiff", "section_pullback", vq, "unknown", has_section),
+         vq, "yes"),
     ] + [
-        # needs the tangent bundle trivial over the cycle supports
         (f"gamma[C_{i}]", top - k, "BDiff_delta", "cycle_integration", count * vq,
-         "killed" if q == 2 and k == 1 else "unknown",
-         m.parallelizable or m.trivialized_over_cycles)
+         "killed" if q == 2 and k == 1 else "unknown")
         for i, (k, count) in cycles
     ]
+    if has_section:
+        families.append(("beta", top, "BbarDiff", "section_pullback", vq, "unknown"))
     records = [
         _record(f"{prefix}[{name}]", degree, target, method, rank, survival)
-        for prefix, degree, target, method, rank, survival, applies in families
-        if applies
+        for prefix, degree, target, method, rank, survival in families
         for name in names
     ]
     if has_section and q >= 3:

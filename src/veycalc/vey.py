@@ -181,14 +181,13 @@ def validate_vey(q: int, kind: str) -> dict:
     unit, surviving Pontrjagin monomials), listed as notes, not failures."""
     from . import complexes, gca
 
-    gca.AlgebraSignature(q, kind, VEY_KINDS)  # before the complex is built
-    cx = complexes.build_complex(q, kind)
+    sig = gca.AlgebraSignature(q, kind, VEY_KINDS)
     listed: dict[int, list[Monomial]] = {}
-    for n, ys, _, cparts in gca.critical_groups(cx.signature):
+    for n, ys, _, cparts in gca.critical_groups(sig):
         listed.setdefault(n, []).extend(gca.Monomial(ys, c) for c in cparts)
 
     per_degree = []
-    for n, cells in complexes.critical_cells(cx):
+    for n, cells in complexes.critical_cells(sig):
         expected = listed.get(n, [])
         if not cells and not expected:
             continue

@@ -96,10 +96,11 @@ def test_moved_name_keeps_its_identity(old_home, name):
 REPRS = [
     (lambda: AlgebraSignature(2, "W"), "AlgebraSignature(q=2, kind='W')"),
     (lambda: Monomial((1,), (0, 0)), "Monomial(y_part=(1,), c_part=(0, 0))"),
+    (lambda: complexes.GradedComplex(2, "W"), "GradedComplex(q=2, kind='W')"),
 ]
 
 
-@pytest.mark.parametrize("make, text", REPRS, ids=["AlgebraSignature", "Monomial"])
+@pytest.mark.parametrize("make, text", REPRS, ids=["AlgebraSignature", "Monomial", "GradedComplex"])
 def test_value_class_repr_is_pinned(make, text):
     assert repr(make()) == text
 
@@ -108,6 +109,7 @@ def test_equal_values_are_equal_and_hash_alike():
     pairs = [
         (AlgebraSignature(3, "W"), AlgebraSignature(3, "W")),
         (Monomial((1,), (0, 0)), Monomial((1,), (0, 0))),
+        (complexes.GradedComplex(3, "W"), AlgebraSignature(3, "W")),
     ]
     for a, b in pairs:
         assert a is not b
@@ -135,12 +137,13 @@ SIGNATURES = [
     (minimal_model.build_model, ["q", "degree_cap"]),
     (minimal_model.loop_poincare, ["ranks", "loops", "cap"]),
     (errors.ResourceBudgetError, ["message", "estimate"]),
+    (complexes.GradedComplex, ["q", "kind", "kinds"]),
 ]
 
 
 @pytest.mark.parametrize("obj, params", SIGNATURES,
                          ids=["ManifoldDescriptor", "build_model", "loop_poincare",
-                              "ResourceBudgetError"])
+                              "ResourceBudgetError", "GradedComplex"])
 def test_signature_is_pinned(obj, params):
     assert list(inspect.signature(obj).parameters) == params
 

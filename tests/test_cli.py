@@ -193,6 +193,22 @@ def test_model_answers_at_any_q(tmp_path, fmt, q):
         assert out == small.replace("I_6 ", f"I_{q} ")
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cycles_that_no_family_integrates_over_are_not_listed(tmp_path, fmt):
+    # cycle integration needs the tangent bundle trivial over the cycles, so a
+    # compact descriptor with neither flag lists none, however many it has
+    argv = ["manifold", "--dim", "3", "--compact", "--format", fmt, "--no-cache"]
+    code, out, err, cpu = _limited_child(argv + ["--cospherical", f"1:{10**20}"],
+                                         str(tmp_path / "cache"))
+    assert (code, err) == (0, "")
+    assert cpu < 1.0
+    _, plain, _, _ = _limited_child(argv, str(tmp_path / "cache"))
+    if fmt == "json":
+        assert json.loads(out)["records"] == json.loads(plain)["records"]
+    else:
+        assert out == plain
+
+
 @pytest.mark.parametrize("kind", ["W", "WO", "I"])
 def test_refusal_bound_is_below_the_estimate(capsys, cache_dir, kind):
     from veycalc import complexes, gca
@@ -1139,3 +1155,25 @@ def test_no_program_path_builds_an_element(monkeypatch, capsys, cache_dir, argv,
     code, out, err = run(capsys, argv + ["--format", fmt, "--cache-dir", cache_dir])
     assert code == 0, err
     assert out
+
+
+ORACLE_ARGV = [argv for argv in NO_ELEMENT_ARGV if argv[0] in ("cohomology", "validate")]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv", ORACLE_ARGV, ids=" ".join)
+def test_no_program_path_builds_a_complex(monkeypatch, capsys, argv, fmt):
+    # a complex is its signature: the oracle jobs walk it, and only the tests
+    # and library callers build a GradedComplex and its bases
+    from veycalc import complexes
+
+    argv = argv + ["--format", fmt, "--no-cache"]
+    expected = run(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a program path built a GradedComplex")
+
+    monkeypatch.setattr(complexes, "build_complex", refuse)
+    monkeypatch.setattr(complexes.GradedComplex, "__init__", refuse)
+    assert run(capsys, argv) == expected
+    assert expected[0] == 0 and expected[1]

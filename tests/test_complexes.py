@@ -32,6 +32,21 @@ def test_w3_dimension():
     assert sum(len(b) for b in cx.bases.values()) == 56
 
 
+@pytest.mark.parametrize("kind", complexes.KINDS)
+def test_a_complex_is_its_signature(kind):
+    cx, sig = complexes.GradedComplex(2, kind), AlgebraSignature(2, kind)
+    assert issubclass(complexes.GradedComplex, AlgebraSignature)
+    assert "__init__" not in vars(complexes.GradedComplex)
+    assert cx == sig and sig == cx and hash(cx) == hash(sig)
+    assert cx != AlgebraSignature(3, kind) and sig != complexes.GradedComplex(3, kind)
+    assert cx.signature is cx
+    assert complexes.build_complex(2, kind) == cx
+    # elements over the complex and over its signature live over one algebra
+    c1, c2 = Monomial((), (1, 0)), Monomial((), (0, 1))
+    total = Element.monomial(cx, c1) + Element.monomial(sig, c2)
+    assert total == Element(sig, {c1: 1, c2: 1}) == Element(cx, {c1: 1, c2: 1})
+
+
 @pytest.mark.parametrize("kind", ["WO", "I"])
 def test_build_complex_has_no_size_cap(kind):
     # the q cap is the CLI's; the library builds past its default of 10

@@ -274,6 +274,10 @@ def _refuse(*args):
     raise AssertionError("a path off the program path was taken")
 
 
+# a complex is its signature: every complexes function takes either
+MAKE = (complexes.build_complex, gca.AlgebraSignature)
+
+
 @pytest.mark.parametrize("q, kind", sorted(PROGRAM_PATH_DIGESTS))
 def test_program_path_neither_eliminates_nor_reads_the_triplets(monkeypatch, q, kind):
     # nor the bases: cohomology reads the enumerator, and validate_vey walks
@@ -281,20 +285,21 @@ def test_program_path_neither_eliminates_nor_reads_the_triplets(monkeypatch, q, 
     monkeypatch.setattr(linalg, "column_pass", _refuse)
     monkeypatch.setattr(complexes.GradedComplex, "diff", property(_refuse))
     monkeypatch.setattr(complexes.GradedComplex, "bases", property(_refuse))
-    docs = (
-        complexes.cohomology(complexes.build_complex(q, kind)).to_json_obj(),
-        vey.validate_vey(q, kind),
-    )
-    digests = tuple(hashlib.sha256(canonical_json(d).encode()).hexdigest() for d in docs)
-    assert digests == PROGRAM_PATH_DIGESTS[q, kind]
+    for make in MAKE:
+        docs = (
+            complexes.cohomology(make(q, kind)).to_json_obj(),
+            vey.validate_vey(q, kind),
+        )
+        digests = tuple(hashlib.sha256(canonical_json(d).encode()).hexdigest() for d in docs)
+        assert digests == PROGRAM_PATH_DIGESTS[q, kind], make
 
 
 def test_critical_class_takes_an_upper_cell_to_its_class():
     # y2c1^2 is an upper cell: y2c1^2 = d(y1y2c1) + y1c1c2
     y1c1c2, y2c1sq = Monomial((1,), (1, 1, 0)), Monomial((2,), (2, 0, 0))
-    cx = complexes.build_complex(3, "W")
-    assert complexes.critical_class(cx, 7, {y2c1sq: 1}) == {y1c1c2: 1}
-    assert complexes.critical_class(cx, 7, {y2c1sq: 1, y1c1c2: -1}) == {}
+    for cx in (make(3, "W") for make in MAKE):
+        assert complexes.critical_class(cx, 7, {y2c1sq: 1}) == {y1c1c2: 1}
+        assert complexes.critical_class(cx, 7, {y2c1sq: 1, y1c1c2: -1}) == {}
 
 
 def test_validate_finds_a_coboundary_listed(monkeypatch):
@@ -324,9 +329,9 @@ def test_validate_finds_the_enumerator_off_the_walk(monkeypatch):
 
 def test_critical_class_refuses_a_non_cocycle():
     # d(y1) = c1: the lower cell y1 cannot cancel
-    cx = complexes.build_complex(2, "W")
-    with pytest.raises(ValueError, match="not a cocycle"):
-        complexes.critical_class(cx, 1, {Monomial((1,), (0, 0)): 1})
+    for cx in (make(2, "W") for make in MAKE):
+        with pytest.raises(ValueError, match="not a cocycle"):
+            complexes.critical_class(cx, 1, {Monomial((1,), (0, 0)): 1})
 
 
 SEEDED = 227  # cocycles per complex: with the 412 basis monomials, 1,320 cases
@@ -351,6 +356,7 @@ def test_is_coboundary_agrees_with_the_oracle(q, kind):
     outcomes = set()
     for a in cases:
         exact = complexes.is_coboundary(cx, a)
+        assert exact == complexes.is_coboundary(gca.AlgebraSignature(q, kind), a)
         assert exact == elimination.is_coboundary(cx, a), a
         outcomes.add(exact)
     assert outcomes == {True, False}
