@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import DEFAULT_Q_CAP, check_int
@@ -48,33 +49,28 @@ def default_cache_dir() -> str:
     return str(Path.home() / ".cache" / "veycalc")
 
 
-class Config:
-    """The three config keys, validated; `load_config` takes their names from `__slots__`."""
+class _ConfigFields(NamedTuple):
+    q_cap: int
+    model_degree_cap: int
+    cache_dir: str
 
-    __slots__ = ("q_cap", "model_degree_cap", "cache_dir")
 
-    def __init__(
-        self,
-        q_cap: int = DEFAULT_Q_CAP,
-        model_degree_cap: int = 12,
-        cache_dir: str = _UNSET,
-    ) -> None:
+class Config(_ConfigFields):
+    """The three config keys, validated; `load_config` takes their names from `_fields`."""
+
+    __slots__ = ()
+
+    def __new__(cls, q_cap: int = DEFAULT_Q_CAP, model_degree_cap: int = 12,
+                cache_dir: str = _UNSET):
         check_int("q_cap", q_cap, 1, ConfigError)
         check_int("model_degree_cap", model_degree_cap, 1, ConfigError)
         if cache_dir is _UNSET:
             cache_dir = default_cache_dir()
         if not isinstance(cache_dir, str) or not cache_dir:
             raise ConfigError(f"cache_dir must be a non-empty string, got {cache_dir!r}")
-        self.q_cap = q_cap
-        self.model_degree_cap = model_degree_cap
-        self.cache_dir = cache_dir
+        return super().__new__(cls, q_cap, model_degree_cap, cache_dir)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "q_cap": self.q_cap,
-            "model_degree_cap": self.model_degree_cap,
-            "cache_dir": self.cache_dir,
-        }
+    to_json_obj = _ConfigFields._asdict
 
     def digest(self) -> str:
         import hashlib
@@ -93,7 +89,7 @@ def load_config(path: str | None) -> Config:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    unknown = set(data) - set(Config.__slots__)
+    unknown = set(data) - set(Config._fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return Config(**data)

@@ -73,10 +73,6 @@ class GradedComplex(AlgebraSignature):
                 diff[n] = triplets
         return diff
 
-    @property
-    def top_degree(self) -> int:
-        return gca.top_degree(self)
-
     def basis(self, n: int) -> list[Monomial]:
         return self.bases.get(n, [])
 
@@ -234,6 +230,9 @@ def cohomology(sig: AlgebraSignature) -> CohomologyResult:
 
 
 def is_cocycle(sig: AlgebraSignature, a: Element) -> bool:
+    """True iff d(a) = 0; a must be homogeneous and live over sig, or it raises."""
+    if a.signature != sig:
+        raise gca.SignatureMismatch(f"the element lives over {a.signature}, not {sig}")
     if a.is_zero():
         return True
     if not a.is_homogeneous():

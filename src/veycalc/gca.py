@@ -21,7 +21,8 @@ the bases here, the size estimates of a refusal and the loop-space series of
 
 All coefficients are exact rationals: an integral coefficient is a Python
 int, and any other one a fractions.Fraction, which is only imported when a
-coefficient needs it.  Elements and signatures are immutable values; every
+coefficient needs it.  A signature is an immutable (q, kind) tuple; an
+Element is a value too, but its fields are not write-protected, and every
 operation is a pure function.
 """
 
@@ -42,33 +43,26 @@ class SignatureMismatch(ValueError):
     """Raised when combining elements over different algebra signatures."""
 
 
-class AlgebraSignature:
+class _Signature(NamedTuple):
+    q: int  # also the weight cap
+    kind: str
+
+
+class AlgebraSignature(_Signature):
     """Shape of one truncated algebra: codimension q and the kind W, WO or I,
     which fixes the y-indices.  A kind outside `kinds` is refused before q."""
 
-    __slots__ = ("q", "kind")
+    __slots__ = ()
 
-    def __init__(self, q: int, kind: str, kinds: tuple[str, ...] = KINDS) -> None:
+    def __new__(cls, q: int, kind: str, kinds: tuple[str, ...] = KINDS):
         if kind not in kinds:
             raise ValueError(f"complex kind must be one of {', '.join(kinds)}, got {kind!r}")
-        self.q = check_int("q", q, 1)  # also the weight cap
-        self.kind = kind
+        return super().__new__(cls, check_int("q", q, 1), kind)
 
     @property
     def odd_indices(self) -> range:
         """The allowed y-indices: 1..q for W, the odd ones for WO, none for I."""
         return range(1, 1 if self.kind == "I" else self.q + 1, 2 if self.kind == "WO" else 1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraSignature):
-            return NotImplemented
-        return self is other or (self.q == other.q and self.kind == other.kind)
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.kind))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(q={self.q!r}, kind={self.kind!r})"
 
 
 class Monomial(NamedTuple):

@@ -160,6 +160,7 @@ class ModelStage(NamedTuple):
     quasi_iso_check: dict[int, bool]
 
     def to_json_obj(self) -> dict:
+        """The model document less `ranks`, which cli._model adds; alone it fails model.json."""
         alg = self.algebra
         return {
             "q": self.q,

@@ -8,7 +8,7 @@ differential is eliminated once; linalg.cohomology keeps the kernel vectors
 outside the coboundaries, greedily in order.
 """
 
-from veycalc import linalg
+from veycalc import gca, linalg
 from veycalc.gca import Element
 
 
@@ -24,7 +24,7 @@ def passes(cx):
     """(n, ker d_n, the echelon of im d_(n-1)) for n upward: the image echelon
     of degree n's column pass is degree n+1's coboundary echelon."""
     coboundaries = linalg.Echelon()
-    for n in range(cx.top_degree + 1):
+    for n in range(gca.top_degree(cx) + 1):
         kernel, image = linalg.column_pass(columns(cx, n))
         yield n, kernel, coboundaries
         coboundaries = image

@@ -1,9 +1,12 @@
 """The public API: every name in ``veycalc.__all__`` resolves, however it is
 reached, the errors that moved to ``veycalc.errors`` keep their identity, the
-value classes keep their repr, equality and validation, and the signatures
-that lost an input are pinned."""
+value classes keep their repr, equality and validation, a signature and a
+config are write-protected tuples, and the signatures that lost an input are
+pinned."""
 
+import copy
 import inspect
+import pickle
 
 import pytest
 
@@ -27,7 +30,8 @@ PUBLIC = {
 # validate_vey the validation document, extended_basis (degree, Monomial) pairs;
 # ModelBudgetError, a second type for one refusal: ResourceBudgetError is the one;
 # VeyClass, whose flags vey_groups lists once per group: a Vey class is its Monomial;
-# the record vocabulary, whose one statement is docs/schemas/manifold_report.json
+# the record vocabulary, whose one statement is docs/schemas/manifold_report.json;
+# GradedComplex.top_degree, a second spelling of gca.top_degree
 DELETED = [
     (veycalc, "brace_degree"), (veycalc, "hurewicz_ok"),
     (manifold, "brace_degree"), (manifold, "hurewicz_ok"),
@@ -40,6 +44,7 @@ DELETED = [
     (minimal_model, "ModelBudgetError"),
     (veycalc, "VeyClass"), (vey, "VeyClass"),
     (manifold, "TARGETS"), (manifold, "METHODS"), (manifold, "SURVIVAL"),
+    (complexes.GradedComplex, "top_degree"),
 ]
 
 
@@ -97,10 +102,12 @@ REPRS = [
     (lambda: AlgebraSignature(2, "W"), "AlgebraSignature(q=2, kind='W')"),
     (lambda: Monomial((1,), (0, 0)), "Monomial(y_part=(1,), c_part=(0, 0))"),
     (lambda: complexes.GradedComplex(2, "W"), "GradedComplex(q=2, kind='W')"),
+    (lambda: Config(cache_dir="cache"), "Config(q_cap=10, model_degree_cap=12, cache_dir='cache')"),
 ]
 
 
-@pytest.mark.parametrize("make, text", REPRS, ids=["AlgebraSignature", "Monomial", "GradedComplex"])
+@pytest.mark.parametrize("make, text", REPRS,
+                         ids=["AlgebraSignature", "Monomial", "GradedComplex", "Config"])
 def test_value_class_repr_is_pinned(make, text):
     assert repr(make()) == text
 
@@ -138,12 +145,13 @@ SIGNATURES = [
     (minimal_model.loop_poincare, ["ranks", "loops", "cap"]),
     (errors.ResourceBudgetError, ["message", "estimate"]),
     (complexes.GradedComplex, ["q", "kind", "kinds"]),
+    (Config, ["q_cap", "model_degree_cap", "cache_dir"]),
 ]
 
 
 @pytest.mark.parametrize("obj, params", SIGNATURES,
                          ids=["ManifoldDescriptor", "build_model", "loop_poincare",
-                              "ResourceBudgetError", "GradedComplex"])
+                              "ResourceBudgetError", "GradedComplex", "Config"])
 def test_signature_is_pinned(obj, params):
     assert list(inspect.signature(obj).parameters) == params
 
@@ -170,3 +178,59 @@ def test_value_classes_still_validate():
         Config(q_cap=0)
     with pytest.raises(errors.UnsupportedInputError, match="dimension q must be positive"):
         ManifoldDescriptor(0, True, True)
+
+
+# A signature and a config are NamedTuples whose constructors validate: the
+# tuple gives equality, hashing, repr and write protection.
+VALUES = [
+    lambda: AlgebraSignature(2, "W"),
+    lambda: complexes.GradedComplex(2, "W"),
+    lambda: Config(cache_dir="cache"),
+]
+VALUE_IDS = ["AlgebraSignature", "GradedComplex", "Config"]
+
+
+def test_signature_and_config_are_tuples():
+    for cls in (AlgebraSignature, Config):
+        assert issubclass(cls, tuple)
+        assert not {"__init__", "__eq__", "__hash__", "__repr__"} & set(vars(cls))
+    q, kind = AlgebraSignature(2, "WO")
+    assert (q, kind) == (2, "WO") and AlgebraSignature(2, "W") == (2, "W")
+
+
+@pytest.mark.parametrize("make", VALUES, ids=VALUE_IDS)
+def test_fields_are_write_protected(make):
+    value = make()
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 3)
+    assert value == make()
+
+
+@pytest.mark.parametrize("kind", complexes.KINDS)
+def test_a_signature_key_is_found_after_an_assignment(kind):
+    for sig in (AlgebraSignature(2, kind), complexes.GradedComplex(2, kind)):
+        table = {sig: kind}
+        with pytest.raises(AttributeError):
+            sig.q = 3
+        with pytest.raises(AttributeError):
+            sig.kind = "W"
+        assert sig in table
+        assert table[AlgebraSignature(2, kind)] == kind
+
+
+@pytest.mark.parametrize("make", VALUES, ids=VALUE_IDS)
+def test_round_trips_go_through_the_constructor(make):
+    value = make()
+    trips = [copy.copy, copy.deepcopy] + [
+        lambda v, p=p: pickle.loads(pickle.dumps(v, p))
+        for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for trip in trips:
+        back = trip(value)
+        assert back == value and type(back) is type(value)
+    # _replace skips the constructor's checks; a round trip runs them again
+    # (ConfigError is a ValueError)
+    invalid = value._replace(**{value._fields[0]: 0})
+    for trip in trips:
+        with pytest.raises(ValueError, match="must be positive"):
+            trip(invalid)

@@ -766,7 +766,7 @@ def test_config_defaults():
     c = Config()
     assert c.q_cap == 10
     assert c.model_degree_cap == 12
-    assert list(Config.__slots__) == ["q_cap", "model_degree_cap", "cache_dir"]
+    assert list(Config._fields) == ["q_cap", "model_degree_cap", "cache_dir"]
     with pytest.raises(ConfigError):
         Config(q_cap=0)
     with pytest.raises(TypeError):

@@ -108,7 +108,7 @@ def test_top_degree_vanishing():
     for q, kind in [(2, "W"), (3, "WO")]:
         cx = complexes.build_complex(q, kind)
         h = complexes.cohomology(cx)
-        assert all(n <= cx.top_degree for n in h.dims)
+        assert all(n <= gca.top_degree(cx) for n in h.dims)
 
 
 def test_h_2q1_w_equals_wo_for_even_q():
@@ -149,6 +149,12 @@ def test_is_cocycle_is_coboundary():
     c2 = Element.monomial(wo.signature, Monomial((), (0, 1)))
     assert complexes.is_cocycle(wo, c2)
     assert not complexes.is_coboundary(wo, c2)  # surviving Pontrjagin class
+    assert not complexes.is_coboundary(AlgebraSignature(2, "WO"), c2)
+    # an element is checked over its own algebra, never over another's matching
+    with pytest.raises(gca.SignatureMismatch):
+        complexes.is_coboundary(AlgebraSignature(2, "W"), c2)
+    with pytest.raises(gca.SignatureMismatch):
+        complexes.is_cocycle(AlgebraSignature(5, "I"), c2)
 
 
 def test_non_homogeneous_rejected():

@@ -7,7 +7,8 @@ the CLI or the cache makes one of these sets grow.  So does `dataclasses` or
 `fractions` (about 3 ms, with `decimal` and `numbers`) is loaded only past a
 pivot other than +-1, which none of these jobs meets.  `hashlib`, whose
 `_hashlib` loads OpenSSL's libcrypto, is loaded only by `--version` for the
-config digest: cache entries are addressed by a `zlib` CRC-32.
+config digest: cache entries are addressed by a `zlib` CRC-32.  Every
+source also parses at the Python floor that `pyproject.toml` declares.
 """
 
 import ast
@@ -15,6 +16,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -65,6 +67,17 @@ def test_errors_module_imports_nothing():
     # there would reach every job
     tree = ast.parse(pathlib.Path(SRC, "veycalc", "errors.py").read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # ast.parse with feature_version refuses the syntax of later versions
+    # (except*, type statements and the like) that the floor cannot run
+    root = pathlib.Path(__file__).resolve().parents[1]
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    sources = sorted((root / "src" / "veycalc").glob("*.py"))
+    assert floor and sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))
 
 
 # (job, algebra modules it loads beyond FRONT, whether it hashes the config

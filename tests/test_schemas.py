@@ -60,7 +60,7 @@ def test_every_schema_describes_a_document_or_a_part_of_one():
 
 def test_config_schema_names_the_config_keys():
     schema = SCHEMAS["config"]
-    assert list(schema["properties"]) == list(Config.__slots__)
+    assert list(schema["properties"]) == list(Config._fields)
     Draft202012Validator(schema).validate(Config(cache_dir="cache").to_json_obj())
 
 
