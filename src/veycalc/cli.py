@@ -215,10 +215,7 @@ def _model(args, config: Config) -> dict:
             f"--max-degree {args.max_degree} exceeds the configured cap "
             f"{config.model_degree_cap}", estimate=args.max_degree)
     _progress(f"building the minimal model of I_{args.q} to degree {args.max_degree} ...")
-    model = minimal_model.build_model(args.q, args.max_degree)
-    doc = model.to_json_obj()
-    doc["ranks"] = {str(d): r for d, r in minimal_model.rank_table(model).items()}
-    return doc
+    return minimal_model.build_model(args.q, args.max_degree).to_json_obj()
 
 
 def _parse_cospherical(text: str) -> tuple[tuple[int, int], ...]:

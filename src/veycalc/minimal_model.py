@@ -160,12 +160,13 @@ class ModelStage(NamedTuple):
     quasi_iso_check: dict[int, bool]
 
     def to_json_obj(self) -> dict:
-        """The model document less `ranks`, which cli._model adds; alone it fails model.json."""
+        """The whole model.json document, as `model` prints it; `ranks` is rank_table's."""
         alg = self.algebra
         return {
             "q": self.q,
             "degree_cap": self.degree_cap,
             "generators": {str(d): list(g) for d, g in sorted(self.generators.items())},
+            "ranks": {str(d): r for d, r in rank_table(self).items()},
             "differentials": {
                 gid: sorted(
                     ({"word": alg.word_label(w), "coeff": str(c)} for w, c in d.items()),

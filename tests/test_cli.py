@@ -495,6 +495,27 @@ def test_json_round_trip_all_commands(capsys, cache_dir):
         assert json.loads(text) in docs
 
 
+def test_cli_prints_the_library_document(capsys):
+    # each cached command and kappa print the library's value as it stands:
+    # the CLI adds no key to a document
+    from veycalc import complexes, manifold, minimal_model, vey
+    from veycalc.gca import AlgebraSignature
+
+    t2 = manifold.preset("T2")
+    documents = {
+        "cohomology --complex WO --q 2":
+            complexes.cohomology(AlgebraSignature(2, "WO")).to_json_obj(),
+        "validate --complex W --q 2": vey.validate_vey(2, "W"),
+        "model --q 2 --max-degree 8": minimal_model.build_model(2, 8).to_json_obj(),
+        "manifold --preset T2": {"descriptor": t2.to_json_obj(), "records": manifold.report(t2)},
+        "kappa --q 3": {"q": 3, "kappa": vey.kappa(3)},
+    }
+    assert {job.split()[0] for job in documents} == set(REQUIRED_KEYS) | {"kappa"}
+    for job, doc in documents.items():
+        code, out, _ = run(capsys, job.split() + ["--format", "json", "--no-cache"])
+        assert (code, out) == (0, canonical_json(doc) + "\n"), job
+
+
 def test_table_output_is_aligned(capsys, cache_dir):
     code, out, _ = run(
         capsys,

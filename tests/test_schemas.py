@@ -5,6 +5,7 @@ in-process against no cache from the repository root, as in
 `test_references.py`, and its output is validated against its schema in
 `docs/schemas/`, whose `$ref`s resolve to the other schemas there.  Outputs
 over 300 KB, the largest `vey` documents, are left out to keep the suite fast.
+The library's model documents are validated as they stand, with no CLI call.
 """
 
 import itertools
@@ -93,3 +94,12 @@ def test_every_manifold_report_follows_its_schema():
     assert len(descriptors) == 256
     for d in descriptors:
         validator.validate({"descriptor": d.to_json_obj(), "records": report(d)})
+
+
+def test_every_library_model_follows_its_schema():
+    # ModelStage.to_json_obj() is the whole model document, ranks included
+    from veycalc.minimal_model import build_model
+
+    validator = Draft202012Validator(SCHEMAS["model"], registry=REGISTRY)
+    for q, cap in [(q, cap) for q in range(1, 5) for cap in range(2, 13)] + [(2, 18), (3, 16)]:
+        validator.validate(build_model(q, cap).to_json_obj())
