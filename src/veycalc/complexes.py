@@ -100,9 +100,10 @@ def build_complex(q: int, kind: str) -> GradedComplex:
 class CohomologyResult(NamedTuple):
     kind: str
     q: int
-    dims: dict[int, int]
-    representatives: dict[int, list[Monomial]]  # the critical cells
-    total_dim_check: int = 0
+    representatives: dict[int, list[Monomial]]  # the critical cells, which fix the dims
+
+    dims = property(lambda self: {n: len(r) for n, r in self.representatives.items()})
+    total_dim_check = property(lambda self: sum(map(len, self.representatives.values())))
 
     def to_json_obj(self) -> dict:
         return {
@@ -225,8 +226,7 @@ def cohomology(sig: AlgebraSignature) -> CohomologyResult:
     for N, x in enumerate(chi):
         if x:
             raise AssertionError(f"H*({kind}_{q}) misses the Euler characteristic at N = {N}")
-    dims = {n: len(r) for n, r in reps.items()}
-    return CohomologyResult(kind, q, dims, reps, sum(dims.values()))
+    return CohomologyResult(kind, q, reps)
 
 
 def is_cocycle(sig: AlgebraSignature, a: Element) -> bool:

@@ -33,18 +33,29 @@ the tests check for q = 2..6.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import UnsupportedInputError, check_int
 
 
-class ManifoldDescriptor:
-    __slots__ = ("q", "compact", "parallelizable", "cospherical_degrees",
-                 "trivialized_over_cycles", "label")
+class _Descriptor(NamedTuple):
+    q: int
+    compact: bool
+    parallelizable: bool
+    cospherical_degrees: tuple[tuple[int, int], ...]  # (degree k, count), 0 < k < q
+    trivialized_over_cycles: bool
+    label: str
 
-    def __init__(self, q: int, compact: bool, parallelizable: bool,
-                 cospherical_degrees: tuple[tuple[int, int], ...] = (),
-                 trivialized_over_cycles: bool = False, label: str = "") -> None:
-        # cospherical_degrees: (degree k, count) with 0 < k < q; the fundamental
-        # class (k = q) is implicit
+
+class ManifoldDescriptor(_Descriptor):
+    """A compact or open, oriented manifold without boundary, validated, with the
+    co-spherical list stored as (k, count) tuples; the fundamental class is implicit."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, compact: bool, parallelizable: bool,
+                cospherical_degrees: tuple[tuple[int, int], ...] = (),
+                trivialized_over_cycles: bool = False, label: str = ""):
         check_int("dimension q", q, 1, UnsupportedInputError)
         if not isinstance(cospherical_degrees, (tuple, list)):
             raise UnsupportedInputError(
@@ -67,27 +78,16 @@ class ManifoldDescriptor:
                 raise UnsupportedInputError(f"{name} must be True or False, got {flag!r}")
         if type(label) is not str:
             raise UnsupportedInputError(f"label must be a string, got {label!r}")
-        self.q = q
-        self.compact = compact
-        self.parallelizable = parallelizable
-        self.cospherical_degrees = cospherical_degrees
-        self.trivialized_over_cycles = trivialized_over_cycles
-        self.label = label
+        return super().__new__(cls, q, compact, parallelizable,
+                               tuple((k, count) for k, count in cospherical_degrees),
+                               trivialized_over_cycles, label)
 
     closed = property(lambda self: self.compact)  # no descriptor has a boundary
     orientable = property(lambda self: True)  # nor lacks an orientation
 
     def to_json_obj(self) -> dict:
-        return {
-            "q": self.q,
-            "compact": self.compact,
-            "closed": self.closed,
-            "orientable": self.orientable,
-            "parallelizable": self.parallelizable,
-            "cospherical_degrees": [list(kc) for kc in self.cospherical_degrees],
-            "trivialized_over_cycles": self.trivialized_over_cycles,
-            "label": self.label,
-        }
+        return {**self._asdict(), "closed": self.closed, "orientable": self.orientable,
+                "cospherical_degrees": [list(kc) for kc in self.cospherical_degrees]}
 
 
 def _record(name: str, degree: int, target: str, method: str, rank: int,
@@ -189,15 +189,14 @@ def _preset_int(base: str, arg: str, noun: str) -> int:
         ) from exc
 
 
-# The compact presets without a parameter: name -> (q, parallelizable,
-# co-spherical degrees).
-_FIXED_PRESETS = {
-    "S1": (1, True, ()),
-    "S2": (2, False, ()),
-    "T2": (2, True, ((1, 2),)),
-    "S3": (3, True, ()),
-    "T3": (3, True, ((1, 3), (2, 3))),
-}
+# The compact presets without a parameter, shared: a descriptor cannot change.
+_FIXED_PRESETS = {d.label: d for d in (
+    ManifoldDescriptor(1, True, True, label="S1"),
+    ManifoldDescriptor(2, True, False, label="S2"),
+    ManifoldDescriptor(2, True, True, ((1, 2),), label="T2"),
+    ManifoldDescriptor(3, True, True, label="S3"),
+    ManifoldDescriptor(3, True, True, ((1, 3), (2, 3)), label="T3"),
+)}
 
 
 def preset(name: str) -> ManifoldDescriptor:
@@ -206,8 +205,7 @@ def preset(name: str) -> ManifoldDescriptor:
     if base in _FIXED_PRESETS:
         if colon:
             raise UnsupportedInputError(f"bad preset {name}; {base} takes no argument")
-        q, parallelizable, cospherical = _FIXED_PRESETS[base]
-        return ManifoldDescriptor(q, True, parallelizable, cospherical, label=base)
+        return _FIXED_PRESETS[base]
     if base == "Sigma_g":
         g = _preset_int(base, arg, "genus")
         if g < 2:

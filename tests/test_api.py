@@ -180,18 +180,20 @@ def test_value_classes_still_validate():
         ManifoldDescriptor(0, True, True)
 
 
-# A signature and a config are NamedTuples whose constructors validate: the
-# tuple gives equality, hashing, repr and write protection.
+# A signature, a config and a manifold descriptor are NamedTuples whose
+# constructors validate: the tuple gives equality, hashing, repr and write
+# protection.
 VALUES = [
     lambda: AlgebraSignature(2, "W"),
     lambda: complexes.GradedComplex(2, "W"),
     lambda: Config(cache_dir="cache"),
+    lambda: ManifoldDescriptor(3, True, True, ((1, 2),)),
 ]
-VALUE_IDS = ["AlgebraSignature", "GradedComplex", "Config"]
+VALUE_IDS = ["AlgebraSignature", "GradedComplex", "Config", "ManifoldDescriptor"]
 
 
 def test_signature_and_config_are_tuples():
-    for cls in (AlgebraSignature, Config):
+    for cls in (AlgebraSignature, Config, ManifoldDescriptor):
         assert issubclass(cls, tuple)
         assert not {"__init__", "__eq__", "__hash__", "__repr__"} & set(vars(cls))
     q, kind = AlgebraSignature(2, "WO")
@@ -229,7 +231,7 @@ def test_round_trips_go_through_the_constructor(make):
         back = trip(value)
         assert back == value and type(back) is type(value)
     # _replace skips the constructor's checks; a round trip runs them again
-    # (ConfigError is a ValueError)
+    # (ConfigError and UnsupportedInputError are ValueErrors)
     invalid = value._replace(**{value._fields[0]: 0})
     for trip in trips:
         with pytest.raises(ValueError, match="must be positive"):

@@ -135,6 +135,18 @@ def test_total_dim_cross_check():
     assert total == h.total_dim_check
 
 
+def test_a_result_reads_its_dims_from_its_representatives():
+    # dims and total_dim_check are read from the critical cells, so a result
+    # built by hand cannot write a total that its classes do not add up to
+    reps = {0: [Monomial((), (0,))], 3: [Monomial((1,), (0,)), Monomial((1,), (1,))]}
+    doc = complexes.CohomologyResult("W", 1, reps).to_json_obj()
+    assert (doc["dims"], doc["total_dim_check"]) == ({"0": 1, "3": 2}, 3)
+    h = complexes.cohomology(AlgebraSignature(3, "W"))
+    assert h._fields == ("kind", "q", "representatives")
+    assert h.dims == {n: len(r) for n, r in h.representatives.items()}
+    assert h.total_dim_check == sum(h.dims.values())
+
+
 def test_is_cocycle_is_coboundary():
     cx = complexes.build_complex(2, "W")
     sig = cx.signature

@@ -224,6 +224,28 @@ def test_report_is_pure():
     assert report(d) == report(d)
 
 
+def test_a_descriptor_keeps_what_its_constructor_checked():
+    # the descriptor stores its own tuples, so editing the caller's list
+    # afterwards changes neither the descriptor nor its report
+    cospherical = [[1, 2]]
+    d = ManifoldDescriptor(3, True, True, cospherical)
+    cospherical[0][0] = 7
+    cospherical.append([2, 1])
+    assert d.cospherical_degrees == ((1, 2),)
+    assert {r["degree"] for r in report(d) if r["method"] == "cycle_integration"} == {6, 9}
+    for field in d._fields:
+        with pytest.raises(AttributeError):
+            setattr(d, field, 0)
+    assert d == ManifoldDescriptor(3, True, True, ((1, 2),))
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "T2", "S3", "T3", "Sigma_g:2", "Rq:3"])
+def test_a_preset_is_a_value(name):
+    assert preset(name) == preset(name)
+    assert hash(preset(name)) == hash(preset(name))
+    assert ManifoldDescriptor(*preset(name)) == preset(name)
+
+
 def test_unknown_preset():
     with pytest.raises(UnsupportedInputError):
         preset("Klein")
