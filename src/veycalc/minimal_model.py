@@ -8,11 +8,12 @@ of H^n(model) -> I_q^n, and (below the cap) new closed degree-n generators hit
 its cokernel.  I_q has no relation below degree 2q+2, so the model is built
 over I_min(q, cap//2), alike through degree cap.  psi is a monomial map: each
 x generator goes to one c_J, which ``ModelStage.images`` holds as its exponent
-vector, and each w to 0, held as None.  The quasi-iso check takes dim H^n =
-words - rank d_n - rank d_(n-1) against dim I_q^n in closed form, and each
-word basis listed must have the size gca.free_series counts.  Generator counts
-per degree are the dual homotopy ranks; the free-algebra Poincare series of a
-rank table after delooping describes the loop-space homology families.
+vector, and each w to 0, held as None.  I_q^n is read from gca.c_parts, the
+one c-exponent enumerator.  The quasi-iso check takes dim H^n = words -
+rank d_n - rank d_(n-1) against dim I_q^n in closed form, and each word basis
+listed must have the size gca.free_series counts.  Generator counts per degree
+are the dual homotopy ranks; the free-algebra Poincare series of a rank table
+after delooping describes the loop-space homology families.
 
 A degree of more than ``WORD_BUDGET`` words, counted before any is listed,
 raises ``ResourceBudgetError`` with the count as its estimate.  Everything is
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 from . import gca, linalg
 from .errors import ResourceBudgetError, check_int
-from .gca import AlgebraSignature, Coeff, Monomial
+from .gca import Coeff
 
 WORD_BUDGET = 50_000
 
@@ -59,13 +60,14 @@ class FreeAlgebra:
         self.gids: list[str] = []
         self.degrees: list[int] = []
         self.diffs: list[FreeElement] = []
+        self.generators: dict[int, list[str]] = {}  # degree -> gids, in order added
 
     def add_generator(self, gid: str, degree: int, diff: FreeElement) -> int:
-        idx = len(self.gids)
         self.gids.append(gid)
         self.degrees.append(degree)
         self.diffs.append(diff)
-        return idx
+        self.generators.setdefault(degree, []).append(gid)
+        return len(self.gids) - 1
 
     # -- words -----------------------------------------------------------
 
@@ -154,10 +156,12 @@ class ModelStage(NamedTuple):
     q: int
     degree_cap: int
     algebra: FreeAlgebra
-    generators: dict[int, list[str]]  # degree -> generator ids
-    differentials: dict[str, FreeElement]
     images: dict[str, tuple[int, ...] | None]  # psi into I_q: c-exponents, None for 0
     quasi_iso_check: dict[int, bool]
+
+    # read from the algebra, which holds each generator once
+    generators = property(lambda self: self.algebra.generators)  # degree -> generator ids
+    differentials = property(lambda self: dict(zip(self.algebra.gids, self.algebra.diffs)))
 
     def to_json_obj(self) -> dict:
         """The whole model.json document, as `model` prints it; `ranks` is rank_table's."""
@@ -183,9 +187,7 @@ class _ModelBuilder:
     def __init__(self, q: int, cap: int):
         self.q = q
         self.cap = cap
-        self.sig = AlgebraSignature(q, "I")
         self.alg = FreeAlgebra()
-        self.generators: dict[int, list[str]] = {}
         self._c_parts: list[tuple[int, ...] | None] = []  # psi(g) as c-exponents, None for 0
         # each word keeps the column it is first given, for the whole build
         self._columns: dict[Word, int] = defaultdict(itertools.count().__next__)
@@ -218,7 +220,7 @@ class _ModelBuilder:
             parts = [(e, self._c_parts[idx]) for idx, e in w]
             if all(p for _, p in parts):  # else a w factor, which psi sends to 0
                 exps = tuple(sum(e * p[j] for e, p in parts) for j in range(self.q))
-                i = target_index.get(Monomial((), exps))  # None past the weight cap
+                i = target_index.get(exps)  # None past the weight cap
                 if i is not None:
                     v[i] = v.get(i, 0) + c
         return v
@@ -247,11 +249,9 @@ class _ModelBuilder:
         return [{w: v[c] for w, c in zip(basis_n, cols) if c in v} for v in reps]
 
     def _add_generator(self, prefix: str, degree: int, diff: FreeElement, c_part=None) -> None:
-        gids = self.generators.setdefault(degree, [])
-        gid = f"{prefix}{degree}_{len(gids)}"
+        gid = f"{prefix}{degree}_{len(self.alg.generators.get(degree, ()))}"
         self.alg.add_generator(gid, degree, diff)
         gca.free_series((degree,), self.cap + 1, self._counts)
-        gids.append(gid)
         self._c_parts.append(c_part)
 
     def _stage(self, n: int) -> None:
@@ -259,9 +259,9 @@ class _ModelBuilder:
         killed by degree-(n-1) generators w, and image, whose cokernel closed
         degree-n generators x hit below the cap.  The w only remove classes that
         psi sends to 0 and add no degree-n words (generators have degree >= 2),
-        so one solve serves both."""
-        target_basis = gca.basis_of_degree(self.sig, n)
-        target_index = {m: i for i, m in enumerate(target_basis)}
+        so one solve serves both.  I_q^n is spanned by the c_J of weight n / 2."""
+        target_basis = gca.c_parts(self.q, n // 2) if n % 2 == 0 and n <= 2 * self.q else ()
+        target_index = {c: i for i, c in enumerate(target_basis)}
         reps = self._cohomology_reps(n)
         kernel, image = linalg.column_pass([self._psi_vector(r, target_index) for r in reps])
         for combo in kernel:
@@ -271,9 +271,9 @@ class _ModelBuilder:
             self._add_generator("w", n - 1, target)
         if n == self.cap:
             return
-        for pick, mono in enumerate(target_basis):
+        for pick, c_part in enumerate(target_basis):
             if image.insert({pick: 1}):
-                self._add_generator("x", n, {}, mono.c_part)
+                self._add_generator("x", n, {}, c_part)
 
     def build(self) -> ModelStage:
         for n in range(2, self.cap + 1):
@@ -285,8 +285,7 @@ class _ModelBuilder:
             rank[n] = linalg.Echelon(map(self._d_column, basis_n)).rank
             check[n] = len(basis_n) - rank[n] - rank[n - 1] == target_dims[n]
         alg = self.alg
-        model = ModelStage(self.q, self.cap, alg, self.generators, dict(zip(alg.gids, alg.diffs)),
-                           dict(zip(alg.gids, self._c_parts)), check)
+        model = ModelStage(self.q, self.cap, alg, dict(zip(alg.gids, self._c_parts)), check)
         _assert_minimal(model)
         return model
 

@@ -146,12 +146,13 @@ SIGNATURES = [
     (errors.ResourceBudgetError, ["message", "estimate"]),
     (complexes.GradedComplex, ["q", "kind", "kinds"]),
     (Config, ["q_cap", "model_degree_cap", "cache_dir"]),
+    (minimal_model.ModelStage, ["q", "degree_cap", "algebra", "images", "quasi_iso_check"]),
 ]
 
 
 @pytest.mark.parametrize("obj, params", SIGNATURES,
                          ids=["ManifoldDescriptor", "build_model", "loop_poincare",
-                              "ResourceBudgetError", "GradedComplex", "Config"])
+                              "ResourceBudgetError", "GradedComplex", "Config", "ModelStage"])
 def test_signature_is_pinned(obj, params):
     assert list(inspect.signature(obj).parameters) == params
 

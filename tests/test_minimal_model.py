@@ -236,16 +236,17 @@ def test_quasi_iso_check_catches_a_coboundary_lost_at_the_top_stage(monkeypatch)
 
 
 def test_quasi_iso_check_counts_the_target_in_closed_form(monkeypatch):
-    # an enumerator of I_3 that drops the last degree-6 monomial, c_3, loses
-    # x6_0 from the stages; a check that counted dim I_3^6 with the same
+    # an enumerator of I_3^6 that drops its last monomial, c_3, loses x6_0
+    # from the stages; a check that counted dim I_3^6 with the same
     # enumerator would certify the wrong model, and the closed form does not
-    real = gca.basis_of_degree
+    real = gca.c_parts
+    assert real(3, 3)[-1] == (0, 0, 1)  # c_3
 
-    def dropping(sig, n):
-        out = real(sig, n)
-        return out[:-1] if sig == AlgebraSignature(3, "I") and n == 6 else out
+    def dropping(q, weight):
+        out = real(q, weight)
+        return out[:-1] if (q, weight) == (3, 3) else out
 
-    monkeypatch.setattr(gca, "basis_of_degree", dropping)
+    monkeypatch.setattr(gca, "c_parts", dropping)
     model = build_model(3, 10)
     assert "x6_0" not in model.algebra.gids
     assert [n for n, ok in model.quasi_iso_check.items() if not ok] == [6]
@@ -301,19 +302,22 @@ def test_psi_is_exponent_addition(q, cap):
         else:
             assert c is None, gid
     for n in range(2, cap + 1):
-        index = {m: i for i, m in enumerate(gca.basis_of_degree(builder.sig, n))}
+        basis = gca.basis_of_degree(AlgebraSignature(q, "I"), n)
+        index = {m.c_part: i for i, m in enumerate(basis)}
         for w in builder._basis(n):
-            expected = {index[m]: c for m, c in _psi_word(model, w).terms.items()}
+            expected = {index[m.c_part]: c for m, c in _psi_word(model, w).terms.items()}
             assert builder._psi_vector({w: 1}, index) == expected, model.algebra.word_label(w)
 
 
 def test_model_multiplies_no_element(monkeypatch):
+    # nor builds a Monomial: I_q^n is read from gca.c_parts as exponent tuples
     expected = build_model(3, 16).to_json_obj()
 
-    def refuse(self, other):
-        raise AssertionError("Element.__mul__ on the model path")
+    def refuse(*args, **kwargs):
+        raise AssertionError("Element.__mul__ or Monomial on the model path")
 
     monkeypatch.setattr(Element, "__mul__", refuse)
+    monkeypatch.setattr(gca.Monomial, "__new__", refuse)
     assert build_model(3, 16).to_json_obj() == expected
 
 
@@ -322,9 +326,22 @@ def test_minimality_certificate_refuses_a_linear_term():
     # assert statements (tests/test_morse.py scans src/ for them)
     alg = FreeAlgebra()
     x = alg.add_generator("x2_0", 2, {})
-    model = minimal_model.ModelStage(1, 4, alg, {}, {"w3_0": {((x, 1),): 1}}, {}, {})
+    alg.add_generator("w3_0", 3, {((x, 1),): 1})
+    model = minimal_model.ModelStage(1, 4, alg, {}, {})
     with pytest.raises(AssertionError, match="w3_0 has the linear term x2_0"):
         minimal_model._assert_minimal(model)
+
+
+def test_model_holds_each_generator_once():
+    assert minimal_model.ModelStage._fields == (
+        "q", "degree_cap", "algebra", "images", "quasi_iso_check")
+    m = build_model(2, 6)
+    with pytest.raises(ValueError):
+        m._replace(generators={})
+    for q, cap in [(2, 6), (3, 16), (4, 14)]:
+        m = build_model(q, cap)
+        assert m.generators == m.algebra.generators
+        assert list(m.differentials) == m.algebra.gids
 
 
 def test_budget_error(monkeypatch):
