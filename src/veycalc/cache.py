@@ -59,6 +59,7 @@ class Config(_ConfigFields):
     """The three config keys, validated; `load_config` takes their names from `_fields`."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, q_cap: int = DEFAULT_Q_CAP, model_degree_cap: int = 12,
                 cache_dir: str = _UNSET):

@@ -53,6 +53,7 @@ class AlgebraSignature(_Signature):
     which fixes the y-indices.  A kind outside `kinds` is refused before q."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, q: int, kind: str, kinds: tuple[str, ...] = KINDS):
         if kind not in kinds:

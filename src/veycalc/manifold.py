@@ -52,6 +52,7 @@ class ManifoldDescriptor(_Descriptor):
     co-spherical list stored as (k, count) tuples; the fundamental class is implicit."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, q: int, compact: bool, parallelizable: bool,
                 cospherical_degrees: tuple[tuple[int, int], ...] = (),

@@ -54,7 +54,8 @@ def add_into(out: FreeElement, terms: FreeElement, k: Coeff = 1) -> None:
 
 
 class FreeAlgebra:
-    """Free graded-commutative algebra on an append-only generator list."""
+    """Free graded-commutative algebra on generators appended in nondecreasing
+    degree, each a positive int: add_generator refuses any other, by name."""
 
     def __init__(self) -> None:
         self.gids: list[str] = []
@@ -63,6 +64,7 @@ class FreeAlgebra:
         self.generators: dict[int, list[str]] = {}  # degree -> gids, in order added
 
     def add_generator(self, gid: str, degree: int, diff: FreeElement) -> int:
+        check_int("generator degree", degree, self.degrees[-1] if self.degrees else 1)
         self.gids.append(gid)
         self.degrees.append(degree)
         self.diffs.append(diff)
@@ -126,27 +128,21 @@ class FreeAlgebra:
 
     def basis(self, degree: int) -> list[Word]:
         """All words of the given total degree, in sorted order: generators are
-        taken in index order with exponents ascending, and one whose degree
-        exceeds what remains is skipped.  A branch ends at the first index from
-        which no generator fits; the builder appends generators in
-        nondecreasing degree, so that is the first one too large."""
+        taken in index order with exponents ascending.  add_generator keeps their
+        degrees nondecreasing, so a branch ends at the first that exceeds what remains."""
         out: list[Word] = []
         degrees = self.degrees
-        suffix_min = degrees + [degree + 1]  # least degree from each index on
-        for idx in range(len(degrees) - 1, -1, -1):
-            suffix_min[idx] = min(degrees[idx], suffix_min[idx + 1])
 
         def rec(start: int, remaining: int, acc: Word) -> None:
             if remaining == 0:
                 out.append(acc)
                 return
             for idx in range(start, len(degrees)):
-                if suffix_min[idx] > remaining:
-                    break
                 d = degrees[idx]
-                if d <= remaining:
-                    for e in range(1, (1 if d % 2 == 1 else remaining // d) + 1):
-                        rec(idx + 1, remaining - d * e, acc + ((idx, e),))
+                if d > remaining:
+                    break
+                for e in range(1, (1 if d % 2 == 1 else remaining // d) + 1):
+                    rec(idx + 1, remaining - d * e, acc + ((idx, e),))
 
         rec(0, degree, UNIT_WORD)
         return out
@@ -323,5 +319,8 @@ def loop_poincare(ranks: dict[int, int], loops: int, cap: int) -> list[int]:
     degrees (gca.free_series)."""
     check_int("loops", loops, 0)
     check_int("cap", cap, 0)
+    for deg, count in ranks.items():
+        check_int("degree", deg, 1)
+        check_int("count", count, 0)
     degrees = (deg - loops for deg, count in ranks.items() if deg > loops for _ in range(count))
     return gca.free_series(degrees, cap)

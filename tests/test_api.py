@@ -231,9 +231,14 @@ def test_round_trips_go_through_the_constructor(make):
     for trip in trips:
         back = trip(value)
         assert back == value and type(back) is type(value)
-    # _replace skips the constructor's checks; a round trip runs them again
-    # (ConfigError and UnsupportedInputError are ValueErrors)
-    invalid = value._replace(**{value._fields[0]: 0})
+    # _replace and _make run the constructor's checks (ConfigError and
+    # UnsupportedInputError are ValueErrors)
+    with pytest.raises(ValueError, match="must be positive"):
+        value._replace(**{value._fields[0]: 0})
+    with pytest.raises(ValueError, match="must be positive"):
+        type(value)._make((0, *value[1:]))
+    # a value built past the constructor is checked again by a round trip
+    invalid = tuple.__new__(type(value), (0, *value[1:]))
     for trip in trips:
         with pytest.raises(ValueError, match="must be positive"):
             trip(invalid)

@@ -12,7 +12,7 @@ from veycalc.cache import Config, ConfigError
 from veycalc.errors import UnsupportedInputError
 from veycalc.gca import AlgebraSignature
 from veycalc.manifold import ManifoldDescriptor, fiber_integrate_degree
-from veycalc.minimal_model import build_model, loop_poincare
+from veycalc.minimal_model import FreeAlgebra, build_model, loop_poincare
 
 Q = "q must be positive"
 
@@ -40,6 +40,13 @@ ENTRIES = [
      0, "loops must be at least 0"),
     ("loop_poincare-cap", "cap", lambda v: loop_poincare({2: 1}, 0, v), ValueError,
      0, "cap must be at least 0"),
+    ("loop_poincare-degree", "degree", lambda v: loop_poincare({v: 1}, 0, 4), ValueError,
+     1, "degree must be positive"),
+    ("loop_poincare-count", "count", lambda v: loop_poincare({2: v}, 0, 4), ValueError,
+     0, "count must be at least 0"),
+    ("FreeAlgebra.add_generator", "generator degree",
+     lambda v: FreeAlgebra().add_generator("g", v, {}), ValueError,
+     1, "generator degree must be positive"),
     ("fiber_integrate_degree", "degree", lambda v: fiber_integrate_degree(v, 2), ValueError,
      None, None),
     ("fiber_integrate_degree-q", "q", lambda v: fiber_integrate_degree(7, v), ValueError, 1, Q),

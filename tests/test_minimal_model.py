@@ -29,6 +29,11 @@ def test_free_algebra_words():
     assert alg.mul({((a, 1),): 1}, {((a, 1),): 1}) == {}
     # basis enumeration
     assert [alg.word_label(w) for w in alg.basis(6)] == ["x^3", "ab"]
+    # generators come in nondecreasing degree; a refused one leaves no trace
+    with pytest.raises(ValueError, match="^generator degree must be at least 3$"):
+        alg.add_generator("y", 2, {})
+    assert alg.gids == ["x", "a", "b"] and alg.degrees == [2, 3, 3]
+    assert alg.generators == {2: ["x"], 3: ["a", "b"]}
 
 
 @pytest.mark.parametrize("q, cap", [(2, 18), (3, 16), (4, 14)])
@@ -266,13 +271,13 @@ def test_word_count_certificate_refuses_a_short_basis(monkeypatch):
 
 def test_mul_words_takes_its_sign_from_merge_y(monkeypatch):
     alg = FreeAlgebra()
-    a, x, b = (alg.add_generator(g, d, {}) for g, d in (("a", 3), ("x", 2), ("b", 5)))
-    assert alg.mul_words(((b, 1),), ((a, 1), (x, 2))) == (-1, ((a, 1), (x, 2), (b, 1)))
+    x, a, b = (alg.add_generator(g, d, {}) for g, d in (("x", 2), ("a", 3), ("b", 5)))
+    assert alg.mul_words(((b, 1),), ((x, 2), (a, 1))) == (-1, ((x, 2), (a, 1), (b, 1)))
     assert alg.mul_words(((a, 1),), ((a, 1),)) is None
     seen = []
     real = gca._merge_y
     monkeypatch.setattr(gca, "_merge_y", lambda p, r: seen.append((p, r)) or real(p, r))
-    alg.mul_words(((b, 1),), ((a, 1), (x, 2)))
+    alg.mul_words(((b, 1),), ((x, 2), (a, 1)))
     assert seen == [((b,), (a,))]  # the odd generators alone, in index order
 
 
