@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .errors import DEFAULT_Q_CAP, check_int
+from .errors import check_int
 
 # The keys of each command's document, which a cached payload must carry, each
 # with the type json.load gives for its schema type: the `required` lists of
@@ -61,7 +61,7 @@ class Config(_ConfigFields):
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, q_cap: int = DEFAULT_Q_CAP, model_degree_cap: int = 12,
+    def __new__(cls, q_cap: int = 10, model_degree_cap: int = 12,
                 cache_dir: str = _UNSET):
         check_int("q_cap", q_cap, 1, ConfigError)
         check_int("model_degree_cap", model_degree_cap, 1, ConfigError)
@@ -79,15 +79,22 @@ class Config(_ConfigFields):
         return hashlib.sha256(canonical_json(self.to_json_obj()).encode()).hexdigest()[:12]
 
 
+_CONFIG_BYTES = 2**20  # the largest config file read; a longer one is refused unparsed
+
+
 def load_config(path: str | None) -> Config:
     if path is None:
         return Config()
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read(_CONFIG_BYTES + 1)  # bounded, so /dev/zero cannot exhaust memory
+        if len(raw) <= _CONFIG_BYTES:
+            data = json.loads(raw.decode("utf-8"))
     # ValueError: bad UTF-8 or JSON, or an integer past the digit limit
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if len(raw) > _CONFIG_BYTES:
+        raise ConfigError(f"config file {path} is larger than {_CONFIG_BYTES} bytes")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     unknown = set(data) - set(Config._fields)

@@ -357,7 +357,7 @@ def run(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
         config = load_config(args.config)
         if args.cache_dir is not None:
-            config = Config(**{**config.to_json_obj(), "cache_dir": args.cache_dir})
+            config = config._replace(cache_dir=args.cache_dir)
         if args.version:
             print(f"veycalc {__version__} (config {config.digest()})")
             return EXIT_OK

@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from . import gca
-from .errors import DEFAULT_Q_CAP, KINDS, ResourceBudgetError  # re-exported
 from .gca import AlgebraSignature, Coeff, Element, Monomial
 
 if TYPE_CHECKING:  # annotations only: a cohomology job never loads linalg

@@ -1,17 +1,13 @@
-"""Errors, limits and the integer rule the CLI needs before any computation starts.
+"""Errors, kinds and the integer rule the CLI needs before any computation starts.
 
 This module imports nothing, so the front end can parse arguments, load the
 config, serve a cache hit and map errors to exit codes without loading the
-algebra stack.  The modules these names belong to re-export them:
-``complexes`` (``DEFAULT_Q_CAP``, ``KINDS``, ``ResourceBudgetError``),
-``vey`` (``VEY_KINDS``) and ``manifold`` (``UnsupportedInputError``).  Only
-the CLI checks the caps, after its cache lookup; the library refuses no job
-for its size, except a model whose word basis outgrows
-``minimal_model.WORD_BUDGET``.  Every q, degree, cap or count from outside
-passes ``check_int``.
+algebra stack.  ``vey`` re-exports ``VEY_KINDS`` and ``manifold``
+``UnsupportedInputError``.  Only the CLI checks the caps of ``cache.Config``,
+after its cache lookup; the library refuses no job for its size, except a
+model whose word basis outgrows ``minimal_model.WORD_BUDGET``.  Every q,
+degree, cap or count from outside passes ``check_int``.
 """
-
-DEFAULT_Q_CAP = 10
 
 KINDS = ("W", "WO", "I")
 VEY_KINDS = ("W", "WO")  # the complexes with a Vey basis

@@ -13,7 +13,7 @@ manifold is compact and parallelizable.
     alpha[v]            BDiff_delta  fiber_integration  always
     beta[v]             BbarDiff     section_pullback   a global section
     gamma[C_i][v]       BDiff_delta  cycle_integration  parallelizable or trivialized
-    braced[e]           BbarDiff     braced             a global section, q >= 3
+    braced[e]           BbarDiff     braced             a global section, kappa(q) >= 1
     gamma_braced[C_i]   BDiff_delta  cycle_integration  a global section, q = 3
     loop[t^d]           BbarDiff     loop_family        open and parallelizable
 
@@ -143,7 +143,7 @@ def report(m: ManifoldDescriptor) -> list[dict]:
         for prefix, degree, target, method, rank, survival in families
         for name in names
     ]
-    if has_section and q >= 3:
+    if has_section and vey.kappa(q):
         extended, counts = vey.extended_basis(q)
         records += [
             _record(f"braced[{e.label()}]", d, "BbarDiff", "braced", counts[d], "unknown")

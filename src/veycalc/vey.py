@@ -137,21 +137,21 @@ def v_count(q: int) -> int:
 
 
 def kappa(q: int) -> int:
-    """Greatest integer with 4*kappa <= q+1 (number of usable Pontrjagin classes)."""
+    """Greatest integer with 4*kappa <= q+1: the count of bracing indices 2, 4, ..., 2*kappa."""
     return (check_int("q", q, 1) + 1) // 4
 
 
 def extended_basis(q: int) -> tuple[list[tuple[int, Monomial]], dict[int, int]]:
     """Braced extension of the variable set: y_{i_1} y_{I'} c_J with I' strictly
-    increasing even indices, i_1 < i_1' and 2 i_r' <= q+1.  Returns the
-    (degree, monomial) pairs in canonical order and the per-degree counts."""
+    increasing even indices above i_1, the even indices up to 2 kappa(q).  Returns
+    the (degree, monomial) pairs in canonical order and the per-degree counts."""
     from .gca import Monomial, _y_subsets
 
     groups = []
     counts: dict[int, int] = {}
     # degree 2q+1 makes each group one i_1 (see variable_set), in partition order
     for n, (i1,), cparts, _ in vey_groups(check_int("q", q, 1), "WO", 2 * q + 1):
-        evens = tuple(range(i1 + 1, (q + 1) // 2 + 1, 2))  # the even i' > i_1 (odd), 2 i' <= q+1
+        evens = range(i1 + 1, 2 * kappa(q) + 1, 2)  # the even i' up to 2 kappa above i_1 (odd)
         for ydeg, iprime in _y_subsets(evens, sum(2 * i - 1 for i in evens)):  # every subset
             counts[n + ydeg] = counts.get(n + ydeg, 0) + len(cparts)
             groups.append((n + ydeg, (i1,) + iprime, cparts))  # increasing, as every i' > i_1

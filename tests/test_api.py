@@ -83,9 +83,6 @@ def test_unknown_name_raises_attribute_error():
 @pytest.mark.parametrize(
     "old_home, name",
     [
-        (complexes, "ResourceBudgetError"),
-        (complexes, "DEFAULT_Q_CAP"),
-        (complexes, "KINDS"),
         (manifold, "UnsupportedInputError"),
         (vey, "VEY_KINDS"),
     ],
@@ -210,7 +207,7 @@ def test_fields_are_write_protected(make):
     assert value == make()
 
 
-@pytest.mark.parametrize("kind", complexes.KINDS)
+@pytest.mark.parametrize("kind", errors.KINDS)
 def test_a_signature_key_is_found_after_an_assignment(kind):
     for sig in (AlgebraSignature(2, kind), complexes.GradedComplex(2, kind)):
         table = {sig: kind}

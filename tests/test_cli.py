@@ -716,8 +716,9 @@ def test_config_rejects_removed_wo_condition_key(tmp_path, capsys, cache_dir, ke
     assert f"unknown config keys: {key}" in err
 
 
-@pytest.mark.parametrize("body", [b"[" * 200_000, b'{"q_cap": "\xff"}', b"[]"],
-                         ids=["200000-brackets", "not-utf8", "not-an-object"])
+@pytest.mark.parametrize("body", [b"[" * 200_000, b'{"q_cap": "\xff"}', b"[]",
+                                  b" " * 2**20 + b"{}"],
+                         ids=["200000-brackets", "not-utf8", "not-an-object", "over-2^20-bytes"])
 def test_unreadable_config_file_exit_2(tmp_path, capsys, cache_dir, body):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(body)
@@ -728,6 +729,15 @@ def test_unreadable_config_file_exit_2(tmp_path, capsys, cache_dir, body):
     assert out == ""
     assert f"config file {cfg}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_config_file_exit_2(tmp_path):
+    # the config read stops past 2^20 bytes, so an endless file is refused, not read
+    code, out, err, _ = _limited_child(["--config", "/dev/zero", "kappa", "--q", "1"],
+                                       str(tmp_path / "cache"))
+    assert (code, out) == (2, "")
+    assert err == "veycalc: invalid input: config file /dev/zero is larger than 1048576 bytes\n"
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import re
 import elimination
 import pytest
 
-from veycalc import complexes, gca, linalg, minimal_model
+from veycalc import complexes, errors, gca, linalg, minimal_model
 from veycalc.cache import canonical_json
 from veycalc.gca import AlgebraSignature, Element, Monomial
 
@@ -32,7 +32,7 @@ def test_w3_dimension():
     assert sum(len(b) for b in cx.bases.values()) == 56
 
 
-@pytest.mark.parametrize("kind", complexes.KINDS)
+@pytest.mark.parametrize("kind", errors.KINDS)
 def test_a_complex_is_its_signature(kind):
     cx, sig = complexes.GradedComplex(2, kind), AlgebraSignature(2, kind)
     assert issubclass(complexes.GradedComplex, AlgebraSignature)
@@ -193,7 +193,7 @@ def test_d_squared_zero_matrixwise():
                 assert all(x == 0 for x in w)
 
 
-@pytest.mark.parametrize("kind", complexes.KINDS)
+@pytest.mark.parametrize("kind", errors.KINDS)
 @pytest.mark.parametrize("q", range(1, 6))
 def test_assembly_matches_the_differential(q, kind):
     # build_complex writes the triplets of d by index arithmetic; gca.differential

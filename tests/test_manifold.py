@@ -263,6 +263,13 @@ def _descriptors():
                     yield ManifoldDescriptor(q, compact, parallelizable, cospherical, trivialized)
 
 
+@pytest.mark.parametrize("q", range(1, 9))
+def test_braced_records_exactly_when_kappa_is_positive(q):
+    # a global section braces once a Pontrjagin class is usable for bracing
+    records = report(ManifoldDescriptor(q, True, True))
+    assert any(r["method"] == "braced" for r in records) == (vey.kappa(q) >= 1)
+
+
 def test_inventory_follows_the_rules():
     descriptors = list(_descriptors())
     assert len(descriptors) == 336

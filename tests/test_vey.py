@@ -254,6 +254,21 @@ def test_extended_basis_matches_a_monomial_degree_reference(q):
     assert list(by_degree.items()) == sorted(counts.items())
 
 
+@pytest.mark.parametrize("q", range(1, 21))
+def test_extended_basis_braces_with_the_even_indices_up_to_2_kappa(q):
+    # every class is y_{i_1} y_{I'} c_J with I' among 2, 4, ..., 2 kappa(q)
+    # above i_1, and each y_{i_1} c_J is braced by every such I'
+    evens = range(2, 2 * vey.kappa(q) + 1, 2)
+    braced = {}
+    for _, m in vey.extended_basis(q)[0]:
+        i1, iprime = m.y_part[0], m.y_part[1:]
+        assert set(iprime) <= set(evens) and all(i > i1 for i in iprime), m.label()
+        braced[i1, m.c_part] = braced.get((i1, m.c_part), 0) + 1
+    assert set(braced) == {(v.y_part[0], v.c_part) for v in vey.variable_set(q)}
+    for (i1, _), n in braced.items():
+        assert n == 2 ** sum(1 for i in evens if i > i1)
+
+
 def test_extended_basis_q7_allows_i_prime_4():
     classes, counts = vey.extended_basis(7)
     # 2*4 = 8 <= q+1 = 8, so I' = (2,4) and (4,) appear
