@@ -74,9 +74,7 @@ class Config(_ConfigFields):
     to_json_obj = _ConfigFields._asdict
 
     def digest(self) -> str:
-        import hashlib
-
-        return hashlib.sha256(canonical_json(self.to_json_obj()).encode()).hexdigest()[:12]
+        return _crc(canonical_json(self.to_json_obj()).encode())
 
 
 _CONFIG_BYTES = 2**20  # the largest config file read; a longer one is refused unparsed
@@ -86,8 +84,11 @@ def load_config(path: str | None) -> Config:
     if path is None:
         return Config()
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read(_CONFIG_BYTES + 1)  # bounded, so /dev/zero cannot exhaust memory
+        # non-blocking, so a FIFO opens at once; with nothing written it reads
+        # as empty, or as None while a writer holds it open
+        nonblock = getattr(os, "O_NONBLOCK", 0)
+        with open(path, "rb", opener=lambda p, f: os.open(p, f | nonblock)) as fh:
+            raw = fh.read(_CONFIG_BYTES + 1) or b""  # bounded, so /dev/zero cannot exhaust memory
         if len(raw) <= _CONFIG_BYTES:
             data = json.loads(raw.decode("utf-8"))
     # ValueError: bad UTF-8 or JSON, or an integer past the digit limit
@@ -113,8 +114,8 @@ def _key_text(command: str, params: dict) -> str:
 
 
 def _crc(data: bytes) -> str:
-    # a zlib checksum, not a hashlib digest: importing hashlib loads OpenSSL's
-    # libcrypto; imported here, not at the top, as `vey` and `kappa` jobs never hash
+    # a zlib CRC-32, the package's one checksum: a cryptographic digest would load
+    # OpenSSL's libcrypto; imported here, not at the top, as `vey` and `kappa` jobs never hash
     import zlib
 
     return f"{zlib.crc32(data):08x}"

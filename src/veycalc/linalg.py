@@ -14,8 +14,9 @@ nullspace bases are reproducible, and a greedy pass over candidates keeps
 exactly those outside the span of the ones before.  :func:`column_pass`
 eliminates a map once, for both its kernel and its image echelon, and
 :func:`cohomology` is the minimal model's "cohomology in degree n".  The dense
-list-of-rows functions and ``Echelon.rref`` serve tests and tracing only; the
-dense ones return Fractions, and :func:`nullspace` is a column pass.
+list-of-rows functions serve tests and tracing only and return Fractions;
+:func:`rref`, :func:`nullspace` and :func:`solve` each read a column pass, so
+``Echelon.reduce`` is the one elimination procedure.
 """
 
 from __future__ import annotations
@@ -90,19 +91,13 @@ class Echelon:
             inv = 1 / Fraction(pivot)
             self.rows[p] = {c: x * inv for c, x in v.items()}
 
-    def rref(self) -> list[tuple[int, SparseRow]]:
-        """(pivot, row) pairs of the reduced row echelon form, which replace the
-        stored rows.  Back-substitutes from the highest pivot down, so each row
-        is reduced against rows that are already fully reduced."""
-        rows = self.rows
-        for p in sorted(rows, reverse=True):
-            row = rows[p]
-            rows[p] = {p: row[p], **self.reduce({c: x for c, x in row.items() if c != p})}
-        return sorted(rows.items())
-
 
 def sparse(row: Row) -> SparseRow:
     return {c: x for c, x in enumerate(row) if x}
+
+
+def _columns(mat: Matrix, ncols: int) -> list[SparseRow]:
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)]
 
 
 def dense(vec: SparseRow, ncols: int) -> Row:
@@ -149,16 +144,18 @@ def cohomology(kernel: list[SparseRow], coboundaries: Echelon) -> list[SparseRow
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (echelon matrix, pivot columns)."""
-    from fractions import Fraction
-
+    """Reduced row echelon form; returns (echelon matrix, pivot columns), read off
+    the canonical kernel: pivot p's row is 1 at p and 0 at the other pivots, and
+    in each free column j it is minus the p entry of j's kernel vector, whose
+    largest key is j."""
     if not mat:
         return [], []
     ncols = len(mat[0])
-    reduced = Echelon(map(sparse, mat)).rref()
-    ech = [dense(row, ncols) for _, row in reduced]
-    ech += [[Fraction(0)] * ncols for _ in range(len(mat) - len(ech))]
-    return ech, [p for p, _ in reduced]
+    free = {max(v): v for v in column_pass(_columns(mat, ncols))[0]}
+    pivots = [p for p in range(ncols) if p not in free]
+    ech = [dense({p: 1, **{j: -v[p] for j, v in free.items() if p in v}}, ncols) for p in pivots]
+    ech += [dense({}, ncols) for _ in range(len(mat) - len(ech))]
+    return ech, pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -167,23 +164,20 @@ def rank(mat: Matrix) -> int:
 
 def nullspace(mat: Matrix, ncols: int) -> list[Row]:
     """Basis of {x : mat @ x = 0}, canonical (one vector per free column)."""
-    cols = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)]
-    return [dense(v, ncols) for v in column_pass(cols)[0]]
+    return [dense(v, ncols) for v in column_pass(_columns(mat, ncols))[0]]
 
 
 def solve(mat: Matrix, b: Row) -> Row | None:
-    """One solution of mat @ x = b (free variables 0), or None if inconsistent."""
-    from fractions import Fraction
-
+    """One solution of mat @ x = b (free variables 0), or None if inconsistent,
+    that is when b, appended as a last column, is a pivot; else minus b's kernel
+    vector on the first ncols entries."""
     if not mat:
         return None if any(b) else []
     ncols = len(mat[0])
-    x = [Fraction(0)] * ncols
-    for p, row in Echelon(sparse(r + [bb]) for r, bb in zip(mat, b)).rref():
-        if p == ncols:
-            return None
-        x[p] = Fraction(row.get(ncols, 0))
-    return x
+    kernel = column_pass(_columns([r + [y] for r, y in zip(mat, b)], ncols + 1))[0]
+    if not kernel or max(kernel[-1]) != ncols:
+        return None
+    return dense({c: -x for c, x in kernel[-1].items() if c < ncols}, ncols)
 
 
 def independent_complement(span_rows: Matrix, candidates: Matrix) -> list[int]:

@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 import veycalc
-from veycalc import complexes, errors, gca, manifold, minimal_model, vey
+from veycalc import complexes, errors, gca, linalg, manifold, minimal_model, vey
 from veycalc.cache import Config, ConfigError
 from veycalc.gca import AlgebraSignature, Element, Monomial
 from veycalc.manifold import ManifoldDescriptor
@@ -31,7 +31,9 @@ PUBLIC = {
 # ModelBudgetError, a second type for one refusal: ResourceBudgetError is the one;
 # VeyClass, whose flags vey_groups lists once per group: a Vey class is its Monomial;
 # the record vocabulary, whose one statement is docs/schemas/manifold_report.json;
-# GradedComplex.top_degree, a second spelling of gca.top_degree
+# GradedComplex.top_degree, a second spelling of gca.top_degree;
+# Echelon.rref, a back-substitution beside reduce: linalg.rref and
+# linalg.solve read the canonical kernel of a column pass
 DELETED = [
     (veycalc, "brace_degree"), (veycalc, "hurewicz_ok"),
     (manifold, "brace_degree"), (manifold, "hurewicz_ok"),
@@ -44,7 +46,7 @@ DELETED = [
     (minimal_model, "ModelBudgetError"),
     (veycalc, "VeyClass"), (vey, "VeyClass"),
     (manifold, "TARGETS"), (manifold, "METHODS"), (manifold, "SURVIVAL"),
-    (complexes.GradedComplex, "top_degree"),
+    (complexes.GradedComplex, "top_degree"), (linalg.Echelon, "rref"),
 ]
 
 

@@ -405,7 +405,9 @@ def test_missing_subcommand(capsys):
 def test_version(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
-    assert "veycalc" in out and "config" in out
+    # the config digest is the CRC-32 that cache entries use, 8 hex digits
+    digest = f"{zlib.crc32(canonical_json(Config().to_json_obj()).encode()):08x}"
+    assert out == f"veycalc {__version__} (config {digest})\n"
 
 
 def test_cache_cold_vs_warm_byte_identical(capsys, cache_dir):
@@ -738,6 +740,28 @@ def test_endless_config_file_exit_2(tmp_path):
                                        str(tmp_path / "cache"))
     assert (code, out) == (2, "")
     assert err == "veycalc: invalid input: config file /dev/zero is larger than 1048576 bytes\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+@pytest.mark.parametrize("writer", [False, True], ids=["no-writer", "idle-writer"])
+def test_fifo_config_file_exit_2(tmp_path, writer):
+    # the config opens without blocking, so a FIFO reads as empty whether or not
+    # a writer holds it open; the child's timeout fails a regression, not hangs it
+    fifo = tmp_path / "cfg.fifo"
+    os.mkfifo(fifo)
+    fds = []
+    if writer:  # a reader first, so that opening the writer does not block
+        fds.append(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        fds.append(os.open(fifo, os.O_WRONLY))
+    try:
+        code, out, err, _ = _limited_child(["--config", str(fifo), "kappa", "--q", "1"],
+                                           str(tmp_path / "cache"))
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"veycalc: invalid input: cannot read config file {fifo}: Expecting value")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

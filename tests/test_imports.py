@@ -5,14 +5,13 @@ do not count.  A new top-level import of an algebra module in the package,
 the CLI or the cache makes one of these sets grow.  So does `dataclasses` or
 `inspect`, which no job needs: importing them costs about 12 ms per run.
 `fractions` (about 3 ms, with `decimal` and `numbers`) is loaded only past a
-pivot other than +-1, which none of these jobs meets.  `hashlib`, whose
-`_hashlib` loads OpenSSL's libcrypto, is loaded only by `--version` for the
-config digest: cache entries are addressed by a `zlib` CRC-32.  Every
-source also parses at the Python floor that `pyproject.toml` declares.
+pivot other than +-1, which none of these jobs meets.  No job loads
+`hashlib`, whose `_hashlib` loads OpenSSL's libcrypto, not even `--version`:
+cache entries and the config digest are `zlib` CRC-32s.  Every source also
+parses at the Python floor that `pyproject.toml` declares.
 """
 
 import ast
-import importlib.util
 import json
 import os
 import pathlib
@@ -28,8 +27,6 @@ import veycalc.cli
 SRC = str(pathlib.Path(veycalc.__file__).resolve().parents[1])
 # Loaded by every job: the package, the front end, the cache and the errors.
 FRONT = {"veycalc", "veycalc.cli", "veycalc.cache", "veycalc.errors"}
-# What `import hashlib` loads, OpenSSL's `_hashlib` where the interpreter has it
-HASHLIB = {"hashlib"} | ({"_hashlib"} if importlib.util.find_spec("_hashlib") else set())
 
 CHILD = """
 import contextlib, io, json, sys
@@ -80,22 +77,22 @@ def test_sources_parse_at_the_declared_python_floor():
         ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))
 
 
-# (job, algebra modules it loads beyond FRONT, whether it hashes the config
-# digest and so loads hashlib), computed on an empty cache; cached jobs do not
+# (job, algebra modules it loads beyond FRONT), computed on an empty cache;
+# cached jobs do not
 JOBS = [
-    ("kappa --q 3", {"vey"}, False),
-    ("cohomology --complex W --q 2", {"gca", "complexes"}, False),
-    ("model --q 2 --max-degree 6", {"gca", "linalg", "minimal_model"}, False),
-    ("vey --complex WO --q 3", {"vey", "gca"}, False),
-    ("vey --complex WO --q 3 --degree 7", {"vey", "gca"}, False),
+    ("kappa --q 3", {"vey"}),
+    ("cohomology --complex W --q 2", {"gca", "complexes"}),
+    ("model --q 2 --max-degree 6", {"gca", "linalg", "minimal_model"}),
+    ("vey --complex WO --q 3", {"vey", "gca"}),
+    ("vey --complex WO --q 3 --degree 7", {"vey", "gca"}),
     # the JSON row writer
-    ("vey --complex W --q 3 --format json", {"vey", "gca"}, False),
-    ("validate --complex W --q 2", {"vey", "gca", "complexes"}, False),
-    ("manifold --dim 6 --compact", {"manifold", "vey", "gca"}, False),
-    ("manifold --preset Rq:2", {"manifold", "minimal_model", "linalg", "gca"}, False),
+    ("vey --complex W --q 3 --format json", {"vey", "gca"}),
+    ("validate --complex W --q 2", {"vey", "gca", "complexes"}),
+    ("manifold --dim 6 --compact", {"manifold", "vey", "gca"}),
+    ("manifold --preset Rq:2", {"manifold", "minimal_model", "linalg", "gca"}),
     # the braced path
-    ("manifold --dim 6 --compact --parallelizable", {"manifold", "vey", "gca"}, False),
-    ("--version", set(), True),
+    ("manifold --dim 6 --compact --parallelizable", {"manifold", "vey", "gca"}),
+    ("--version", set()),
 ]
 
 # (job, format, modules a cache hit of it loads beyond FRONT); a cohomology
@@ -116,11 +113,10 @@ HITS = [
 ]
 
 
-@pytest.mark.parametrize("job, modules, hashes", JOBS, ids=[job for job, _, _ in JOBS])
-def test_job_loads_only_what_it_runs(tmp_path, job, modules, hashes):
+@pytest.mark.parametrize("job, modules", JOBS, ids=[job for job, _ in JOBS])
+def test_job_loads_only_what_it_runs(tmp_path, job, modules):
     loaded = _loaded([*job.split(), "--cache-dir", str(tmp_path)])
-    expected = FRONT | {f"veycalc.{m}" for m in modules} | (HASHLIB if hashes else set())
-    assert loaded == expected
+    assert loaded == FRONT | {f"veycalc.{m}" for m in modules}
 
 
 @pytest.mark.parametrize(

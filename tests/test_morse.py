@@ -221,6 +221,23 @@ def test_a_second_upper_cell_is_caught(monkeypatch, q, kind):
         list(complexes.critical_cells(cx))
 
 
+@pytest.mark.parametrize("q, kind", [(3, "W"), (5, "WO"), (6, "W"), (8, "WO")])
+def test_a_sign_flip_in_d_is_caught(monkeypatch, q, kind):
+    # the second term of each d(y_I c_J) with its sign flipped: every d still
+    # starts with the partner and the matching still holds, so only d(d(y_I)) != 0
+    # catches it, and validate_vey raises instead of reporting ok (WO_1 has no
+    # cell with two y-indices, so there the flip changes nothing)
+    real = gca.d_terms
+
+    def flipped(m, bound):
+        for k, (sign, term) in enumerate(real(m, bound)):
+            yield (-sign if k == 1 else sign), term
+
+    monkeypatch.setattr(gca, "d_terms", flipped)
+    with pytest.raises(AssertionError, match=r"^d\(d\(y1y[23]\)\) has the term 2 c1c[23]$"):
+        vey.validate_vey(q, kind)
+
+
 def test_the_certificate_survives_python_O():
     code = (
         "from veycalc import complexes, gca\n"
