@@ -52,8 +52,6 @@ class GradedComplex(AlgebraSignature):
     """The signature (q, kind), equal to AlgebraSignature(q, kind), with its
     complex's monomial bases and triplets of d, built on first read."""
 
-    signature = property(lambda self: self)
-
     @cached_property
     def bases(self) -> dict[int, list[Monomial]]:
         """Degree n -> the monomial basis of C^n, for each n with C^n != 0."""

@@ -21,9 +21,11 @@ the bases here, the size estimates of a refusal and the loop-space series of
 
 All coefficients are exact rationals: an integral coefficient is a Python
 int, and any other one a fractions.Fraction, which is only imported when a
-coefficient needs it.  A signature is an immutable (q, kind) tuple; an
-Element is a value too, but its fields are not write-protected, and every
-operation is a pure function.
+coefficient needs it.  A signature is an immutable (q, kind) tuple.  An
+Element is built one way, Element(signature, terms), which refuses a
+signature that is not an AlgebraSignature and any monomial that is not a
+cell of it; its terms are a dict, so it is not hashable, and every operation
+is a pure function.
 """
 
 from __future__ import annotations
@@ -91,9 +93,12 @@ class Monomial(NamedTuple):
         return (self.degree(), self.y_part, self.partition())
 
     def is_valid(self, sig: AlgebraSignature) -> bool:
-        ys, odd = self.y_part, sig.odd_indices
-        return (len(self.c_part) == sig.q and list(ys) == sorted(set(ys))
-                and all(i in odd for i in ys) and self.weight() <= sig.q)
+        """True iff this is a cell of sig: int indices (no bool or float), I strictly
+        increasing over sig's y-indices, and q exponents >= 0 of weight <= q."""
+        ys, cs = self
+        return (all(type(x) is int for x in (*ys, *cs)) and len(cs) == sig.q
+                and min(cs, default=0) >= 0 and list(ys) == sorted(set(ys))
+                and all(i in sig.odd_indices for i in ys) and self.weight() <= sig.q)
 
     def label(self) -> str:
         """Human-readable name like 'y1y2c1^2c3' ('1' for the unit)."""
@@ -149,20 +154,16 @@ class Element:
     __slots__ = ("signature", "terms")
 
     def __init__(self, signature: AlgebraSignature, terms: Mapping[Monomial, Coeff] | None = None):
+        if not isinstance(signature, AlgebraSignature):
+            raise TypeError(f"signature must be an AlgebraSignature, got {signature!r}")
         self.signature = signature
         clean: dict[Monomial, Coeff] = {}
         for m, c in (terms or {}).items():
+            if not m.is_valid(signature):
+                raise ValueError(f"monomial {m} invalid for signature {signature}")
             if c := _exact(c):
                 clean[m] = c
         self.terms = clean
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def monomial(cls, sig: AlgebraSignature, m: Monomial, coeff=1) -> "Element":
-        if not m.is_valid(sig):
-            raise ValueError(f"monomial {m} invalid for signature {sig}")
-        return cls(sig, {m: coeff})
 
     # -- basic queries -------------------------------------------------
 
@@ -232,9 +233,6 @@ class Element:
             and self.signature == other.signature
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.signature, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:

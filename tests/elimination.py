@@ -37,7 +37,7 @@ def representatives(cx):
         chosen = linalg.cohomology(kernel, coboundaries)
         if chosen:
             basis = cx.basis(n)
-            reps[n] = [Element(cx.signature, {basis[j]: x for j, x in v.items()}) for v in chosen]
+            reps[n] = [Element(cx, {basis[j]: x for j, x in v.items()}) for v in chosen]
     return reps
 
 

@@ -47,6 +47,7 @@ DELETED = [
     (veycalc, "VeyClass"), (vey, "VeyClass"),
     (manifold, "TARGETS"), (manifold, "METHODS"), (manifold, "SURVIVAL"),
     (complexes.GradedComplex, "top_degree"), (linalg.Echelon, "rref"),
+    (Element, "monomial"), (complexes.GradedComplex, "signature"),
 ]
 
 
@@ -54,6 +55,10 @@ DELETED = [
 def test_deleted_helper_is_gone(owner, name):
     with pytest.raises(AttributeError):
         getattr(owner, name)
+
+
+def test_an_element_is_not_hashable():
+    assert Element.__hash__ is None  # its terms are a mutable dict
 
 
 def test_all_is_the_public_api():
@@ -96,7 +101,7 @@ def test_moved_name_keeps_its_identity(old_home, name):
 
 
 # The reprs of the value classes, recorded when they were dataclasses;
-# Element.monomial's error message embeds the first two.
+# Element's error message for an invalid monomial embeds the first two.
 REPRS = [
     (lambda: AlgebraSignature(2, "W"), "AlgebraSignature(q=2, kind='W')"),
     (lambda: Monomial((1,), (0, 0)), "Monomial(y_part=(1,), c_part=(0, 0))"),
@@ -126,7 +131,7 @@ def test_equal_values_are_equal_and_hash_alike():
 
 def test_invalid_monomial_message_is_unchanged():
     with pytest.raises(ValueError) as exc:
-        Element.monomial(AlgebraSignature(2, "W"), Monomial((3,), (0, 0)))
+        Element(AlgebraSignature(2, "W"), {Monomial((3,), (0, 0)): 1})
     assert str(exc.value) == (
         "monomial Monomial(y_part=(3,), c_part=(0, 0)) invalid for signature "
         "AlgebraSignature(q=2, kind='W')"

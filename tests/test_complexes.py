@@ -24,7 +24,7 @@ def test_build_w1():
 
 def test_wo2_has_only_y1():
     cx = complexes.build_complex(2, "WO")
-    assert list(cx.signature.odd_indices) == [1]
+    assert list(cx.odd_indices) == [1]
 
 
 def test_w3_dimension():
@@ -39,11 +39,10 @@ def test_a_complex_is_its_signature(kind):
     assert "__init__" not in vars(complexes.GradedComplex)
     assert cx == sig and sig == cx and hash(cx) == hash(sig)
     assert cx != AlgebraSignature(3, kind) and sig != complexes.GradedComplex(3, kind)
-    assert cx.signature is cx
     assert complexes.build_complex(2, kind) == cx
     # elements over the complex and over its signature live over one algebra
     c1, c2 = Monomial((), (1, 0)), Monomial((), (0, 1))
-    total = Element.monomial(cx, c1) + Element.monomial(sig, c2)
+    total = Element(cx, {c1: 1}) + Element(sig, {c2: 1})
     assert total == Element(sig, {c1: 1, c2: 1}) == Element(cx, {c1: 1, c2: 1})
 
 
@@ -149,16 +148,15 @@ def test_a_result_reads_its_dims_from_its_representatives():
 
 def test_is_cocycle_is_coboundary():
     cx = complexes.build_complex(2, "W")
-    sig = cx.signature
-    y2c1sq = Element.monomial(sig, Monomial((2,), (2, 0)))
+    y2c1sq = Element(cx, {Monomial((2,), (2, 0)): 1})
     assert complexes.is_cocycle(cx, y2c1sq)
     assert complexes.is_coboundary(cx, y2c1sq)  # = d(y1 y2 c1)
-    c1 = Element.monomial(sig, Monomial((), (1, 0)))
+    c1 = Element(cx, {Monomial((), (1, 0)): 1})
     assert complexes.is_cocycle(cx, c1)
     assert complexes.is_coboundary(cx, c1)  # = d(y1)
 
     wo = complexes.build_complex(2, "WO")
-    c2 = Element.monomial(wo.signature, Monomial((), (0, 1)))
+    c2 = Element(wo, {Monomial((), (0, 1)): 1})
     assert complexes.is_cocycle(wo, c2)
     assert not complexes.is_coboundary(wo, c2)  # surviving Pontrjagin class
     assert not complexes.is_coboundary(AlgebraSignature(2, "WO"), c2)
@@ -171,8 +169,7 @@ def test_is_cocycle_is_coboundary():
 
 def test_non_homogeneous_rejected():
     cx = complexes.build_complex(2, "W")
-    sig = cx.signature
-    mixed = Element(sig, {Monomial((1,), (0, 0)): 1, Monomial((), (1, 0)): 1})
+    mixed = Element(cx, {Monomial((1,), (0, 0)): 1, Monomial((), (1, 0)): 1})
     with pytest.raises(ValueError):
         complexes.is_cocycle(cx, mixed)
 
@@ -204,7 +201,7 @@ def test_assembly_matches_the_differential(q, kind):
         expected = [
             (index[mm], col, coeff)
             for col, m in enumerate(basis)
-            for mm, coeff in gca.differential(Element.monomial(cx.signature, m)).sorted_terms()
+            for mm, coeff in gca.differential(Element(cx, {m: 1})).sorted_terms()
         ]
         assert cx.diff.get(n, []) == expected
         assert all(type(coeff) is int for _, _, coeff in cx.diff.get(n, []))

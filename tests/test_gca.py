@@ -57,25 +57,25 @@ def test_basis_w3_total_dimension():
 
 def test_multiplication_koszul_sign():
     sig = AlgebraSignature(2, "W")
-    y1 = Element.monomial(sig, Monomial((1,), (0, 0)))
-    y2 = Element.monomial(sig, Monomial((2,), (0, 0)))
+    y1 = Element(sig, {Monomial((1,), (0, 0)): 1})
+    y2 = Element(sig, {Monomial((2,), (0, 0)): 1})
     assert y1 * y2 == -(y2 * y1)
     assert (y1 * y1).is_zero()
 
 
 def test_truncation():
     sig = AlgebraSignature(2, "W")
-    c1 = Element.monomial(sig, Monomial((), (1, 0)))
+    c1 = Element(sig, {Monomial((), (1, 0)): 1})
     assert not (c1 * c1).is_zero()  # weight 2 = q
     assert (c1 * c1 * c1).is_zero()  # weight 3 > q
 
 
 def test_differential_examples():
     sig = AlgebraSignature(2, "W")
-    y1 = Element.monomial(sig, Monomial((1,), (0, 0)))
-    y2 = Element.monomial(sig, Monomial((2,), (0, 0)))
-    c1 = Element.monomial(sig, Monomial((), (1, 0)))
-    c2 = Element.monomial(sig, Monomial((), (0, 1)))
+    y1 = Element(sig, {Monomial((1,), (0, 0)): 1})
+    y2 = Element(sig, {Monomial((2,), (0, 0)): 1})
+    c1 = Element(sig, {Monomial((), (1, 0)): 1})
+    c2 = Element(sig, {Monomial((), (0, 1)): 1})
     assert gca.differential(y1) == c1
     assert gca.differential(c1).is_zero()
     # d(y1 y2) = c1 y2 - y1 c2
@@ -87,15 +87,57 @@ def test_differential_examples():
 def test_differential_respects_truncation():
     # d(y2 c1^2) would carry weight 4 > 2, hence vanishes
     sig = AlgebraSignature(2, "W")
-    el = Element.monomial(sig, Monomial((2,), (2, 0)))
+    el = Element(sig, {Monomial((2,), (2, 0)): 1})
     assert gca.differential(el).is_zero()
 
 
 def test_signature_mismatch():
-    a = Element.monomial(AlgebraSignature(2, "W"), Monomial((1,), (0, 0)))
-    b = Element.monomial(AlgebraSignature(3, "W"), Monomial((1,), (0, 0, 0)))
+    a = Element(AlgebraSignature(2, "W"), {Monomial((1,), (0, 0)): 1})
+    b = Element(AlgebraSignature(3, "W"), {Monomial((1,), (0, 0, 0)): 1})
     with pytest.raises(SignatureMismatch):
         _ = a + b
+
+
+# monomials that are no cell of their algebra: wrong kind of index or exponent,
+# a negative exponent, an unsorted or repeated I, a y-index the kind lacks, a
+# c-part of the wrong length, an over-weight c_J
+NOT_CELLS = [
+    ((2, "W"), Monomial((), (-1, 1))),
+    ((2, "W"), Monomial((), (0.5, 0))),
+    ((2, "W"), Monomial((), (False, 1))),
+    ((2, "W"), Monomial((True,), (0, 0))),
+    ((2, "W"), Monomial((1.0,), (0, 0))),
+    ((2, "W"), Monomial((2, 1), (0, 0))),
+    ((2, "W"), Monomial((1, 1), (0, 0))),
+    ((2, "W"), Monomial((3,), (0, 0))),
+    ((2, "WO"), Monomial((2,), (0, 0))),
+    ((2, "I"), Monomial((1,), (0, 0))),
+    ((2, "W"), Monomial((), (0, 0, 0))),
+    ((2, "W"), Monomial((), (1, 1))),
+]
+
+
+@pytest.mark.parametrize("sig, m", NOT_CELLS,
+                         ids=[f"{k}{q}-{m.y_part}-{m.c_part}" for (q, k), m in NOT_CELLS])
+def test_the_constructor_refuses_what_is_not_a_cell(sig, m):
+    sig = AlgebraSignature(*sig)
+    assert not m.is_valid(sig)
+    # the monomial is checked before its coefficient is read
+    message = re.escape(f"monomial {m} invalid for signature {sig}")
+    for coeff in (1, 0, 0.1):
+        with pytest.raises(ValueError, match=message):
+            Element(sig, {m: coeff})
+
+
+def test_every_basis_monomial_is_a_cell():
+    for sig in (AlgebraSignature(3, "W"), AlgebraSignature(4, "WO"), AlgebraSignature(3, "I")):
+        assert all(m.is_valid(sig) for _, b in gca.iter_basis(sig) for m in b)
+
+
+def test_the_constructor_refuses_what_is_not_a_signature():
+    for bad in ((2, "W"), "W", 2, None):
+        with pytest.raises(TypeError, match="AlgebraSignature"):
+            Element(bad)
 
 
 def test_coefficients_are_exact():
@@ -108,11 +150,11 @@ def test_coefficients_are_exact():
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             Element(sig, {y1: bad})
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            Element.monomial(sig, y1).scale(bad)
+            Element(sig, {y1: 1}).scale(bad)
     assert Element(sig, {y1: "1/10"}).terms == {y1: Fraction(1, 10)}
     assert Element(sig, {y1: Fraction(4, 2)}).terms == {y1: 2}
     assert type(Element(sig, {y1: Fraction(4, 2)}).terms[y1]) is int
-    assert Element.monomial(sig, y1).scale("-3/6").terms == {y1: Fraction(-1, 2)}
+    assert Element(sig, {y1: 1}).scale("-3/6").terms == {y1: Fraction(-1, 2)}
 
 
 def test_dimension_series_matches_enumeration():
@@ -189,7 +231,7 @@ def test_property_d_squared_zero_and_leibniz(pair):
     assert gca.differential(da).is_zero()
     # Leibniz on homogeneous pieces: d(ab) = da*b + (-1)^|a| a*db
     for m, c in a.terms.items():
-        am = Element.monomial(sig, m, c)
+        am = Element(sig, {m: c})
         sign = (-1) ** m.degree()
         lhs = gca.differential(am * b)
         rhs = gca.differential(am) * b + (am * gca.differential(b)).scale(sign)
@@ -198,8 +240,8 @@ def test_property_d_squared_zero_and_leibniz(pair):
     # of degree one more and of weight <= q
     for m in {**a.terms, **b.terms}:
         terms = list(gca.d_terms(m, sig.q))
-        expected = sum((Element.monomial(sig, mm, s) for s, mm in terms), Element(sig))
-        assert gca.differential(Element.monomial(sig, m)) == expected
+        expected = sum((Element(sig, {mm: s}) for s, mm in terms), Element(sig))
+        assert gca.differential(Element(sig, {m: 1})) == expected
         assert all(mm.degree() == m.degree() + 1 and mm.weight() <= sig.q for _, mm in terms)
 
 
@@ -207,8 +249,8 @@ def test_property_d_squared_zero_and_leibniz(pair):
 @given(_elements(SIG), _elements(SIG))
 def test_property_graded_commutativity(a, b):
     for m, c in a.terms.items():
-        am = Element.monomial(SIG, m, c)
+        am = Element(SIG, {m: c})
         for mm, cc in b.terms.items():
-            bm = Element.monomial(SIG, mm, cc)
+            bm = Element(SIG, {mm: cc})
             sign = (-1) ** (m.degree() * mm.degree())
             assert am * bm == (bm * am).scale(sign)

@@ -46,7 +46,7 @@ def test_critical_cells_are_the_oracle_representatives(q, kind):
     cx = complexes.build_complex(q, kind)
     cells = complexes.cohomology(cx).representatives
     assert all(type(m) is Monomial for ms in cells.values() for m in ms)
-    as_elements = {n: [Element(cx.signature, {m: 1}) for m in ms] for n, ms in cells.items()}
+    as_elements = {n: [Element(cx, {m: 1}) for m in ms] for n, ms in cells.items()}
     assert as_elements == elimination.representatives(cx)
 
 
@@ -65,7 +65,7 @@ ENUMERATED = ORACLE_CASES + [(9, "W"), (13, "WO")]
 def test_the_enumerator_lists_the_walks_critical_cells(q, kind):
     # every degree, the unit and the pure c_J included, in the same order
     cx = complexes.build_complex(q, kind)
-    walked, listed = dict(complexes.critical_cells(cx)), _listed(cx.signature)
+    walked, listed = dict(complexes.critical_cells(cx)), _listed(cx)
     assert set(listed) <= set(walked)
     assert walked == {n: listed.get(n, []) for n in walked}
 
@@ -74,7 +74,7 @@ def test_the_enumerator_lists_the_walks_critical_cells(q, kind):
 def test_the_matching_is_an_involution(q, kind):
     # a lower cell's partner is an upper cell whose partner it is, and back
     cx = complexes.build_complex(q, kind)
-    odd = tuple(sorted(cx.signature.odd_indices))
+    odd = tuple(sorted(cx.odd_indices))
     for n, basis in cx.bases.items():
         for cell in basis:
             kind_, partner = complexes._cell(cell, n, odd, q)
@@ -205,9 +205,9 @@ def test_a_second_upper_cell_is_caught(monkeypatch, q, kind):
     # cell's d: the first term and the bijection still hold, but a gradient path
     # then runs on from that upper cell's own lower partner
     cx = complexes.build_complex(q, kind)
-    odd, real = tuple(cx.signature.odd_indices), gca.d_terms
+    odd, real = tuple(cx.odd_indices), gca.d_terms
     uppers = {n: [m for m in basis if complexes._cell(m, n, odd, q)[0] == "upper"]
-              for n, basis in gca.iter_basis(cx.signature)}
+              for n, basis in gca.iter_basis(cx)}
 
     def planted(m, bound):
         terms = list(real(m, bound))
@@ -359,8 +359,7 @@ COEFFS = (1, -1, 2, -3, Fraction(1, 2))
 def test_is_coboundary_agrees_with_the_oracle(q, kind):
     # every basis monomial, cocycle or not, and seeded d(x) + critical cells
     cx = complexes.build_complex(q, kind)
-    sig = cx.signature
-    cases = [Element.monomial(sig, m) for basis in cx.bases.values() for m in basis]
+    cases = [Element(cx, {m: 1}) for basis in cx.bases.values() for m in basis]
     critical = dict(complexes.critical_cells(cx))
     rng = random.Random(q * 10 + len(kind))
     degrees = [n for n in cx.bases if n > 0]
@@ -369,7 +368,7 @@ def test_is_coboundary_agrees_with_the_oracle(q, kind):
         x = {m: rng.choice(COEFFS) for m in rng.sample(cx.basis(n - 1), min(3, len(cx.basis(n - 1))))}
         cells = critical.get(n, [])
         z = {m: rng.choice(COEFFS) for m in rng.sample(cells, rng.randint(0, min(2, len(cells))))}
-        cases.append(gca.differential(Element(sig, x)) + Element(sig, z))
+        cases.append(gca.differential(Element(cx, x)) + Element(cx, z))
     outcomes = set()
     for a in cases:
         exact = complexes.is_coboundary(cx, a)
