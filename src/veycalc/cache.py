@@ -39,37 +39,22 @@ class ConfigError(ValueError):
     """Raised for malformed configuration files or values."""
 
 
-_UNSET = object()  # Config's default cache_dir, read when a Config is made
-
-
-def default_cache_dir() -> str:
-    env = os.environ.get("VEYCALC_CACHE_DIR")
-    if env:
-        return env
-    return str(Path.home() / ".cache" / "veycalc")
-
-
 class _ConfigFields(NamedTuple):
     q_cap: int
     model_degree_cap: int
-    cache_dir: str
 
 
 class Config(_ConfigFields):
-    """The three config keys, validated; `load_config` takes their names from `_fields`."""
+    """The two config keys, the caps, validated; `load_config` takes their names from
+    `_fields`.  A pure value, read from no environment: `ResultCache` finds the cache."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, q_cap: int = 10, model_degree_cap: int = 12,
-                cache_dir: str = _UNSET):
+    def __new__(cls, q_cap: int = 10, model_degree_cap: int = 12):
         check_int("q_cap", q_cap, 1, ConfigError)
         check_int("model_degree_cap", model_degree_cap, 1, ConfigError)
-        if cache_dir is _UNSET:
-            cache_dir = default_cache_dir()
-        if not isinstance(cache_dir, str) or not cache_dir:
-            raise ConfigError(f"cache_dir must be a non-empty string, got {cache_dir!r}")
-        return super().__new__(cls, q_cap, model_degree_cap, cache_dir)
+        return super().__new__(cls, q_cap, model_degree_cap)
 
     to_json_obj = _ConfigFields._asdict
 
@@ -132,7 +117,10 @@ def cache_key(command: str, params: dict) -> str:
 
 
 class ResultCache:
-    def __init__(self, cache_dir: str):
+    def __init__(self, cache_dir: str | None = None):
+        """The cache in cache_dir, else in $VEYCALC_CACHE_DIR, else in ~/.cache/veycalc."""
+        if cache_dir is None:
+            cache_dir = os.environ.get("VEYCALC_CACHE_DIR") or Path.home() / ".cache" / "veycalc"
         self.dir = Path(cache_dir)
 
     def _path(self, key: str) -> Path:

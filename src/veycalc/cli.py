@@ -2,7 +2,7 @@
 
 Subcommands: cohomology, vey, model, manifold, validate, kappa.  Results are
 emitted as byte-deterministic JSON or aligned fixed-width tables; heavyweight
-results are cached content-addressed under the configured cache directory.
+results are cached content-addressed in `--cache-dir` or `ResultCache`'s default.
 Exit codes: 0 success, 2 invalid input (a usage error too), 3 budget refusal.
 
 Each subcommand is one row of `_SUBCOMMANDS`: help, flags as (flag, argparse
@@ -356,8 +356,8 @@ def run(argv=None) -> int:
     try:
         args = build_parser(argv).parse_args(argv)
         config = load_config(args.config)
-        if args.cache_dir is not None:
-            config = config._replace(cache_dir=args.cache_dir)
+        if args.cache_dir == "":  # refused, never a fallback to the default directory
+            raise UnsupportedInputError("cache_dir must be a non-empty string, got ''")
         if args.version:
             print(f"veycalc {__version__} (config {config.digest()})")
             return EXIT_OK
@@ -366,7 +366,7 @@ def run(argv=None) -> int:
         subcommand = _SUBCOMMANDS[args.command]
         cache = None
         if args.command in REQUIRED_KEYS and not args.no_cache:
-            cache = ResultCache(config.cache_dir)
+            cache = ResultCache(args.cache_dir)
             params = {d: getattr(args, d) for d in (_dest(flag) for flag, _ in subcommand.flags)}
         hit = cache.get(args.command, params) if cache else None
         doc, text = hit or (None, None)  # text: canonical_json(doc), once the cache holds it

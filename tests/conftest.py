@@ -1,6 +1,18 @@
-"""Terminal summary listing one pass/fail line per acceptance criterion."""
+"""A private default cache for every test, and a terminal summary listing one
+pass/fail line per acceptance criterion."""
+
+import pytest
 
 _acceptance_reports: dict[str, tuple[bool, str]] = {}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_default_cache(tmp_path_factory):
+    # a job run without --cache-dir, here or in a child process, which inherits
+    # the variable, reads and writes a fresh directory, never the user's cache
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("VEYCALC_CACHE_DIR", str(tmp_path_factory.mktemp("default-cache")))
+        yield
 
 
 def pytest_runtest_logreport(report):

@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 import veycalc
-from veycalc import complexes, errors, gca, linalg, manifold, minimal_model, vey
+from veycalc import cache, complexes, errors, gca, linalg, manifold, minimal_model, vey
 from veycalc.cache import Config, ConfigError
 from veycalc.gca import AlgebraSignature, Element, Monomial
 from veycalc.manifold import ManifoldDescriptor
@@ -33,7 +33,9 @@ PUBLIC = {
 # the record vocabulary, whose one statement is docs/schemas/manifold_report.json;
 # GradedComplex.top_degree, a second spelling of gca.top_degree;
 # Echelon.rref, a back-substitution beside reduce: linalg.rref and
-# linalg.solve read the canonical kernel of a column pass
+# linalg.solve read the canonical kernel of a column pass;
+# Config.cache_dir and default_cache_dir: a config is its two caps, and
+# ResultCache finds the cache directory
 DELETED = [
     (veycalc, "brace_degree"), (veycalc, "hurewicz_ok"),
     (manifold, "brace_degree"), (manifold, "hurewicz_ok"),
@@ -48,6 +50,7 @@ DELETED = [
     (manifold, "TARGETS"), (manifold, "METHODS"), (manifold, "SURVIVAL"),
     (complexes.GradedComplex, "top_degree"), (linalg.Echelon, "rref"),
     (Element, "monomial"), (complexes.GradedComplex, "signature"),
+    (Config, "cache_dir"), (cache, "default_cache_dir"),
 ]
 
 
@@ -106,7 +109,7 @@ REPRS = [
     (lambda: AlgebraSignature(2, "W"), "AlgebraSignature(q=2, kind='W')"),
     (lambda: Monomial((1,), (0, 0)), "Monomial(y_part=(1,), c_part=(0, 0))"),
     (lambda: complexes.GradedComplex(2, "W"), "GradedComplex(q=2, kind='W')"),
-    (lambda: Config(cache_dir="cache"), "Config(q_cap=10, model_degree_cap=12, cache_dir='cache')"),
+    (Config, "Config(q_cap=10, model_degree_cap=12)"),
 ]
 
 
@@ -149,7 +152,7 @@ SIGNATURES = [
     (minimal_model.loop_poincare, ["ranks", "loops", "cap"]),
     (errors.ResourceBudgetError, ["message", "estimate"]),
     (complexes.GradedComplex, ["q", "kind", "kinds"]),
-    (Config, ["q_cap", "model_degree_cap", "cache_dir"]),
+    (Config, ["q_cap", "model_degree_cap"]),
     (minimal_model.ModelStage, ["q", "degree_cap", "algebra", "images", "quasi_iso_check"]),
 ]
 
@@ -191,7 +194,7 @@ def test_value_classes_still_validate():
 VALUES = [
     lambda: AlgebraSignature(2, "W"),
     lambda: complexes.GradedComplex(2, "W"),
-    lambda: Config(cache_dir="cache"),
+    Config,
     lambda: ManifoldDescriptor(3, True, True, ((1, 2),)),
 ]
 VALUE_IDS = ["AlgebraSignature", "GradedComplex", "Config", "ManifoldDescriptor"]

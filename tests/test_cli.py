@@ -410,6 +410,28 @@ def test_version(capsys):
     assert out == f"veycalc {__version__} (config {digest})\n"
 
 
+def test_version_is_the_same_on_every_machine(tmp_path):
+    # the digest is of the caps alone: no home, cache variable or cache flag enters it
+    base = _child_env()
+    base.pop("VEYCALC_CACHE_DIR", None)
+    runs = [({"HOME": str(tmp_path / "a")}, []), ({"HOME": str(tmp_path / "b")}, []),
+            ({"VEYCALC_CACHE_DIR": str(tmp_path / "x")}, []),
+            ({}, ["--cache-dir", str(tmp_path / "y")])]
+    lines = {subprocess.run([sys.executable, "-m", "veycalc.cli", "--version", *flags],
+                            env={**base, **env}, capture_output=True, text=True, timeout=10,
+                            check=True).stdout
+             for env, flags in runs}
+    # the CRC-32 of {"model_degree_cap":12,"q_cap":10}
+    assert lines == {f"veycalc {__version__} (config 3cd9fba8)\n"}
+
+
+def test_config_reads_no_environment(tmp_path, monkeypatch):
+    before = Config()
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("VEYCALC_CACHE_DIR", str(tmp_path / "cache"))
+    assert Config() == before == (10, 12)
+
+
 def test_cache_cold_vs_warm_byte_identical(capsys, cache_dir):
     argv = ["cohomology", "--complex", "WO", "--q", "2", "--format", "json",
             "--cache-dir", cache_dir]
@@ -792,6 +814,29 @@ def test_empty_cache_dir_flag_exit_2(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["--no-cache", "cohomology", "--complex", "W", "--q", "1"],
+    ["kappa", "--q", "1"],
+    ["--version"],
+], ids=["no-cache", "kappa", "version"])
+def test_empty_cache_dir_flag_exit_2_where_no_cache_is_opened(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    # checked where the config is read, before any job, as for a cached job (above)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("VEYCALC_CACHE_DIR")
+    assert run(capsys, argv + ["--cache-dir", ""]) == (
+        2, "", "veycalc: invalid input: cache_dir must be a non-empty string, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_dir_is_no_config_key(tmp_path, capsys, cache_dir):
+    # the cache directory is set by --cache-dir or VEYCALC_CACHE_DIR alone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cache_dir": "x"}))
+    assert run(capsys, ["--config", str(cfg), "kappa", "--q", "1", "--cache-dir", cache_dir]) == (
+        2, "", "veycalc: invalid input: unknown config keys: cache_dir\n")
+
+
 @pytest.mark.parametrize("flag", ["--classify", "--validate"])
 def test_removed_vey_flags_exit_2(capsys, cache_dir, flag):
     code, out, err = run(capsys, ["vey", "--complex", "W", "--q", "1", flag,
@@ -821,7 +866,7 @@ def test_config_defaults():
     c = Config()
     assert c.q_cap == 10
     assert c.model_degree_cap == 12
-    assert list(Config._fields) == ["q_cap", "model_degree_cap", "cache_dir"]
+    assert list(Config._fields) == ["q_cap", "model_degree_cap"]
     with pytest.raises(ConfigError):
         Config(q_cap=0)
     with pytest.raises(TypeError):
